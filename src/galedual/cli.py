@@ -74,7 +74,6 @@ def build_parser():
                        help="distance below which numeric points merge")
         p.add_argument("--tol-verify", type=float, default=1e-9,
                        help="largest residual accepted as a solution")
-        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -82,7 +81,6 @@ def _config(args):
     return SolverConfig(
         cluster_tol=args.tol_cluster,
         verify_tol=args.tol_verify,
-        seed=args.seed,
     )
 
 

@@ -2,15 +2,18 @@
 
 Just enough arithmetic for this package: ring operations, exact and complex
 evaluation, derivatives, and the univariate helpers (gcd, squarefree
-decomposition, interpolation, Sylvester resultants) the bivariate solver needs.
+decomposition, interpolation, integer subresultants) behind the bivariate
+resultant the solver needs.
 General polynomial algebra (factoring, multivariate division) is out of scope.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .ratlinalg import det_bareiss_int, mat_det
+# unused here; bench/spans.py looks these names up on this module to count calls
+from .ratlinalg import det_bareiss_int, mat_det  # noqa: F401
 
 
 class Poly:
@@ -218,7 +221,8 @@ def poly_equal_up_to_scale(a, b):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers: dense coefficient lists, ascending order, Fraction entries
+# univariate helpers: dense coefficient lists, ascending order, Fraction or
+# int entries (the resultant path keeps to ints)
 
 
 def utrim(coeffs):
@@ -233,7 +237,7 @@ def udeg(coeffs):
 
 
 def ueval(coeffs, x):
-    total = Fraction(0) if isinstance(x, (int, Fraction)) else 0j
+    total = 0 if isinstance(x, (int, Fraction)) else 0j
     for c in reversed(coeffs):
         total = total * x + c
     return total
@@ -246,7 +250,7 @@ def uderiv(coeffs):
 def umul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -276,16 +280,7 @@ def udivmod(a, b):
 
 
 def _int_content(coeffs):
-    g = 0
-    for c in coeffs:
-        g = _gcd(g, abs(c))
-    return g or 1
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return gcd(*coeffs) or 1
 
 
 def _to_int_primitive(coeffs):
@@ -293,27 +288,34 @@ def _to_int_primitive(coeffs):
     c = utrim([Fraction(v) for v in coeffs])
     if not c:
         return []
-    denom = 1
-    for v in c:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in c]
+    denom = lcm(*(v.denominator for v in c))
+    ints = [v.numerator * (denom // v.denominator) for v in c]
     content = _int_content(ints)
     return [v // content for v in ints]
 
 
-def _prem_int(f, g):
-    """Pseudo-remainder of integer coefficient lists, up to lc(g) powers."""
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(r) > dg:
-        lr = r[-1]
-        shift = len(r) - 1 - dg
-        r = [lg * c for c in r]
-        for i, cg in enumerate(g):
-            r[shift + i] -= lr * cg
+def _prem(a, b):
+    """Exact pseudo-remainder of integer coefficient lists.
+
+    The remainder of lc(b)**(deg a - deg b + 1) * a on division by b, which is
+    an integer list whenever a and b are.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    steps = len(r) - db
+    while len(r) > db:
+        lr = r.pop()
+        shift = len(r) - db
+        r = [lb * c for c in r]
+        for i in range(db):
+            r[shift + i] -= lr * b[i]
+        steps -= 1
         while r and r[-1] == 0:
             r.pop()
+    if steps > 0 and r:
+        scale = lb ** steps
+        r = [scale * c for c in r]
     return r
 
 
@@ -328,7 +330,7 @@ def ugcd(a, b):
     if len(f) < len(g):
         f, g = g, f
     while g:
-        r = _prem_int(f, g)
+        r = _prem(f, g)
         f, g = g, _to_int_primitive(r)
     if not f:
         return []
@@ -374,98 +376,153 @@ def _pad(a, b):
 def uinterpolate(points):
     """Coefficients of the unique polynomial through the given (x, y) pairs.
 
-    Newton divided differences, exact over Fraction.
+    Newton divided differences, exact. A quotient stays an int whenever the
+    division is exact, so the values of an integer polynomial at integer nodes
+    are interpolated in ints throughout; other data gets Fraction entries.
     """
-    xs = [Fraction(x) for x, _ in points]
+    xs = [_exact(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    ys = [Fraction(y) for _, y in points]
     n = len(points)
-    coef = list(ys)
+    coef = [_exact(y) for _, y in points]
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+            coef[i] = _exact_quotient(coef[i] - coef[i - 1], xs[i] - xs[i - level])
     # expand the Newton form into dense coefficients
-    poly = [Fraction(0)]
-    basis = [Fraction(1)]
+    poly = [0]
+    basis = [1]
     for i in range(n):
         for j, b in enumerate(basis):
             if len(poly) <= j:
-                poly.append(Fraction(0))
+                poly.append(0)
             poly[j] += coef[i] * b
-        basis = umul(basis, [-xs[i], Fraction(1)])
+        basis = umul(basis, [-xs[i], 1])
     return utrim(poly)
+
+
+def _exact(v):
+    """An int for an integral value, a Fraction otherwise."""
+    if isinstance(v, int):
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _exact_quotient(num, den):
+    if isinstance(num, int) and isinstance(den, int):
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    return _exact(Fraction(num) / den)
+
+
+def uresultant_int(a, b):
+    """Resultant of two integer polynomials given as dense ascending lists.
+
+    Collins' subresultant algorithm (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7): O(deg a * deg b) integer operations,
+    and every division in it is exact. The degrees are those of the trimmed
+    lists; a zero operand gives 0.
+    """
+    a = utrim(a)
+    b = utrim(b)
+    if not a or not b:
+        return 0
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0:
+        return a[0] ** db
+    if db == 0:
+        return b[0] ** da
+    ca, cb = _int_content(a), _int_content(b)
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
+    content = ca ** db * cb ** da
+    sign = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            sign = -1
+    g = h = 1
+    while db > 0:
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = _prem(a, b)
+        if not r:
+            return 0
+        divisor = g * h ** delta
+        a, b = b, [c // divisor for c in r]
+        da, db = db, len(b) - 1
+        g = a[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+    return sign * content * (b[0] ** da // h ** (da - 1))
 
 
 def bivariate_resultant(f, g, eliminate):
     """Sylvester resultant of two bivariate polynomials, exactly.
 
     Eliminates variable ``eliminate`` (0 or 1) and returns the resultant as a
-    dense ascending coefficient list in the other variable. Computed by
-    evaluating the Sylvester determinant at integer nodes and interpolating,
-    which sidesteps polynomial-entry elimination entirely. The determinant is
-    taken of the full-size padded matrix, so the result agrees with the
-    resultant of f, g viewed with their generic degrees even at nodes where
-    leading coefficients vanish.
+    dense ascending list of Fraction coefficients in the other variable: the
+    determinant of the Sylvester matrix of f and g sized by their generic
+    degrees d1, d2 in the eliminated variable.
+
+    All the work is in Python ints. Writing f = a*F and g = b*G with positive
+    rationals a, b and primitive integer F, G gives
+    Res(f, g) = a**d2 * b**d1 * Res(F, G). Res(F, G) is interpolated from its
+    values at the integer nodes 0, 1, -1, 2, ..., each one univariate
+    subresultant computation. Nodes where a leading coefficient of F or G
+    vanishes are skipped; at every other node the univariate resultant is the
+    generic-size Sylvester determinant, so the interpolant is unchanged.
     """
     if f.nvars != 2 or g.nvars != 2:
         raise ValueError("resultants here are bivariate only")
-    keep = 1 - eliminate
-    fc = {e: _univar_in(p, keep) for e, p in f.coefficients_in(eliminate).items()}
-    gc = {e: _univar_in(p, keep) for e, p in g.coefficients_in(eliminate).items()}
-    d1 = max(fc) if fc else -1
-    d2 = max(gc) if gc else -1
-    if d1 < 0 or d2 < 0:
-        raise ValueError("resultant of a zero polynomial")
+    fscale, frows = _primitive_rows(f, eliminate)
+    gscale, grows = _primitive_rows(g, eliminate)
+    d1 = len(frows) - 1
+    d2 = len(grows) - 1
     if d1 == 0 and d2 == 0:
         return [Fraction(1)]
-    deg_keep_f = max((udeg(c) for c in fc.values()), default=0)
-    deg_keep_g = max((udeg(c) for c in gc.values()), default=0)
-    bound = d1 * max(deg_keep_g, 0) + d2 * max(deg_keep_f, 0)
+    deg_keep_f = max(len(row) for row in frows) - 1
+    deg_keep_g = max(len(row) for row in grows) - 1
+    bound = d1 * deg_keep_g + d2 * deg_keep_f
 
-    frows = [fc.get(d1 - s, []) for s in range(d1 + 1)]
-    grows = [gc.get(d2 - s, []) for s in range(d2 + 1)]
-    all_int = all(
-        c.denominator == 1 for row in list(frows) + list(grows) for c in row
-    )
-
-    size = d1 + d2
-    nodes = _integer_nodes(bound + 1)
     values = []
-    for t in nodes:
-        fvals = [ueval(c, Fraction(t)) for c in frows]
-        gvals = [ueval(c, Fraction(t)) for c in grows]
-        m = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(d2):
-            for s, v in enumerate(fvals):
-                m[i][i + s] = v
-        for i in range(d1):
-            for s, v in enumerate(gvals):
-                m[d2 + i][i + s] = v
-        if all_int:
-            det = Fraction(det_bareiss_int([[int(x) for x in row] for row in m]))
-        else:
-            det = mat_det(m)
-        values.append((t, det))
-    return uinterpolate(values)
+    for t in _integer_nodes():
+        fvals = [ueval(row, t) for row in frows]
+        gvals = [ueval(row, t) for row in grows]
+        if fvals[-1] and gvals[-1]:
+            values.append((t, uresultant_int(fvals, gvals)))
+            if len(values) > bound:
+                break
+    scale = fscale ** d2 * gscale ** d1
+    return [scale * c for c in uinterpolate(values)]
 
 
-def _integer_nodes(count):
-    out = [0]
+def _integer_nodes():
+    """0, 1, -1, 2, -2, ..."""
+    yield 0
     v = 1
-    while len(out) < count:
-        out.append(v)
-        if len(out) < count:
-            out.append(-v)
+    while True:
+        yield v
+        yield -v
         v += 1
-    return out[:count]
 
 
-def _univar_in(p, var):
-    """Dense coefficient list of a polynomial that only involves ``var``."""
-    out = [Fraction(0)] * (max((m[var] for m in p.terms), default=-1) + 1)
+def _primitive_rows(p, var):
+    """Split p into a positive rational content and primitive integer rows.
+
+    Returns (content, rows) with p = content * sum(rows[e](t) * x**e), where x
+    is variable ``var``, t the other variable, and rows[e] the dense ascending
+    integer coefficient list of x**e (empty when x**e does not occur).
+    """
+    if p.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    keep = 1 - var
+    # the content of reduced fractions n_i / d_i is gcd(n_i) / lcm(d_i)
+    denom = lcm(*(c.denominator for c in p.terms.values()))
+    content = gcd(*(c.numerator for c in p.terms.values()))
+    rows = [[0] * (p.degree(keep) + 1) for _ in range(p.degree(var) + 1)]
     for mono, c in p.terms.items():
-        if any(e and i != var for i, e in enumerate(mono)):
-            raise ValueError("polynomial involves more than the requested variable")
-        out[mono[var]] = c
-    return utrim(out)
+        rows[mono[var]][mono[keep]] = c.numerator * (denom // c.denominator) // content
+    return Fraction(content, denom), [utrim(row) for row in rows]

@@ -1,7 +1,9 @@
-"""Dense exact linear algebra over Fraction.
+"""Dense exact linear algebra over Fraction, and an integer determinant.
 
-Matrices are plain list-of-lists of Fraction. Everything is small and
-desk-scale; no attempt is made at asymptotic cleverness.
+Matrices are plain list-of-lists. They are small here (weight and support
+matrices, coordinate changes), so no attempt is made at asymptotic
+cleverness. Resultants do not come through this module: ``polynomials``
+computes them with an integer subresultant per interpolation node.
 """
 
 from __future__ import annotations

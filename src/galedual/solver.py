@@ -1,8 +1,9 @@
 """Numeric solving of bivariate instances and isomorphism verification.
 
-The elimination layer is exact: both Sylvester resultants and their squarefree
-decompositions are computed over Fraction, so root multiplicities are
-combinatorial facts, not numeric guesses. Floats only enter at root finding
+The elimination layer is exact: both resultants are computed in integers
+(primitive integer parts, a subresultant at each interpolation node) and
+their squarefree decompositions over the rationals, so root multiplicities
+are combinatorial facts, not numeric guesses. Floats only enter at root finding
 (companion-matrix eigenvalues via numpy) and Newton refinement on the pair.
 """
 
@@ -27,7 +28,6 @@ class SolverConfig:
     match_tol: float = 1e-6
     newton_max_iter: int = 50
     degree_cap: int = 30
-    seed: int = 0  # reserved for perturbation strategies; pipeline is deterministic
 
 
 @dataclass(frozen=True)

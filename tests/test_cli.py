@@ -173,7 +173,7 @@ def test_solve_text(capsys):
 def test_solve_tolerance_flags(capsys):
     code, out, _ = run(
         capsys, "solve", "--input", SPARSE,
-        "--tol-cluster", "1e-7", "--tol-verify", "1e-10", "--seed", "3",
+        "--tol-cluster", "1e-7", "--tol-verify", "1e-10",
     )
     assert code == 0
     payload = json.loads(out)

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galedual.polynomials import (
     Poly,
+    _prem,
     bivariate_resultant,
     poly_equal_up_to_scale,
     udeg,
@@ -16,9 +19,11 @@ from galedual.polynomials import (
     ugcd,
     uinterpolate,
     umul,
+    uresultant_int,
     usquarefree,
     utrim,
 )
+from galedual.ratlinalg import det_bareiss_int, mat_det
 
 
 def rand_poly(rng, nvars, max_terms=5, max_exp=3, lo=-5, hi=5):
@@ -227,6 +232,8 @@ def test_uinterpolate_round_trip():
             continue
         pts = [(Fraction(t), ueval(coeffs, Fraction(t))) for t in range(len(coeffs))]
         assert uinterpolate(pts) == coeffs
+        halves = [(Fraction(t, 2), ueval(coeffs, Fraction(t, 2))) for t in range(len(coeffs))]
+        assert uinterpolate(halves) == coeffs
     with pytest.raises(ValueError):
         uinterpolate([(1, 1), (1, 2)])
 
@@ -320,3 +327,177 @@ def test_resultant_rejects_bad_input():
         bivariate_resultant(Poly(2), x - y, 0)
     with pytest.raises(ValueError):
         bivariate_resultant(Poly.variable(0, 1), Poly.variable(0, 1), 0)
+
+
+# -- integer subresultants and the integer resultant path ----------------------
+
+
+def int_upoly(max_deg=6, lo=-9, hi=9):
+    """Integer coefficient lists (ascending) with a nonzero leading coefficient."""
+    return st.lists(st.integers(lo, hi), min_size=0, max_size=max_deg).flatmap(
+        lambda low: st.integers(lo, hi).filter(bool).map(lambda lead: low + [lead])
+    )
+
+
+def sylvester(a, b):
+    """Sylvester matrix of two ascending coefficient lists, sized by their
+    lengths: a zero leading entry gives the padded generic-size matrix."""
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    rows = []
+    for i in range(n):
+        rows.append([0] * i + a[::-1] + [0] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + b[::-1] + [0] * (size - n - 1 - i))
+    return rows
+
+
+@settings(deadline=None)
+@given(int_upoly(), int_upoly())
+@example([5], [3])  # two constants
+@example([4], [1, 0, -2])  # constant against a quadratic
+@example([1, 2, 3], [7])  # quadratic against a constant
+@example([1, 1], [0, 0, 0, 1])  # deg a < deg b
+@example([2, 0, 0, 1], [-1, 0, 0, 0, 0, 3])  # both degrees odd
+@example([-3, 0, 0, 0, 0, 0, 2], [5, 0, 0, 0, 1])  # sparse binomials
+def test_uresultant_int_matches_sylvester_determinant(a, b):
+    got = uresultant_int(a, b)
+    assert isinstance(got, int)
+    assert got == det_bareiss_int(sylvester(a, b))
+
+
+@settings(deadline=None)
+@given(int_upoly(max_deg=3), int_upoly(max_deg=4), int_upoly(max_deg=4))
+def test_uresultant_int_common_factor_vanishes(common, p, q):
+    if len(common) < 2:
+        common = common + [1]
+    assert uresultant_int(umul(common, p), umul(common, q)) == 0
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9), st.integers(-20, 20).filter(bool),
+       st.integers(1, 9), st.integers(-20, 20).filter(bool), st.integers(-5, 5).filter(bool))
+def test_uresultant_int_sparse_binomials(m, c, n, d, lead):
+    a = [c] + [0] * (m - 1) + [lead]
+    b = [d] + [0] * (n - 1) + [1]
+    assert uresultant_int(a, b) == det_bareiss_int(sylvester(a, b))
+    assert uresultant_int(b, a) == (-1) ** (m * n) * uresultant_int(a, b)
+
+
+def test_uresultant_int_zero_operand():
+    assert uresultant_int([], [1, 2]) == 0
+    assert uresultant_int([0, 0], [1, 2]) == 0
+
+
+@settings(deadline=None)
+@given(int_upoly(max_deg=8), int_upoly(max_deg=5))
+def test_prem_is_exact(a, b):
+    # lc(b)^(deg a - deg b + 1) * a = q * b + prem(a, b), deg prem < deg b
+    r = _prem(a, b)
+    assert len(r) < len(b)
+    assert all(isinstance(c, int) for c in r)
+    steps = max(len(a) - len(b) + 1, 0)
+    if steps:
+        scaled = [Fraction(b[-1] ** steps * c) for c in a]
+        _, rem = udivmod(scaled, [Fraction(c) for c in b])
+        assert rem == r
+    else:
+        assert r == a
+
+
+@settings(deadline=None)
+@given(int_upoly(max_deg=7), st.lists(st.integers(-30, 30), min_size=8, max_size=12, unique=True))
+def test_uinterpolate_integer_data_stays_integer(coeffs, nodes):
+    pts = [(t, ueval(coeffs, t)) for t in nodes]
+    got = uinterpolate(pts)
+    assert got == coeffs
+    assert all(type(c) is int for c in got)
+
+
+# A reference kept here on purpose: the Sylvester determinant at every node
+# (Fraction elimination) and Fraction Newton interpolation, with no integer
+# shortcut and no node skipping.
+
+
+def reference_resultant(f, g, eliminate):
+    keep = 1 - eliminate
+    fc = {e: univar_coeffs(p, keep) for e, p in f.coefficients_in(eliminate).items()}
+    gc = {e: univar_coeffs(p, keep) for e, p in g.coefficients_in(eliminate).items()}
+    d1, d2 = max(fc), max(gc)
+    if d1 == 0 and d2 == 0:
+        return [Fraction(1)]
+    bound = d1 * max(udeg(c) for c in gc.values()) + d2 * max(udeg(c) for c in fc.values())
+    nodes = [0]
+    while len(nodes) < bound + 1:
+        v = len(nodes) // 2 + 1
+        nodes += [v, -v]
+    values = []
+    for t in nodes[: bound + 1]:
+        fvals = [ueval(fc.get(e, []), Fraction(t)) for e in range(d1 + 1)]
+        gvals = [ueval(gc.get(e, []), Fraction(t)) for e in range(d2 + 1)]
+        values.append((Fraction(t), mat_det(sylvester(fvals, gvals))))
+    return fraction_interpolate(values)
+
+
+def fraction_interpolate(points):
+    xs = [x for x, _ in points]
+    coef = [Fraction(y) for _, y in points]
+    n = len(points)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    poly = [coef[-1]]  # Horner on the Newton form
+    for i in range(n - 2, -1, -1):
+        shifted = [Fraction(0)] + poly
+        for j, c in enumerate(poly):
+            shifted[j] -= xs[i] * c
+        shifted[0] += coef[i]
+        poly = shifted
+    return utrim(poly)
+
+
+@st.composite
+def bivariate_polys(draw, max_exp=3):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool),
+        min_size=1, max_size=6,
+    ))
+    return Poly(2, terms)
+
+
+def test_fraction_interpolate_reference():
+    assert fraction_interpolate([(Fraction(t), Fraction(t * t - 3)) for t in (0, 1, -1)]) == [-3, 0, 1]
+
+
+def _check_against_reference(f, g, eliminate):
+    got = bivariate_resultant(f, g, eliminate)
+    assert got == reference_resultant(f, g, eliminate)
+    assert all(type(c) is Fraction for c in got)
+
+
+@settings(deadline=None, max_examples=60)
+@given(bivariate_polys(), bivariate_polys(), st.sampled_from([0, 1]))
+def test_resultant_matches_sylvester_reference(f, g, eliminate):
+    _check_against_reference(f, g, eliminate)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([0, 1, 2, 3]), st.booleans(),
+       bivariate_polys(max_exp=2), bivariate_polys(max_exp=1), st.sampled_from([0, 1]))
+def test_resultant_leading_coefficient_vanishing_at_nodes(r, square, f_low, g_low, eliminate):
+    # both leading coefficients are t^2 - r^2 or t - r, which vanish at small
+    # nodes: the integer path skips those, the reference takes the padded
+    # determinant there
+    x, y = x_y()
+    var, t = (x, y) if eliminate == 0 else (y, x)
+    lead = t * t - r * r if square else t - r
+    _check_against_reference(lead * var ** 3 + f_low, Fraction(1, 3) * lead * var ** 2 + g_low, eliminate)
+
+
+def test_resultant_known_vanishing_leading_coefficients():
+    x, y = x_y()
+    f = (y * y - 1) * x ** 2 + y * x + 3
+    g = (y - 2) * x ** 3 + Fraction(1, 2) * x - y
+    for e in (0, 1):
+        _check_against_reference(f, g, e)

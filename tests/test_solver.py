@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
@@ -20,6 +21,7 @@ from galedual.errors import (
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from galedual.polynomials import Poly
 from galedual.polytopes import kouchnirenko_bound
+from galedual.serialize import load_system
 from galedual.solver import (
     SolverConfig,
     solve_bivariate,
@@ -242,6 +244,18 @@ def test_second_master_counts():
     sols = solve_master(second_master())
     assert sols.count == 17
     assert_conjugation_closed(sols.solutions)
+
+
+@pytest.mark.parametrize("fixture", ["example22_master.json", "example3_second.json"])
+def test_master_fixtures_solve_without_determinants(monkeypatch, fixture):
+    # resultants come from integer subresultants, never from a determinant
+    def refuse(*_):
+        raise AssertionError("resultant path took a determinant")
+
+    monkeypatch.setattr("galedual.polynomials.mat_det", refuse)
+    monkeypatch.setattr("galedual.polynomials.det_bareiss_int", refuse)
+    sols = solve_master(load_system(str(files("galedual") / "fixtures" / fixture)))
+    assert sols.count == 17
 
 
 def test_random_counts_within_bound():
