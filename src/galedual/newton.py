@@ -1,0 +1,164 @@
+"""Newton refinement of many starts on a bivariate pair at once, in numpy.
+
+compile_pair turns f, g and their partial derivatives into exponent and
+coefficient arrays; refine runs Newton's method from every start in
+lockstep over a window of active starts, so the Python overhead of a step is
+paid once per pass instead of once per start. Values are summed term by
+term and complex arithmetic is rounded as in CPython, so each start gets
+the point that a one-at-a-time loop over Python complex numbers gives.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+# candidate-term products a refinement pass evaluates at once: this bounds the
+# (candidates x terms) temporaries at 64 KiB each
+_BLOCK_ENTRIES = 1 << 12
+
+
+def compile_pair(f, g):
+    """f, g and their partial derivatives as numpy term arrays.
+
+    Returns (xpow, ypow, groups). xpow and ypow hold the exponents 0..max as
+    float columns for the power tables. groups holds an (i, j, c) triple for
+    f, f_x, f_y and one for g, g_x, g_y: row r of the (3, terms) arrays is
+    the r-th polynomial of the group, term k being
+    c[r, k] * x**i[r, k] * y**j[r, k], and the derivatives' shorter rows are
+    padded with zero terms.
+    """
+    groups = []
+    for p in (f, g):
+        i = np.zeros((3, len(p.terms)), dtype=int)
+        j = np.zeros((3, len(p.terms)), dtype=int)
+        c = np.zeros((3, len(p.terms)))
+        for r, q in enumerate((p, p.derivative(0), p.derivative(1))):
+            for k, (mono, coeff) in enumerate(q.terms.items()):
+                i[r, k], j[r, k], c[r, k] = mono[0], mono[1], float(coeff)
+        groups.append((i, j, c[:, :, None]))
+    xpow = np.arange(max(f.degree(0), g.degree(0)) + 1.0)[:, None]
+    ypow = np.arange(max(f.degree(1), g.degree(1)) + 1.0)[:, None]
+    return xpow, ypow, tuple(groups)
+
+
+# Complex products, quotients and moduli below use CPython's formulas with one
+# rounding per real operation (numpy's own complex loops may fuse
+# multiply-adds), so a refined point is bit for bit the one that scalar Python
+# complex arithmetic gives where that arithmetic is unfused, as on x86-64.
+
+
+def _mul(a, b):
+    """a * b, computed in place of a and returned; b is overwritten too."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    ai_bi = ai * bi
+    bi *= ar
+    ar *= br
+    ar -= ai_bi  # ar*br - ai*bi
+    ai *= br
+    ai += bi  # ai*br + ar*bi: the sum commutes exactly
+    return a
+
+
+def _div(a, b):
+    """Smith's quotient, scaled by the larger of b's parts as CPython does."""
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
+    denom = np.where(by_real, b.real + b.imag * ratio, b.real * ratio + b.imag)
+    out = np.empty(a.shape, dtype=complex)
+    out.real = np.where(by_real, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
+    out.imag = np.where(by_real, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    return out
+
+
+def _abs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _evaluate(compiled, z):
+    """Rows f, f_x, f_y, g, g_x, g_y of values at the points z[:, k] = (x, y).
+
+    Each value is c * x**i * y**j summed over the terms in order (a
+    cumulative sum), so it does not depend on how many points share the call.
+    """
+    xpow, ypow, groups = compiled
+    xp, yp = z[0] ** xpow, z[1] ** ypow
+    rows = []
+    for i, j, c in groups:
+        terms = xp[i]
+        terms *= c
+        _mul(terms, yp[j])
+        np.cumsum(terms, axis=1, out=terms)
+        rows.append(terms[:, -1])
+    return np.concatenate(rows)
+
+
+# Rows of _evaluate whose products make the Newton step: fx*gy - fy*gx is the
+# Jacobian determinant, gy*f - fy*g and fx*g - gx*f the numerators of the
+# x and y steps.
+_LEFT = [1, 2, 5, 2, 1, 4]
+_RIGHT = [5, 4, 0, 3, 3, 0]
+
+
+def refine(compiled, z0, config):
+    """Newton refinement of every start z0[:, k] = (x, y) on the pair, in lockstep.
+
+    Returns (points, residuals, converged) with one column or entry per
+    start. Each start keeps the point with the best residual seen, and stops
+    when the residual falls below verify_tol*1e-3, when |det| of the Jacobian
+    is below 1e-300, after a relative step below 1e-16 (the point reached is
+    evaluated once more) or after newton_max_iter steps; it has converged
+    when its best residual is below verify_tol. A non-finite iterate, value
+    or Jacobian counts as diverged.
+
+    Up to _BLOCK_ENTRIES // terms starts are active at once, and each one
+    that finishes is replaced by the next waiting start. Every operation acts
+    on each start alone, so a start's result does not depend on which others
+    share its passes.
+    """
+    n = z0.shape[1]
+    best = z0.copy()
+    best_res = np.full(n, np.inf)
+    converged = np.zeros(n, dtype=bool)
+    target = config.verify_tol * 1e-3
+    cap = config.newton_max_iter
+    _, _, groups = compiled
+    width = max(1, _BLOCK_ENTRIES // max(c.size for _, _, c in groups))
+    idx = np.arange(min(width, n))
+    queued = len(idx)
+    z = z0[:, idx]
+    steps = np.zeros(len(idx), dtype=int)
+    last = np.zeros(len(idx), dtype=bool)
+    with np.errstate(all="ignore"):  # overflow and 0/0 are caught by the finiteness test
+        while len(idx):
+            values = _evaluate(compiled, z)
+            res = _abs(values[[0, 3]]).max(axis=0)  # max(|f|, |g|)
+            products = _mul(values[_LEFT], values[_RIGHT])
+            differences = products[0::2] - products[1::2]
+            det = differences[0]
+            finite = np.isfinite(z).all(axis=0) & np.isfinite(res) & np.isfinite(det)
+            better = finite & (res < best_res[idx])
+            best[:, idx[better]] = z[:, better]
+            best_res[idx[better]] = res[better]
+            stop = last | ~finite | (res < target) | (steps >= cap) | (_abs(det) < 1e-300)
+            step = _div(differences[1:], det)
+            z = z - step
+            size, scale = _abs(step), _abs(z)
+            last = size[0] + size[1] < 1e-16 * (1 + scale[0] + scale[1])
+            steps += 1
+            # the step that reaches the cap is not evaluated, unless it was a last one
+            done = stop | ((steps >= cap) & ~last)
+            finished = idx[done]
+            converged[finished] = finite[done] & (best_res[finished] < config.verify_tol)
+            # refill finished slots from the queue; once it is empty, drop them
+            free = np.flatnonzero(done)
+            fresh = np.arange(queued, min(queued + len(free), n))
+            queued += len(fresh)
+            slots = free[:len(fresh)]
+            idx[slots], steps[slots], last[slots] = fresh, 0, False
+            z[:, slots] = z0[:, fresh]
+            if len(slots) < len(free):
+                live = np.ones(len(idx), dtype=bool)
+                live[free[len(slots):]] = False
+                idx, z, steps, last = idx[live], z[:, live], steps[live], last[live]
+    return best, best_res, converged

@@ -289,9 +289,7 @@ def _to_int_primitive(coeffs):
     if not c:
         return []
     denom = lcm(*(v.denominator for v in c))
-    ints = [v.numerator * (denom // v.denominator) for v in c]
-    content = _int_content(ints)
-    return [v // content for v in ints]
+    return _primitive([v.numerator * (denom // v.denominator) for v in c])
 
 
 def _prem(a, b):
@@ -325,52 +323,81 @@ def ugcd(a, b):
     Taking primitive parts between steps keeps integer coefficient growth
     manageable; the result is normalized monic so gcds are canonical.
     """
-    f = _to_int_primitive(a)
-    g = _to_int_primitive(b)
+    g = _gcd_int(_to_int_primitive(a), _to_int_primitive(b))
+    return _monic(g) if g else []
+
+
+def _primitive(coeffs):
+    content = _int_content(coeffs)
+    return [c // content for c in coeffs]
+
+
+def _monic(coeffs):
+    return [Fraction(c, coeffs[-1]) for c in coeffs]
+
+
+def _gcd_int(f, g):
+    """A primitive gcd of two trimmed integer lists (its sign is arbitrary)."""
+    f, g = _primitive(f), _primitive(g)
     if len(f) < len(g):
         f, g = g, f
     while g:
-        r = _prem(f, g)
-        f, g = g, _to_int_primitive(r)
-    if not f:
-        return []
-    lead = Fraction(f[-1])
-    return [Fraction(c) / lead for c in f]
+        f, g = g, _primitive(_prem(f, g))
+    return f
+
+
+def _divexact(a, b):
+    """a / b for integer lists, b primitive and dividing a over Q.
+
+    By Gauss's lemma the quotient is an integer list, so every quotient of
+    leading coefficients in the long division is exact.
+    """
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        qk = q[k] = r[k + db] // b[-1]
+        if qk:
+            for i in range(db):
+                r[k + i] -= qk * b[i]
+    return q
 
 
 def usquarefree(coeffs):
     """Yun's squarefree decomposition over Q.
 
-    Returns [(factor, multiplicity), ...] with monic squarefree factors of
-    positive degree, multiplicities ascending, and
+    Returns [(factor, multiplicity), ...] with monic squarefree Fraction
+    factors of positive degree, multiplicities ascending, and
     product(factor^multiplicity) equal to the input up to a constant.
+
+    The work is in Python ints: Yun's steps run on the primitive integer part
+    of the input, with primitive gcds and exact quotients. Scaling a gcd by a
+    constant scales the next b and c alike, so d = c - b' and every factor
+    are the rational algorithm's up to a constant, and _monic makes them
+    equal.
     """
-    f = utrim([Fraction(c) for c in coeffs])
-    if udeg(f) < 1:
+    f = _to_int_primitive(coeffs)
+    if len(f) < 2:
         return []
     fp = uderiv(f)
-    a = ugcd(f, fp)
-    b, _ = udivmod(f, a)
-    c, _ = udivmod(fp, a)
-    d = utrim([x - y for x, y in _pad(c, uderiv(b))])
+    a = _gcd_int(f, fp)
+    b = _divexact(f, a)
+    d = _usub(_divexact(fp, a), uderiv(b))
     out = []
     mult = 1
-    while udeg(b) >= 1:
-        g = ugcd(b, d)
-        if udeg(g) >= 1:
-            out.append((g, mult))
-        b, _ = udivmod(b, g)
-        c_next, _ = udivmod(d, g)
-        d = utrim([x - y for x, y in _pad(c_next, uderiv(b))])
+    while len(b) > 1:
+        g = _gcd_int(b, d)
+        if len(g) > 1:
+            out.append((_monic(g), mult))
+        b = _divexact(b, g)
+        d = _usub(_divexact(d, g), uderiv(b))
         mult += 1
     return out
 
 
-def _pad(a, b):
+def _usub(a, b):
     n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
+    return utrim([x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
 
 
 def uinterpolate(points):

@@ -1,9 +1,11 @@
 """Numeric solving of bivariate instances and isomorphism verification.
 
-The elimination layer is exact: both resultants are computed in integers
-(primitive integer parts, a subresultant at each interpolation node) and
-their squarefree decompositions over the rationals, so root multiplicities
-are combinatorial facts, not numeric guesses. Floats only enter at root finding
+The elimination layer is exact: both resultants and their squarefree
+decompositions are computed in integers, so the multiplicity of each
+resultant root is exact. Assigning a multiplicity to a solution is not: a
+solution takes the multiplicity of the x- or y-resultant root nearest to it,
+and when several solutions share both nearest roots it gets 1 and the flag
+"multiplicity-ambiguous". Floats only enter at root finding
 (companion-matrix eigenvalues via numpy) and Newton refinement on the pair.
 """
 
@@ -15,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CommonComponentError, DegreeCapError, DimensionCapError
+from .newton import compile_pair, refine
 from .polynomials import bivariate_resultant, udeg, ugcd, usquarefree, utrim
 from .systems import cleared_polynomials, clear_denominators, evaluate_phi
 from .ratlinalg import frac_rows
@@ -60,51 +63,6 @@ class SolutionSet:
         return sum(s.multiplicity for s in self.solutions)
 
 
-def _compile(poly):
-    """Term list with float coefficients for fast complex evaluation."""
-    return [(m[0], m[1], complex(c)) for m, c in poly.terms.items()]
-
-
-def _eval_terms(terms, x, y):
-    total = 0j
-    for i, j, c in terms:
-        total += c * x**i * y**j
-    return total
-
-
-def _newton(compiled, start, config):
-    """Refine a candidate on the pair; returns (point, residual, converged)."""
-    (f, fx, fy), (g, gx, gy) = compiled
-    x, y = start
-    best = (x, y)
-    best_res = max(abs(_eval_terms(f, x, y)), abs(_eval_terms(g, x, y)))
-    target = config.verify_tol * 1e-3
-    for _ in range(config.newton_max_iter):
-        fv = _eval_terms(f, x, y)
-        gv = _eval_terms(g, x, y)
-        res = max(abs(fv), abs(gv))
-        if res < best_res:
-            best, best_res = (x, y), res
-        if res < target:
-            break
-        a, b = _eval_terms(fx, x, y), _eval_terms(fy, x, y)
-        c, d = _eval_terms(gx, x, y), _eval_terms(gy, x, y)
-        det = a * d - b * c
-        if abs(det) < 1e-300:
-            break
-        dx = (d * fv - b * gv) / det
-        dy = (a * gv - c * fv) / det
-        x, y = x - dx, y - dy
-        if abs(dx) + abs(dy) < 1e-16 * (1 + abs(x) + abs(y)):
-            fv = _eval_terms(f, x, y)
-            gv = _eval_terms(g, x, y)
-            res = max(abs(fv), abs(gv))
-            if res < best_res:
-                best, best_res = (x, y), res
-            break
-    return best, best_res, best_res < config.verify_tol
-
-
 def _roots_of(coeffs):
     """Complex roots of an ascending Fraction coefficient list via numpy."""
     c = utrim(coeffs)
@@ -124,11 +82,14 @@ def _max_norm(poly):
 def solve_bivariate(f, g, config=None):
     """All isolated common zeros of two bivariate polynomials.
 
-    Exact Sylvester resultants in both directions feed squarefree
-    decomposition (multiplicities), companion-matrix root finding, candidate
-    back-substitution, and Newton refinement on the pair. Residuals are
-    measured against max-abs-normalized copies of f and g; callers with a
-    defining system re-verify on their own scale.
+    Integer resultants in both directions feed the squarefree decomposition
+    (multiplicities) and companion-matrix root finding. Each x-root is
+    paired with the roots of f and g on its fiber, and all these starts are
+    refined together by Newton's method on the pair, in numpy batches.
+    Converged points are clustered, and each cluster takes the multiplicity
+    of its nearest resultant root. Residuals are measured against
+    max-abs-normalized copies of f and g; callers with a defining system
+    re-verify on their own scale.
 
     Raises CommonComponentError when the pair shares a curve (either resultant
     vanishes identically) and DegreeCapError above config.degree_cap.
@@ -165,31 +126,25 @@ def solve_bivariate(f, g, config=None):
     x_roots = _roots_with_multiplicity(res_x)
     y_roots = _roots_with_multiplicity(res_y)
 
-    fc = _compile(f)
-    fxc = _compile(f.derivative(0))
-    fyc = _compile(f.derivative(1))
-    gc = _compile(g)
-    gxc = _compile(g.derivative(0))
-    gyc = _compile(g.derivative(1))
-    compiled = ((fc, fxc, fyc), (gc, gxc, gyc))
-
     f_in_y = {e: c for e, c in f.coefficients_in(1).items()}
     g_in_y = {e: c for e, c in g.coefficients_in(1).items()}
 
-    candidates = []
-    newton_failures = 0
+    starts = []
     for x0, _ in x_roots:
         ys = _fiber_roots(f_in_y, x0) + _fiber_roots(g_in_y, x0)
         if not ys:
             # both equations independent of y on this fiber; pair with the
             # global y-candidates instead
             ys = [y0 for y0, _ in y_roots]
-        for y0 in ys:
-            point, residual, ok = _newton(compiled, (x0, y0), config)
-            if ok:
-                candidates.append((point, residual))
-            else:
-                newton_failures += 1
+        starts.extend((x0, y0) for y0 in ys)
+    points, residuals, converged = refine(
+        compile_pair(f, g), np.array(starts, dtype=complex).reshape(-1, 2).T, config
+    )
+    candidates = [
+        ((complex(points[0, k]), complex(points[1, k])), float(residuals[k]))
+        for k in np.flatnonzero(converged)
+    ]
+    newton_failures = len(starts) - len(candidates)
     if newton_failures:
         diagnostics.append(f"newton diverged on {newton_failures} candidate(s)")
 

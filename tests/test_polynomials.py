@@ -501,3 +501,59 @@ def test_resultant_known_vanishing_leading_coefficients():
     g = (y - 2) * x ** 3 + Fraction(1, 2) * x - y
     for e in (0, 1):
         _check_against_reference(f, g, e)
+
+
+# -- integer squarefree decomposition ---------------------------------------------
+
+
+def fraction_gcd(a, b):
+    """Monic Euclidean gcd over Q in Fraction arithmetic."""
+    a, b = utrim(a), utrim(b)
+    while b:
+        a, b = b, utrim(udivmod(a, b)[1])
+    return [c / a[-1] for c in a] if a else []
+
+
+def fraction_yun(coeffs):
+    """Yun's algorithm over Q in Fraction arithmetic, the reference for usquarefree."""
+    f = utrim([Fraction(c) for c in coeffs])
+    if udeg(f) < 1:
+        return []
+
+    def minus(p, q):
+        n = max(len(p), len(q))
+        return utrim([u - v for u, v in zip(p + [0] * (n - len(p)), q + [0] * (n - len(q)))])
+
+    a = fraction_gcd(f, uderiv(f))
+    b = udivmod(f, a)[0]
+    d = minus(udivmod(uderiv(f), a)[0], uderiv(b))
+    out = []
+    mult = 1
+    while udeg(b) >= 1:
+        g = fraction_gcd(b, d)
+        if udeg(g) >= 1:
+            out.append((g, mult))
+        b = udivmod(b, g)[0]
+        d = minus(udivmod(d, g)[0], uderiv(b))
+        mult += 1
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.tuples(int_upoly(max_deg=3, lo=-6, hi=6), st.integers(1, 3)), min_size=1, max_size=4),
+    st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool),
+)
+@example([([-1, 1], 2), ([2, 1], 1)], Fraction(1))  # (x-1)^2 (x+2), ints
+@example([([1, 0, 1], 3)], Fraction(-5, 3))  # a cube, Fraction coefficients
+@example([([3], 2)], Fraction(7))  # a constant
+def test_usquarefree_matches_fraction_reference(factors, scale):
+    target = [scale]
+    for factor, mult in factors:
+        for _ in range(mult):
+            target = umul(target, factor)
+    if scale.denominator == 1:
+        target = [int(c) for c in target]  # integer input
+    parts = usquarefree(target)
+    assert parts == fraction_yun(target)
+    assert all(type(c) is Fraction for factor, _ in parts for c in factor)

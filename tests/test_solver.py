@@ -1,9 +1,11 @@
 """Numeric solving on both sides of the duality, exact elimination underneath."""
 
 import random
+import re
 from fractions import Fraction
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from galedual.duality import (
@@ -19,6 +21,7 @@ from galedual.errors import (
     DimensionCapError,
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
+from galedual.newton import compile_pair, refine
 from galedual.polynomials import Poly
 from galedual.polytopes import kouchnirenko_bound
 from galedual.serialize import load_system
@@ -29,7 +32,13 @@ from galedual.solver import (
     solve_sparse,
     verify_isomorphism,
 )
-from galedual.systems import Arrangement, LinearForm, MasterSystem, SparseSystem
+from galedual.systems import (
+    Arrangement,
+    LinearForm,
+    MasterSystem,
+    SparseSystem,
+    cleared_polynomials,
+)
 
 
 def worked_sparse():
@@ -196,6 +205,112 @@ def test_deterministic_output():
     second = solve_sparse(worked_sparse())
     assert [s.point for s in first.solutions] == [s.point for s in second.solutions]
     assert first.solutions == second.solutions
+
+
+def test_overflowing_candidates_count_as_diverged():
+    # starts far out on these fibers overflow in complex powers
+    x, y = x_y()
+    f = 2 * x ** 9 * y ** 2 + 4 * x ** 5 * y - 3
+    g = 2 * x ** 10 * y ** 5 - 3 * x ** 6 * y ** 12 + x + 2 * x ** 11 * y ** 7
+    sols = solve_bivariate(f, g)
+    assert sols.count > 0
+    assert all(s.residual < sols.config.verify_tol for s in sols.solutions)
+    assert any(re.fullmatch(r"newton diverged on \d+ candidate\(s\)", d) for d in sols.diagnostics)
+
+
+# -- batched Newton refinement ------------------------------------------------------
+
+
+def _eval_terms(terms, x, y):
+    total = 0j
+    for i, j, c in terms:
+        total += c * x ** i * y ** j
+    return total
+
+
+def scalar_newton(f, g, start, config):
+    """Newton on the pair one start at a time in Python complex arithmetic: the
+    reference for refine. Returns (point, residual, converged)."""
+    polys = [[(m[0], m[1], complex(c)) for m, c in p.terms.items()]
+             for p in (f, f.derivative(0), f.derivative(1), g, g.derivative(0), g.derivative(1))]
+    fp, fxp, fyp, gp, gxp, gyp = polys
+    x, y = start
+    best = (x, y)
+    best_res = max(abs(_eval_terms(fp, x, y)), abs(_eval_terms(gp, x, y)))
+    for _ in range(config.newton_max_iter):
+        fv, gv = _eval_terms(fp, x, y), _eval_terms(gp, x, y)
+        res = max(abs(fv), abs(gv))
+        if res < best_res:
+            best, best_res = (x, y), res
+        if res < config.verify_tol * 1e-3:
+            break
+        a, b = _eval_terms(fxp, x, y), _eval_terms(fyp, x, y)
+        c, d = _eval_terms(gxp, x, y), _eval_terms(gyp, x, y)
+        det = a * d - b * c
+        if abs(det) < 1e-300:
+            break
+        dx = (d * fv - b * gv) / det
+        dy = (a * gv - c * fv) / det
+        x, y = x - dx, y - dy
+        if abs(dx) + abs(dy) < 1e-16 * (1 + abs(x) + abs(y)):
+            res = max(abs(_eval_terms(fp, x, y)), abs(_eval_terms(gp, x, y)))
+            if res < best_res:
+                best, best_res = (x, y), res
+            break
+    return best, best_res, best_res < config.verify_tol
+
+
+def seeded_starts(count, seed, radius=3.0):
+    rng = random.Random(seed)
+    return np.array(
+        [[complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius)) for _ in range(count)]
+         for _ in range(2)]
+    )
+
+
+def worked_pair():
+    f, g = cleared_polynomials(worked_sparse())
+    return f.scale(1 / f.max_abs_coefficient()), g.scale(1 / g.max_abs_coefficient())
+
+
+# whether CPython rounds a complex product's parts unfused, as refine does:
+# with a fused multiply-add the real part below keeps its 2**-60 term
+UNFUSED = (complex(1 + 2 ** -30, 1) * complex(1 + 2 ** -30, 1)).real == 2 ** -29
+
+
+@pytest.mark.skipif(not UNFUSED, reason="this CPython fuses multiply-adds in complex arithmetic")
+@pytest.mark.parametrize("max_iter", [0, 12, 50])
+def test_refinement_matches_scalar_newton(max_iter):
+    # a cap of 12 stops about half the starts short of convergence
+    f, g = worked_pair()
+    config = SolverConfig(newton_max_iter=max_iter)
+    starts = seeded_starts(300, 5)
+    points, residuals, converged = refine(compile_pair(f, g), starts, config)
+    for k in range(300):
+        point, residual, ok = scalar_newton(f, g, tuple(complex(v) for v in starts[:, k]), config)
+        assert (complex(points[0, k]), complex(points[1, k])) == point
+        assert residuals[k] == residual
+        assert converged[k] == ok
+
+
+def test_refinement_is_independent_of_batch(monkeypatch):
+    # a window of 40 starts: finished slots are refilled many times and the
+    # window shrinks at the end; every start must come out bit-identical
+    monkeypatch.setattr("galedual.newton._BLOCK_ENTRIES", 40 * 15)
+    f, g = worked_pair()
+    compiled = compile_pair(f, g)
+    config = SolverConfig()
+    starts = seeded_starts(300, 9)
+    together = refine(compiled, starts, config)
+    alone = [refine(compiled, starts[:, k:k + 1], config) for k in range(300)]
+    order = np.random.default_rng(9).permutation(300)
+    permuted = refine(compiled, starts[:, order], config)
+    for k in range(300):
+        expected = (together[0][:, k].tobytes(), together[1][k].tobytes(), bool(together[2][k]))
+        assert (alone[k][0][:, 0].tobytes(), alone[k][1][0].tobytes(), bool(alone[k][2][0])) == expected
+    for pos, k in enumerate(order):
+        expected = (together[0][:, k].tobytes(), together[1][k].tobytes(), bool(together[2][k]))
+        assert (permuted[0][:, pos].tobytes(), permuted[1][pos].tobytes(), bool(permuted[2][pos])) == expected
 
 
 # -- solve_sparse ----------------------------------------------------------------
