@@ -9,15 +9,15 @@ every pairing condition exactly and reports rather than throws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .errors import DependentRowsError, NotEssentialError, NotPrimitiveError
+from .errors import DependentRowsError, InvariantError, NotEssentialError, NotPrimitiveError
 from .lattice import (
-    IntMatrix,
     WeightBasis,
     kernel_basis,
+    lll_reduce,
     quotient_images,
     saturation_index,
     smith_diagonal,
@@ -102,71 +102,29 @@ class PairCheck:
         return tuple(n for n in names if not getattr(self, n))
 
 
-def _support_lattice_divisors(support):
-    """Smith divisors of the support's column lattice inside Z^torus_dim."""
-    return smith_diagonal(support.matrix)
+def _lattice_index(mat, rank):
+    """Product of the Smith divisors of ``mat``; 0 when its rank is below ``rank``."""
+    divisors = smith_diagonal(mat)
+    return math.prod(divisors) if len(divisors) == rank else 0
 
 
 def require_support_primitive(support):
     """Raise unless the support columns generate all of Z^torus_dim."""
-    divisors = _support_lattice_divisors(support)
-    if len(divisors) < support.shape.torus_dim:
+    index = _lattice_index(support.matrix, support.shape.torus_dim)
+    if index == 0:
         raise DependentRowsError(
             "support columns do not span the variable space over Q"
         )
-    index = 1
-    for d in divisors:
-        index *= d
     if index != 1:
         raise NotPrimitiveError(index, what="support lattice")
 
 
-def _short_lattice_basis(h):
-    """Deterministic short basis of the row lattice of an HNF matrix.
-
-    Enumerates small integer combinations of the rows, sorts by squared norm
-    then lexicographic order, and greedily keeps vectors whose span stays a
-    direct summand of the lattice. Falls back to the input rows when the
-    bounded search cannot complete a basis (it always can in practice at desk
-    scale). Output rows are sign-normalized (first nonzero positive) and
-    ordered by (squared norm, lex); the row lattice is unchanged.
-    """
-    l, k = h.rows, h.cols
-    if l == 0:
-        return h
-    reach = 3
-    candidates = []
-    for combo in product(range(-reach, reach + 1), repeat=l):
-        if not any(combo):
-            continue
-        vec = tuple(
-            sum(combo[i] * h.at(i, j) for i in range(l)) for j in range(k)
-        )
-        norm2 = sum(x * x for x in vec)
-        candidates.append((norm2, vec, combo))
-    candidates.sort(key=lambda item: (item[0], item[1]))
-
-    picked_combos = []
-    picked_vectors = []
-    for _, vec, combo in candidates:
-        if len(picked_vectors) == l:
-            break
-        trial = picked_combos + [list(combo)]
-        try:
-            if saturation_index(IntMatrix.from_rows(trial, cols=l)) != 1:
-                continue
-        except DependentRowsError:
-            continue
-        picked_combos.append(list(combo))
-        picked_vectors.append(list(vec))
-
-    rows = picked_vectors if len(picked_vectors) == l else h.to_rows()
-    normalized = []
-    for row in rows:
-        lead = next(x for x in row if x != 0)
-        normalized.append([-x for x in row] if lead < 0 else list(row))
-    normalized.sort(key=lambda r: (sum(x * x for x in r), r))
-    return IntMatrix.from_rows(normalized, cols=k)
+def _checked(pair):
+    """The pair, once check_gale_pair passes it; InvariantError otherwise."""
+    check = check_gale_pair(pair)
+    if not check.all_pass:
+        raise InvariantError(f"dualization produced an inconsistent pair: {check.failures()}")
+    return pair
 
 
 def dualize_poly_to_master(system):
@@ -174,9 +132,9 @@ def dualize_poly_to_master(system):
 
     Diagonalizes on a deterministic pivot set, reads the pivot equations as
     degree-one forms in new variables (one per non-pivot monomial), appends
-    the coordinate forms, and takes a reduced basis of the support's relation
-    lattice as the weights. The z-coordinate order is pivots then non-pivots,
-    each in stored support order.
+    the coordinate forms, and takes the lll_reduce basis of the support's
+    relation lattice as the weights. The z-coordinate order is pivots then
+    non-pivots, each in stored support order.
     """
     require_support_primitive(system.support)
     diag = diagonalize(system)
@@ -192,7 +150,7 @@ def dualize_poly_to_master(system):
     arrangement = Arrangement(shape.master_dim, tuple(forms), names)
 
     z_support = system.support.matrix.submatrix_columns(z_cols)
-    weights = WeightBasis(shape, _short_lattice_basis(kernel_basis(z_support)))
+    weights = WeightBasis(shape, lll_reduce(kernel_basis(z_support)))
     master = MasterSystem(arrangement, weights)
 
     k = shape.num_forms
@@ -210,10 +168,7 @@ def dualize_poly_to_master(system):
         tuple(z_cols),
         tuple(monomials[j] for j in z_cols),
     )
-    pair = GalePair(system, master, witness)
-    check = check_gale_pair(pair)
-    assert check.all_pass, f"dualization produced an inconsistent pair: {check.failures()}"
-    return pair
+    return _checked(GalePair(system, master, witness))
 
 
 def dualize_master_to_poly(master):
@@ -238,7 +193,8 @@ def dualize_master_to_poly(master):
         stacked.append([Fraction(0)] + [f.coeffs[r] for f in master.arrangement.forms])
     relations = right_kernel(stacked)
     reduced, _ = rref(relations)
-    assert len(reduced) == shape.num_equations, "relation count disagrees with shape; bug"
+    if len(reduced) != shape.num_equations:
+        raise InvariantError(f"{len(reduced)} relations for {shape.num_equations} equations")
 
     coefficients = [tuple(row) for row in reduced]
     names = torus_variable_names(shape.torus_dim)
@@ -252,10 +208,7 @@ def dualize_master_to_poly(master):
         tuple(range(shape.num_forms)),
         monomials,
     )
-    pair = GalePair(poly, master, witness)
-    check = check_gale_pair(pair)
-    assert check.all_pass, f"dualization produced an inconsistent pair: {check.failures()}"
-    return pair
+    return _checked(GalePair(poly, master, witness))
 
 
 def saturate_weights(master):
@@ -287,23 +240,8 @@ def check_gale_pair(pair):
         and len(witness.z_monomials) == k
     )
 
-    divisors = _support_lattice_divisors(poly.support)
-    support_full_rank = len(divisors) == shape.torus_dim
-    support_index = 0
-    if support_full_rank:
-        support_index = 1
-        for d in divisors:
-            support_index *= d
-    support_primitive = support_full_rank and support_index == 1
-
-    weight_divisors = smith_diagonal(master.weights.matrix)
-    weight_full_rank = len(weight_divisors) == shape.num_weights
-    weight_index = 0
-    if weight_full_rank:
-        weight_index = 1
-        for d in weight_divisors:
-            weight_index *= d
-    weights_primitive = weight_full_rank and weight_index == 1
+    support_index = _lattice_index(poly.support.matrix, shape.torus_dim)
+    weight_index = _lattice_index(master.weights.matrix, shape.num_weights)
 
     annihilates = False
     if shapes_consistent:
@@ -339,9 +277,9 @@ def check_gale_pair(pair):
 
     return PairCheck(
         shapes_consistent=shapes_consistent,
-        support_primitive=support_primitive,
+        support_primitive=support_index == 1,
         support_index=support_index,
-        weights_primitive=weights_primitive,
+        weights_primitive=weight_index == 1,
         weight_index=weight_index,
         annihilates=annihilates,
         forms_essential=forms_essential,

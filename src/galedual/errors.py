@@ -5,6 +5,13 @@ class GaleDualError(Exception):
     """Base class for all package-specific failures."""
 
 
+class InvariantError(GaleDualError):
+    """An internal invariant failed: a defect in the package, not in the input.
+
+    Raised where a plain assert would vanish under ``python -O``.
+    """
+
+
 class SchemaError(GaleDualError):
     """Input file or dict does not match the documented schema.
 

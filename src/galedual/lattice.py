@@ -1,13 +1,14 @@
 """Exact integer lattice algebra.
 
-Hermite and Smith normal forms with unimodular transform witnesses, saturated
-kernel bases, saturation indices, and quotient-image matrices. Everything is
-arbitrary-precision Python int; nothing here rounds or overflows.
+Hermite and Smith normal forms with unimodular witnesses, saturated kernel
+bases, saturation indices, LLL reduction and quotient-image matrices, all in
+Python int or Fraction; nothing here rounds or overflows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DependentRowsError, NotPrimitiveError
@@ -385,6 +386,72 @@ def lattice_equal(a, b):
         return keep
 
     return reduced(a) == reduced(b)
+
+
+LLL_DELTA = Fraction(99, 100)
+
+
+def _canonical_rows(rows):
+    """Rows with first nonzero entry positive, sorted by (squared norm, lex)."""
+    signed = [[-x for x in r] if next((x for x in r if x), 0) < 0 else list(r) for r in rows]
+    return sorted(signed, key=lambda r: (sum(x * x for x in r), r))
+
+
+def lll_reduce(mat):
+    """Canonical LLL-reduced basis of the row lattice of independent rows.
+
+    Rows come out with first nonzero entry positive, sorted by (squared norm,
+    lex); in some order they are size-reduced and meet the Lovasz condition
+    with LLL_DELTA. Sorting can undo a reduction, so reduce-then-sort passes
+    repeat until they cycle (a lattice has finitely many reduced bases), and
+    the cycle member of least total squared norm is returned: reducing it
+    again returns it. Dependent rows raise DependentRowsError.
+    """
+    rows = _canonical_rows(mat.to_rows())
+    seen = []
+    while rows not in seen:
+        seen.append(rows)
+        rows = _canonical_rows(_lll(rows))
+    cycle = seen[seen.index(rows):]
+    best = min(cycle, key=lambda r: (sum(x * x for v in r for x in v), r))
+    return IntMatrix.from_rows(best, cols=mat.cols)
+
+
+def _lll(rows):
+    """LLL reduction (Lenstra, Lenstra and Lovasz 1982) in exact Fractions.
+
+    star/norm hold the Gram-Schmidt vectors of rows 0..k-1 and their squared
+    norms. Only |mu| > 1/2 is rounded away (round() takes 1/2 to 0), so a
+    reduced basis comes back unchanged.
+    """
+    b = [list(r) for r in rows]
+    star, norm = [], []
+    k = 0
+    while k < len(b):
+        del star[k:], norm[k:]
+        for j in reversed(range(k)):
+            r = round(_dot(b[k], star[j]) / norm[j])
+            if r:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+        v = [Fraction(x) for x in b[k]]
+        for j in range(k):
+            mu = _dot(b[k], star[j]) / norm[j]
+            v = [x - mu * y for x, y in zip(v, star[j])]
+        n2 = _dot(v, v)
+        if n2 == 0:
+            raise DependentRowsError("rows are dependent over Q")
+        if k and n2 < (LLL_DELTA - mu * mu) * norm[k - 1]:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            k -= 1
+        else:
+            star.append(v)
+            norm.append(n2)
+            k += 1
+    return b
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
 
 
 def quotient_images(basis):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GaleDualError
+from .errors import InvariantError
 from .lattice import IntMatrix, kernel_basis, quotient_images, solve_integer
 from .ratlinalg import mat_rank
 
@@ -143,7 +143,8 @@ def normalized_volume(polytope):
     (dim-1)-dimensional lattice coordinates exactly.
     """
     vol = _nvol(list(polytope.points), polytope.ambient_dim)
-    assert vol >= 0 and isinstance(vol, int)
+    if not (isinstance(vol, int) and vol >= 0):
+        raise InvariantError(f"normalized volume {vol!r} is not a nonnegative integer")
     return vol
 
 
@@ -182,7 +183,7 @@ def _facet_coordinates(tight_pts, normal, dim):
         delta = tuple(a - b for a, b in zip(p, base))
         coords = solve_integer(bt, delta)
         if coords is None:
-            raise GaleDualError("facet point fell outside its own lattice; bug")
+            raise InvariantError("facet point fell outside its own lattice")
         out.append(coords)
     return out
 

@@ -15,6 +15,7 @@ from itertools import combinations
 from .errors import (
     DependentRowsError,
     DependentWeightsError,
+    InvariantError,
     NoPivotError,
     NoRationalScalingError,
     NotEssentialError,
@@ -468,7 +469,8 @@ def absorb_constants(master, targets):
         check = Fraction(1)
         for lam, e in zip(scales, master.weights.weight(j)):
             check *= lam**e
-        assert check * targets[j] == 1, "scaling verification failed; bug"
+        if check * targets[j] != 1:
+            raise InvariantError(f"scaling does not absorb target {j}")
 
     forms = tuple(
         LinearForm(f.constant * lam, tuple(c * lam for c in f.coeffs))
@@ -501,19 +503,6 @@ def evaluate_phi(support, point):
                 value = value * x**e
         out.append(value)
     return tuple(out)
-
-
-def evaluate_psi(arrangement, point):
-    """Values of every arrangement form at a point; exact over Fraction."""
-    return arrangement.evaluate(point)
-
-
-def in_torus(point, tol=0):
-    return all(abs(x) > tol for x in point)
-
-
-def in_complement(arrangement, point, tol=0):
-    return all(abs(v) > tol for v in arrangement.evaluate(point))
 
 
 def cleared_polynomials(system):

@@ -206,6 +206,24 @@ def test_verify_deterministic_output(capsys):
     assert first == second
 
 
+def test_reduced_weights_verify_every_solution(capsys, tmp_path):
+    # the bounded basis search chose [[1,-2,-3,3],[3,2,4,-6]] here, and verify
+    # matched only 17 of the 21 complement solutions
+    path = write_json(tmp_path, "reduced.json", {
+        "variables": ["x", "y"],
+        "support": [[2, 2], [4, 1], [1, 4], [4, 3]],
+        "coefficients": [["2", "2", "3", "3", "-2"], ["-1", "-4", "5", "4", "-1"]],
+    })
+    code, out, _ = run(capsys, "dualize", "--input", path)
+    assert code == 0
+    assert json.loads(out)["master"]["weights"] == [[1, -2, -3, 3], [4, 0, 1, -3]]
+    code, out, _ = run(capsys, "verify", "--input", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["poly_count"] == payload["master_count"] == payload["kouchnirenko_bound"] == 21
+    assert len(payload["pairs"]) == 21 and payload["bijective"] is True
+
+
 def test_verify_doubled_weights_mismatch(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--input", doubled_weights_master(tmp_path))
     assert code == 4

@@ -1,8 +1,15 @@
 """Dualization round trips and exact pair certification."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import galedual
 
 from galedual.duality import (
     GalePair,
@@ -21,6 +28,7 @@ from galedual.lattice import (
     kernel_basis,
     lattice_equal,
     saturation_index,
+    smith_diagonal,
 )
 from galedual.polytopes import kouchnirenko_bound
 from galedual.systems import Arrangement, LinearForm, MasterSystem, SparseSystem
@@ -235,3 +243,65 @@ def test_saturated_lattice_is_double_kernel():
     master = worked_master()
     expected = kernel_basis(kernel_basis(master.weights.matrix))
     assert lattice_equal(saturate_weights(master).weights.matrix, expected)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_dualize_reduced_weights_pass_check_at_each_rank(l):
+    rng = random.Random(l)
+    n, k = 2, 2 + l
+    while True:
+        columns = rng.sample([(a, b) for a in range(-3, 4) for b in range(-3, 4) if a or b], k)
+        matrix = IntMatrix.from_rows([[c[i] for c in columns] for i in range(n)])
+        if smith_diagonal(matrix) == [1, 1]:
+            break
+    coefficients = tuple(
+        tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(k + 1)) for _ in range(n)
+    )
+    system = SparseSystem(
+        ExponentMatrix(SystemShape(l, 0, n), matrix), coefficients, ("x", "y")
+    )
+    pair = dualize_poly_to_master(system)
+    assert pair.master.weights.matrix.rows == l
+    assert check_gale_pair(pair).all_pass
+
+
+_FAILING_CHECK = """
+import sys
+import galedual.duality as duality
+from galedual.errors import InvariantError
+from galedual.serialize import load_system
+
+print("optimize", sys.flags.optimize)
+failing = duality.PairCheck(
+    shapes_consistent=True, support_primitive=True, support_index=1,
+    weights_primitive=True, weight_index=1, annihilates=True,
+    forms_essential=True, relations_vanish=True, spans_match=False,
+)
+duality.check_gale_pair = lambda pair: failing
+for name, dualize in (("example22_sparse", duality.dualize_poly_to_master),
+                      ("example22_master", duality.dualize_master_to_poly)):
+    system = load_system(sys.argv[1] + "/" + name + ".json")
+    try:
+        dualize(system)
+    except InvariantError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_inconsistent_pair_raises_under_optimize():
+    # a plain assert vanishes under -O; the typed error must not
+    package = Path(galedual.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _FAILING_CHECK, str(package / "fixtures")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    optimize, *lines = result.stdout.splitlines()
+    assert optimize == "optimize 1"
+    assert len(lines) == 2
+    assert all(
+        line.startswith("InvariantError dualization produced an inconsistent pair")
+        and "spans_match" in line
+        for line in lines
+    )

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galedual.errors import DependentRowsError, NotPrimitiveError
 from galedual.lattice import (
@@ -15,6 +17,7 @@ from galedual.lattice import (
     integer_rank,
     kernel_basis,
     lattice_equal,
+    lll_reduce,
     quotient_images,
     saturation_index,
     smith_diagonal,
@@ -267,6 +270,61 @@ def test_lattice_equal():
         m = rand_matrix(rng, 2, 4)
         p = rand_unimodular(rng, 2)
         assert lattice_equal(m, p @ m)
+
+
+def has_reduced_order(rows):
+    """Whether some order of rows is size-reduced and meets Lovasz with delta 99/100."""
+
+    def extend(order, star, norms):
+        if len(order) == len(rows):
+            return True
+        for i in set(range(len(rows))) - set(order):
+            mu = [sum(Fraction(x) * y for x, y in zip(rows[i], s)) / n for s, n in zip(star, norms)]
+            if any(abs(m) > Fraction(1, 2) for m in mu):
+                continue
+            v = [Fraction(x) for x in rows[i]]
+            for m, s in zip(mu, star):
+                v = [x - m * y for x, y in zip(v, s)]
+            n2 = sum(x * x for x in v)
+            if order and n2 < (Fraction(99, 100) - mu[-1] ** 2) * norms[-1]:
+                continue
+            if extend(order + [i], star + [v], norms + [n2]):
+                return True
+        return False
+
+    return extend([], [], [])
+
+
+# 1 to 6 rows of 1 to 10 columns (at least as many as rows), entries in [-20, 20]
+INTEGER_ROWS = st.integers(1, 6).flatmap(lambda r: st.integers(r, 10).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-20, 20), min_size=c, max_size=c),
+                       min_size=r, max_size=r)))
+
+
+@settings(deadline=None)
+@given(INTEGER_ROWS)
+def test_lll_reduce_properties(rows):
+    matrix = IntMatrix.from_rows(rows)
+    if integer_rank(matrix) < matrix.rows:
+        with pytest.raises(DependentRowsError):
+            lll_reduce(matrix)
+        return
+    reduced = lll_reduce(matrix)
+    out = reduced.to_rows()
+    assert lattice_equal(reduced, matrix)
+    assert all(next(x for x in r if x) > 0 for r in out)
+    assert out == sorted(out, key=lambda r: (sum(x * x for x in r), r))
+    assert has_reduced_order(out)
+    assert lll_reduce(reduced) == reduced
+
+
+def test_lll_reduce_undoes_what_sorting_breaks():
+    # sorted by norm, (5,7,5) comes first and (10,0,0) is no longer size-reduced
+    out = lll_reduce(IntMatrix.from_rows([[10, 0, 0], [5, 7, 5]]))
+    assert out.to_rows() == [[5, -7, -5], [5, 7, 5]]
+    # the worked example's HNF kernel reduces to the published weights
+    kernel = kernel_basis(IntMatrix.from_rows([[3, 1, 4, 4], [2, 2, -1, 1]]))
+    assert lll_reduce(kernel).to_rows() == [[1, -3, -2, 2], [3, -1, 1, -3]]
 
 
 def test_quotient_images_properties():

@@ -23,9 +23,6 @@ from galedual.systems import (
     cleared_polynomials,
     diagonalize,
     evaluate_phi,
-    evaluate_psi,
-    in_complement,
-    in_torus,
     is_essential,
     master_variable_names,
     monomial_string,
@@ -381,7 +378,7 @@ def test_cleared_binomial_zero_iff_product_one():
     rows = [clear_denominators(master, j) for j in range(2)]
     for _ in range(60):
         p = rand_torus_point(rng, 2)
-        values = evaluate_psi(master.arrangement, p)
+        values = master.arrangement.evaluate(p)
         if any(v == 0 for v in values):
             continue
         for j, cleared in enumerate(rows):
@@ -468,15 +465,3 @@ def test_evaluate_phi_exact_and_complex():
         evaluate_phi(system.support, (Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
         evaluate_phi(system.support, (0j, 1 + 0j))
-
-
-def test_membership_helpers():
-    assert in_torus((1, -2))
-    assert not in_torus((1, 0))
-    assert not in_torus((1e-12, 1), tol=1e-9)
-    arrangement = worked_master().arrangement
-    assert in_complement(arrangement, (Fraction(3), Fraction(1)))
-    assert not in_complement(arrangement, (Fraction(0), Fraction(1)))
-    # near a hyperplane only counts with a tolerance
-    assert in_complement(arrangement, (1e-12, 1.0))
-    assert not in_complement(arrangement, (1e-12, 1.0), tol=1e-9)
