@@ -14,7 +14,6 @@ import sys
 
 from .duality import (
     GalePair,
-    check_gale_pair,
     dualize_master_to_poly,
     dualize_poly_to_master,
     saturate_weights,
@@ -45,6 +44,9 @@ from .serialize import (
 from .solver import SolverConfig, solve_master, solve_sparse, verify_isomorphism
 from .systems import MasterSystem, SparseSystem
 
+# unused here; bench/spans.py looks this name up on this module to count calls
+from .duality import check_gale_pair  # noqa: F401
+
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_DIAGNOSTIC = 2
@@ -70,10 +72,11 @@ def build_parser():
         p.add_argument("--input", required=True, help="JSON system file")
         p.add_argument("--output", help="output file (default stdout)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--tol-cluster", type=float, default=1e-6,
-                       help="distance below which numeric points merge")
-        p.add_argument("--tol-verify", type=float, default=1e-9,
-                       help="largest residual accepted as a solution")
+        if name in ("solve", "verify"):  # the commands that solve numerically
+            p.add_argument("--tol-cluster", type=float, default=1e-6,
+                           help="distance below which numeric points merge")
+            p.add_argument("--tol-verify", type=float, default=1e-9,
+                           help="largest residual accepted as a solution")
     return parser
 
 
@@ -115,12 +118,12 @@ def cmd_dualize(args):
         )
     except NotEssentialError as exc:
         return _fail(str(exc), EXIT_DIAGNOSTIC)
-    check = check_gale_pair(pair)
+    # dualization already checked the pair and raises unless every check passes
     if args.format == "json":
-        _emit(args, dump_json(pair_to_dict(pair, check)))
+        _emit(args, dump_json(pair_to_dict(pair, pair.check)))
     else:
-        _emit(args, render_pair_text(pair, check))
-    return EXIT_OK if check.all_pass else EXIT_DIAGNOSTIC
+        _emit(args, render_pair_text(pair, pair.check))
+    return EXIT_OK
 
 
 def cmd_bound(args):

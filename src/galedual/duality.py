@@ -4,13 +4,14 @@ Either side determines the other up to unimodular coordinate changes: the
 sparse support becomes the quotient data for the weights, the diagonalized
 coefficient rows become degree-one forms, and back. A GalePair carries both
 systems plus the witness linking their coordinates; check_gale_pair verifies
-every pairing condition exactly and reports rather than throws.
+every pairing condition exactly and reports rather than throws. A pair that
+dualization returns carries the check it passed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import DependentRowsError, InvariantError, NotEssentialError, NotPrimitiveError
@@ -58,9 +59,16 @@ class GaleWitness:
 
 @dataclass(frozen=True)
 class GalePair:
+    """Both systems and the witness linking them.
+
+    ``check`` is the PairCheck that dualization passed the pair with; None on
+    a pair built by hand.
+    """
+
     poly: SparseSystem
     master: MasterSystem
     witness: GaleWitness
+    check: PairCheck | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -120,11 +128,12 @@ def require_support_primitive(support):
 
 
 def _checked(pair):
-    """The pair, once check_gale_pair passes it; InvariantError otherwise."""
+    """The pair with its check attached, once check_gale_pair passes it;
+    InvariantError otherwise."""
     check = check_gale_pair(pair)
     if not check.all_pass:
         raise InvariantError(f"dualization produced an inconsistent pair: {check.failures()}")
-    return pair
+    return replace(pair, check=check)
 
 
 def dualize_poly_to_master(system):

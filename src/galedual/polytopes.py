@@ -1,7 +1,11 @@
 """Exact lattice polytopes: convex hulls, normalized volumes, and the counting
 bounds derived from them.
 
-All hull and volume computations are exact integer/rational arithmetic; float
+Hulls and volumes are computed in Python ints, and the facets of a hull are
+found once. The normal of each d-subset of points is its vector of signed
+integer cofactors, divided by their gcd; a subset with every point on one
+side of its hyperplane spans a facet. ``normalized_volume`` sums |det| over a
+pulling triangulation whose faces it reads off those stored facets. Float
 only appears in the fewnomial bound values, which are transcendental anyway.
 """
 
@@ -9,11 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 from .errors import InvariantError
-from .lattice import IntMatrix, kernel_basis, quotient_images, solve_integer
-from .ratlinalg import mat_rank
+from .lattice import quotient_images
+from .ratlinalg import det_bareiss_int, mat_rank
+
+# unused here; bench/spans.py looks these names up on this module to count calls
+from .lattice import kernel_basis, solve_integer  # noqa: F401
 
 MAX_AMBIENT_DIM = 6
 
@@ -24,12 +32,15 @@ class LatticePolytope:
 
     ``points`` are the deduplicated input points (sorted), ``vertices`` the
     hull vertices: counterclockwise from the lexicographic minimum in two
-    dimensions, sorted lexicographically otherwise.
+    dimensions, sorted lexicographically otherwise. ``facets`` are the
+    facet hyperplanes as sorted (primitive outward normal, offset) pairs:
+    every point p has normal . p <= offset, with equality on the facet.
     """
 
     ambient_dim: int
     points: tuple
     vertices: tuple
+    facets: tuple
 
 
 def convex_hull(points):
@@ -49,19 +60,21 @@ def convex_hull(points):
         raise ValueError(f"ambient dimension {dim} outside supported range 1..{MAX_AMBIENT_DIM}")
     if _affine_rank(pts) < dim:
         raise ValueError("points do not affinely span the ambient space")
-    if dim == 1:
-        verts = (pts[0], pts[-1])
-    elif dim == 2:
-        verts = tuple(_hull_2d(pts))
+    facets = _facets(pts)
+    if dim == 2:
+        verts = _hull_2d(pts)
     else:
-        verts = tuple(sorted(_hull_vertices_nd(pts, dim)))
-    return LatticePolytope(dim, tuple(pts), verts)
+        # a vertex is tight on facets whose normals span the space
+        verts = [p for p in pts if mat_rank([n for n, c in facets if _dot(n, p) == c]) == dim]
+    return LatticePolytope(dim, tuple(pts), tuple(verts), facets)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _affine_rank(pts):
-    base = pts[0]
-    diffs = [[Fraction(a - b) for a, b in zip(p, base)] for p in pts[1:]]
-    return mat_rank(diffs)
+    return mat_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
 
 
 def _cross(o, a, b):
@@ -83,109 +96,71 @@ def _hull_2d(pts):
     return lower[:-1] + upper[:-1]
 
 
-def _facets_nd(pts, dim):
-    """All facet hyperplanes as (primitive outward normal, offset) pairs.
+def _normal(subset):
+    """Primitive normal of the hyperplane through d points of Z^d, or None
+    when they are affinely dependent.
+
+    The normal is the vector of signed (d-1)-minors of the difference rows,
+    the generalized cross product.
+    """
+    base = subset[0]
+    diffs = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
+    minors = [
+        (-1) ** i * det_bareiss_int([row[:i] + row[i + 1 :] for row in diffs])
+        for i in range(len(base))
+    ]
+    g = math.gcd(*minors)
+    return tuple(m // g for m in minors) if g else None
+
+
+def _facets(pts):
+    """All facets as sorted (primitive outward normal, offset) pairs.
 
     Brute force over point subsets of size dim; desk scale by design.
     """
-    from itertools import combinations
-
-    found = {}
-    for subset in combinations(pts, dim):
-        base = subset[0]
-        diffs = [[p[i] - base[i] for i in range(dim)] for p in subset[1:]]
-        normal = _primitive_normal(diffs, dim)
+    found = set()
+    for subset in combinations(pts, len(pts[0])):
+        normal = _normal(subset)
         if normal is None:
             continue
-        offset = sum(n * v for n, v in zip(normal, base))
-        side = {_sign(sum(n * v for n, v in zip(normal, p)) - offset) for p in pts}
-        if 1 in side and -1 in side:
+        offset = _dot(normal, subset[0])
+        sides = [_dot(normal, p) - offset for p in pts]
+        if min(sides) < 0 < max(sides):
             continue
-        if 1 in side:
-            normal = tuple(-n for n in normal)
-            offset = -offset
-        found[(normal, offset)] = True
-    return list(found)
-
-
-def _sign(v):
-    return (v > 0) - (v < 0)
-
-
-def _primitive_normal(diff_rows, dim):
-    """Primitive integer normal of the span of dim-1 difference vectors."""
-    if mat_rank([[Fraction(v) for v in row] for row in diff_rows]) != dim - 1:
-        return None
-    kernel = kernel_basis(IntMatrix.from_rows(diff_rows, cols=dim))
-    normal = tuple(kernel.row(0))
-    return normal
-
-
-def _hull_vertices_nd(pts, dim):
-    facets = _facets_nd(pts, dim)
-    verts = []
-    for p in pts:
-        tight = [
-            normal
-            for normal, offset in facets
-            if sum(n * v for n, v in zip(normal, p)) == offset
-        ]
-        if len(tight) >= dim and mat_rank([[Fraction(v) for v in n] for n in tight]) == dim:
-            verts.append(p)
-    return verts
+        if max(sides) > 0:
+            normal, offset = tuple(-n for n in normal), -offset
+        found.add((normal, offset))
+    return tuple(sorted(found))
 
 
 def normalized_volume(polytope):
-    """dim! times the Euclidean volume; always a nonnegative integer.
+    """dim! times the Euclidean volume; always a positive integer.
 
-    Recursive facet decomposition: cone the hull from a fixed vertex and sum
-    lattice-height times facet volume, mapping each facet into its own
-    (dim-1)-dimensional lattice coordinates exactly.
+    The sum of |det| over a pulling triangulation, all in ints. Each face is
+    coned from its lexicographically least point over the facets of the face
+    that miss that point. The facets of a face are its intersections with the
+    hull's ``facets`` whose affine rank is one less than the face's own, so
+    no facet search runs here.
     """
-    vol = _nvol(list(polytope.points), polytope.ambient_dim)
-    if not (isinstance(vol, int) and vol >= 0):
-        raise InvariantError(f"normalized volume {vol!r} is not a nonnegative integer")
+
+    @cache
+    def simplices(face, rank):
+        if rank == 0:
+            return [face]
+        apex = face[0]
+        out = []
+        for sub in {tuple(p for p in face if _dot(n, p) == c) for n, c in polytope.facets}:
+            if sub and apex not in sub and _affine_rank(sub) == rank - 1:
+                out += [(apex,) + s for s in simplices(sub, rank - 1)]
+        return out
+
+    vol = sum(
+        abs(det_bareiss_int([[a - b for a, b in zip(p, s[0])] for p in s[1:]]))
+        for s in simplices(polytope.points, polytope.ambient_dim)
+    )
+    if vol <= 0:
+        raise InvariantError(f"normalized volume {vol!r} of a full-dimensional hull is not positive")
     return vol
-
-
-def _nvol(pts, dim):
-    pts = sorted(set(pts))
-    if dim == 1:
-        return pts[-1][0] - pts[0][0]
-    if dim == 2:
-        # fan triangulation from a fixed hull vertex
-        hull = _hull_2d(pts)
-        apex = hull[0]
-        total = 0
-        for a, b in zip(hull[1:], hull[2:]):
-            total += abs(
-                (a[0] - apex[0]) * (b[1] - apex[1]) - (a[1] - apex[1]) * (b[0] - apex[0])
-            )
-        return total
-    apex = pts[0]  # lexicographic minimum is always a hull vertex
-    total = 0
-    for normal, offset in _facets_nd(pts, dim):
-        height = abs(sum(n * v for n, v in zip(normal, apex)) - offset)
-        if height == 0:
-            continue
-        tight = [p for p in pts if sum(n * v for n, v in zip(normal, p)) == offset]
-        total += height * _nvol(_facet_coordinates(tight, normal, dim), dim - 1)
-    return total
-
-
-def _facet_coordinates(tight_pts, normal, dim):
-    """Map facet points to Z^(dim-1) via a basis of the normal's kernel lattice."""
-    basis = kernel_basis(IntMatrix.from_rows([list(normal)], cols=dim))
-    base = tight_pts[0]
-    bt = basis.transpose()
-    out = []
-    for p in tight_pts:
-        delta = tuple(a - b for a, b in zip(p, base))
-        coords = solve_integer(bt, delta)
-        if coords is None:
-            raise InvariantError("facet point fell outside its own lattice")
-        out.append(coords)
-    return out
 
 
 def kouchnirenko_bound(support):

@@ -69,6 +69,17 @@ def test_dualize_sparse_json(capsys):
     assert sorted(payload["witness"]["z_support_columns"]) == [0, 1, 2, 3]
 
 
+def test_dualize_renders_the_check_dualization_ran(capsys, monkeypatch):
+    def second_check(pair):
+        raise AssertionError("dualize checked the pair a second time")
+
+    monkeypatch.setattr("galedual.cli.check_gale_pair", second_check)
+    for path in (SPARSE, MASTER):
+        code, out, err = run(capsys, "dualize", "--input", path)
+        assert code == 0, err
+        assert json.loads(out)["check"]["all_pass"] is True
+
+
 def test_dualize_sparse_text(capsys):
     code, out, _ = run(capsys, "dualize", "--input", SPARSE, "--format", "text")
     assert code == 0
@@ -346,7 +357,10 @@ def test_degree_cap_is_solver_error(capsys, tmp_path):
 
 def test_argparse_rejects_malformed_invocations():
     for argv in ([], ["dualize"], ["frobnicate", "--input", SPARSE],
-                 ["solve", "--input", SPARSE, "--format", "yaml"]):
+                 ["solve", "--input", SPARSE, "--format", "yaml"],
+                 # dualize and bound solve nothing numerically: no tolerances
+                 ["bound", "--input", SPARSE, "--tol-verify", "1e-3"],
+                 ["dualize", "--input", SPARSE, "--tol-cluster", "1e-3"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

@@ -86,6 +86,17 @@ def test_dualize_poly_reproduces_known_master():
     assert check.all_pass, check.failures()
 
 
+def test_dualized_pair_carries_its_check():
+    for pair in (dualize_poly_to_master(worked_sparse()), dualize_master_to_poly(worked_master())):
+        assert pair.check == check_gale_pair(pair)
+        assert pair.check.all_pass
+    # a pair built by hand carries none, and the check does not enter equality
+    pair = dualize_poly_to_master(worked_sparse())
+    by_hand = GalePair(pair.poly, pair.master, pair.witness)
+    assert by_hand.check is None
+    assert by_hand == pair
+
+
 def test_dualize_poly_witness_is_permutation():
     pair = dualize_poly_to_master(worked_sparse())
     cols = pair.witness.z_support_columns

@@ -2,11 +2,20 @@
 
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
+from galedual.lattice import (
+    ExponentMatrix,
+    IntMatrix,
+    SystemShape,
+    WeightBasis,
+    kernel_basis,
+    solve_integer,
+)
 from galedual.polytopes import (
     MAX_AMBIENT_DIM,
     convex_hull,
@@ -16,6 +25,7 @@ from galedual.polytopes import (
     kouchnirenko_bound,
     normalized_volume,
 )
+from galedual.ratlinalg import mat_rank
 
 
 def rand_points(rng, count, dim, lo=-5, hi=5):
@@ -196,6 +206,152 @@ def test_volume_scaling_law():
         assert normalized_volume(convex_hull(scaled)) == k ** 2 * base
     tet = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)]
     assert normalized_volume(convex_hull([(2 * a, 2 * b, 2 * c) for a, b, c in tet])) == 8 * 3
+
+
+# -- reference: the recursive facet-coordinate volume ---------------------------
+#
+# Facets by kernel lattices, and the volume as height times facet volume,
+# with each facet mapped into its own lattice coordinates. Independent of the
+# cofactor normals and the pulling triangulation under test.
+
+
+def ref_normal(diff_rows, dim):
+    if mat_rank(diff_rows) != dim - 1:
+        return None
+    return tuple(kernel_basis(IntMatrix.from_rows(diff_rows, cols=dim)).row(0))
+
+
+def ref_facets(pts, dim):
+    found = {}
+    for subset in combinations(pts, dim):
+        base = subset[0]
+        normal = ref_normal([[p[i] - base[i] for i in range(dim)] for p in subset[1:]], dim)
+        if normal is None:
+            continue
+        offset = dot(normal, base)
+        side = {(v > 0) - (v < 0) for v in (dot(normal, p) - offset for p in pts)}
+        if 1 in side and -1 in side:
+            continue
+        if 1 in side:
+            normal, offset = tuple(-n for n in normal), -offset
+        found[(normal, offset)] = True
+    return list(found)
+
+
+def ref_vertices(pts, dim):
+    facets = ref_facets(pts, dim)
+    verts = []
+    for p in pts:
+        tight = [n for n, offset in facets if dot(n, p) == offset]
+        if len(tight) >= dim and mat_rank(tight) == dim:
+            verts.append(p)
+    return verts
+
+
+def ref_volume(pts, dim):
+    pts = sorted(set(pts))
+    if dim == 1:
+        return pts[-1][0] - pts[0][0]
+    apex = pts[0]
+    total = 0
+    for normal, offset in ref_facets(pts, dim):
+        height = abs(dot(normal, apex) - offset)
+        if height:
+            tight = [p for p in pts if dot(normal, p) == offset]
+            total += height * ref_volume(ref_facet_coordinates(tight, normal, dim), dim - 1)
+    return total
+
+
+def ref_facet_coordinates(tight_pts, normal, dim):
+    bt = kernel_basis(IntMatrix.from_rows([list(normal)], cols=dim)).transpose()
+    base = tight_pts[0]
+    return [solve_integer(bt, tuple(a - b for a, b in zip(p, base))) for p in tight_pts]
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@st.composite
+def spanning_points(draw, dims=(1, 2, 3, 4, 5)):
+    dim = draw(st.sampled_from(dims))
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 4))
+    assume(mat_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == dim)
+    return pts
+
+
+@st.composite
+def unimodular(draw, dim):
+    """A product of elementary row operations and a signed permutation."""
+    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                                           st.integers(-2, 2)), max_size=8)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    order = draw(st.permutations(range(dim)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim))
+    return [[s * v for v in u[k]] for k, s in zip(order, signs)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(spanning_points())
+def test_hull_and_volume_match_facet_coordinate_reference(pts):
+    poly = convex_hull(pts)
+    dim = poly.ambient_dim
+    assert poly.points == tuple(sorted(set(pts)))
+    verts = ref_vertices(list(poly.points), dim)
+    if dim == 2:  # counterclockwise order, checked in test_hull_2d_characterization
+        assert sorted(poly.vertices) == verts
+    else:
+        assert list(poly.vertices) == verts
+    assert sorted(poly.facets) == sorted(ref_facets(list(poly.points), dim))
+    assert normalized_volume(poly) == ref_volume(list(poly.points), dim)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([3, 4]))
+def test_volume_unimodular_and_translation_invariant_3d_4d(data, dim):
+    pts = data.draw(spanning_points(dims=(dim,)))
+    u = data.draw(unimodular(dim))
+    shift = data.draw(st.tuples(*[st.integers(-4, 4)] * dim))
+
+    def move(p):
+        return tuple(dot(row, p) + t for row, t in zip(u, shift))
+
+    poly = convex_hull(pts)
+    moved = convex_hull([move(p) for p in pts])
+    assert normalized_volume(moved) == normalized_volume(poly)
+    assert sorted(moved.vertices) == sorted(move(v) for v in poly.vertices)
+    assert len(moved.facets) == len(poly.facets)
+
+
+@settings(deadline=None, max_examples=150)
+@given(spanning_points())
+def test_facets_are_primitive_supporting_and_tight_at_vertices(pts):
+    poly = convex_hull(pts)
+    dim = poly.ambient_dim
+    assert list(poly.facets) == sorted(set(poly.facets))
+    for normal, offset in poly.facets:
+        assert math.gcd(*normal) == 1
+        assert all(dot(normal, p) <= offset for p in poly.points)
+        tight = [p for p in poly.points if dot(normal, p) == offset]
+        assert mat_rank([[a - b for a, b in zip(p, tight[0])] for p in tight[1:]]) == dim - 1
+    for v in poly.vertices:
+        tight = [n for n, offset in poly.facets if dot(n, v) == offset]
+        assert len(tight) >= dim and mat_rank(tight) == dim
+
+
+def test_vertex_needs_tight_normals_of_full_rank():
+    # prism over a square pyramid: the edge over the apex lies on four facets,
+    # so its lattice midpoint is tight on four facets whose normals have rank 3
+    pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
+    pts = [(t,) + p for t in (0, 2) for p in pyramid] + [(1, 1, 1, 1)]
+    poly = convex_hull(pts)
+    assert sum(dot(n, (1, 1, 1, 1)) == c for n, c in poly.facets) == 4
+    assert (1, 1, 1, 1) not in poly.vertices
+    assert list(poly.vertices) == ref_vertices(list(poly.points), 4)
+    assert normalized_volume(poly) == ref_volume(pts, 4) == 64  # 4! * 2 * (4 / 3)
 
 
 # -- counting bounds ----------------------------------------------------------
