@@ -258,27 +258,6 @@ def umul(a, b):
     return utrim(out)
 
 
-def udivmod(a, b):
-    """Exact field division with remainder."""
-    a = utrim(a)
-    b = utrim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = [Fraction(c) for c in a]
-    inv = 1 / Fraction(b[-1])
-    while len(r) >= len(b):
-        factor = r[-1] * inv
-        shift = len(r) - len(b)
-        q[shift] = factor
-        for i, cb in enumerate(b):
-            r[shift + i] -= factor * cb
-        r = utrim(r)
-        if not r:
-            break
-    return utrim(q), r
-
-
 def _int_content(coeffs):
     return gcd(*coeffs) or 1
 

@@ -2,21 +2,23 @@
 bounds derived from them.
 
 Hulls and volumes are computed in Python ints, and the facets of a hull are
-found once. The normal of each d-subset of points is its vector of signed
-integer cofactors, divided by their gcd; a subset with every point on one
-side of its hyperplane spans a facet. ``normalized_volume`` sums |det| over a
-pulling triangulation whose faces it reads off those stored facets. Float
-only appears in the fewnomial bound values, which are transcendental anyway.
+found once, by beneath-beyond: the first simplex gets signed integer cofactor
+normals, and each later facet is an integer combination of two earlier ones
+that meet in a ridge. Vertices, and the faces of the pulling triangulation
+that ``normalized_volume`` sums |det| over, are read off facet incidence
+masks. Float only appears in the fewnomial bound values, which are
+transcendental anyway.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations
+from functools import cache, reduce
+from itertools import product
+from operator import and_
 
-from .errors import InvariantError
+from .errors import DependentRowsError, InvariantError
 from .lattice import quotient_images
 from .ratlinalg import det_bareiss_int, mat_rank
 
@@ -58,23 +60,19 @@ def convex_hull(points):
         raise ValueError("points of mixed dimension")
     if dim < 1 or dim > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension {dim} outside supported range 1..{MAX_AMBIENT_DIM}")
-    if _affine_rank(pts) < dim:
-        raise ValueError("points do not affinely span the ambient space")
     facets = _facets(pts)
     if dim == 2:
         verts = _hull_2d(pts)
-    else:
-        # a vertex is tight on facets whose normals span the space
-        verts = [p for p in pts if mat_rank([n for n, c in facets if _dot(n, p) == c]) == dim]
-    return LatticePolytope(dim, tuple(pts), tuple(verts), facets)
+    else:  # a vertex is the only point on every facet through it
+        verts = [
+            p for i, p in enumerate(pts)
+            if reduce(and_, (m for m in facets.values() if m >> i & 1), -1) == 1 << i
+        ]
+    return LatticePolytope(dim, tuple(pts), tuple(verts), tuple(sorted(facets)))
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def _affine_rank(pts):
-    return mat_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
 
 
 def _cross(o, a, b):
@@ -97,12 +95,8 @@ def _hull_2d(pts):
 
 
 def _normal(subset):
-    """Primitive normal of the hyperplane through d points of Z^d, or None
-    when they are affinely dependent.
-
-    The normal is the vector of signed (d-1)-minors of the difference rows,
-    the generalized cross product.
-    """
+    """Primitive normal of the hyperplane through d affinely independent points
+    of Z^d: the signed (d-1)-minors of the difference rows, over their gcd."""
     base = subset[0]
     diffs = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
     minors = [
@@ -110,27 +104,53 @@ def _normal(subset):
         for i in range(len(base))
     ]
     g = math.gcd(*minors)
-    return tuple(m // g for m in minors) if g else None
+    return tuple(m // g for m in minors)
 
 
 def _facets(pts):
-    """All facets as sorted (primitive outward normal, offset) pairs.
+    """Beneath-beyond hull of sorted distinct points: a dict from each facet's
+    (primitive outward normal, offset) to its incidence mask, whose bit i is
+    set when pts[i] lies on the facet.
 
-    Brute force over point subsets of size dim; desk scale by design.
+    The hull starts as a simplex on the first affinely independent points and
+    takes the others in order. A point q drops the facets it lies beyond. Each
+    ridge of a dropped facet v and a facet u that q lies strictly beneath
+    spans a new facet with q: (-side(u)) * v + side(v) * u, zero at q and on
+    the ridge. Two facets meet in a ridge when no third holds all their points.
     """
-    found = set()
-    for subset in combinations(pts, len(pts[0])):
-        normal = _normal(subset)
-        if normal is None:
-            continue
-        offset = _dot(normal, subset[0])
-        sides = [_dot(normal, p) - offset for p in pts]
-        if min(sides) < 0 < max(sides):
-            continue
-        if max(sides) > 0:
+    dim = len(pts[0])
+    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts]
+    simplex = [0]
+    for i in range(1, len(pts)):
+        if len(simplex) <= dim and mat_rank([diffs[j] for j in simplex[1:] + [i]]) == len(simplex):
+            simplex.append(i)
+    if len(simplex) <= dim:
+        raise ValueError("points do not affinely span the ambient space")
+    facets = {}
+    for k in simplex:
+        rest = [j for j in simplex if j != k]
+        normal = _normal([pts[j] for j in rest])
+        offset = _dot(normal, pts[rest[0]])
+        if _dot(normal, pts[k]) > offset:
             normal, offset = tuple(-n for n in normal), -offset
-        found.add((normal, offset))
-    return tuple(sorted(found))
+        facets[normal, offset] = sum(1 << j for j in rest)
+    for i in (i for i in range(len(pts)) if i not in simplex):
+        bit = 1 << i
+        side = {f: _dot(f[0], pts[i]) - f[1] for f in facets}
+        added = {}
+        for v, u in product([f for f in facets if side[f] > 0], [f for f in facets if side[f] < 0]):
+            ridge = facets[v] & facets[u]
+            if ridge.bit_count() < dim - 1 or any(
+                m & ridge == ridge for f, m in facets.items() if f != v and f != u
+            ):
+                continue
+            sv, su = side[v], -side[u]
+            normal = [su * a + sv * b for a, b in zip(v[0], u[0])]
+            g = math.gcd(*normal)
+            added[tuple(n // g for n in normal), (su * v[1] + sv * u[1]) // g] = ridge | bit
+        facets = {f: m | bit if side[f] == 0 else m for f, m in facets.items() if side[f] <= 0}
+        facets.update(added)
+    return facets
 
 
 def normalized_volume(polytope):
@@ -138,25 +158,32 @@ def normalized_volume(polytope):
 
     The sum of |det| over a pulling triangulation, all in ints. Each face is
     coned from its lexicographically least point over the facets of the face
-    that miss that point. The facets of a face are its intersections with the
-    hull's ``facets`` whose affine rank is one less than the face's own, so
-    no facet search runs here.
+    that miss that point. A face is an incidence mask over ``points``, and its
+    facets are the inclusion-maximal proper nonempty intersections of the
+    face with the masks of the hull's ``facets``.
     """
+    pts = polytope.points
+    masks = [
+        sum(1 << i for i, p in enumerate(pts) if _dot(n, p) == c) for n, c in polytope.facets
+    ]
 
     @cache
-    def simplices(face, rank):
-        if rank == 0:
-            return [face]
-        apex = face[0]
-        out = []
-        for sub in {tuple(p for p in face if _dot(n, p) == c) for n, c in polytope.facets}:
-            if sub and apex not in sub and _affine_rank(sub) == rank - 1:
-                out += [(apex,) + s for s in simplices(sub, rank - 1)]
-        return out
+    def simplices(face):
+        low = face & -face
+        apex = pts[low.bit_length() - 1]
+        if face == low:
+            return [(apex,)]
+        subs = {face & m for m in masks} - {0, face}
+        return [
+            (apex,) + s
+            for sub in subs
+            if not sub & low and not any(sub != t and sub & t == sub for t in subs)
+            for s in simplices(sub)
+        ]
 
     vol = sum(
         abs(det_bareiss_int([[a - b for a, b in zip(p, s[0])] for p in s[1:]]))
-        for s in simplices(polytope.points, polytope.ambient_dim)
+        for s in simplices((1 << len(pts)) - 1)
     )
     if vol <= 0:
         raise InvariantError(f"normalized volume {vol!r} of a full-dimensional hull is not positive")
@@ -167,11 +194,18 @@ def kouchnirenko_bound(support):
     """Normalized volume of the hull of the support together with the origin.
 
     Bounds the number of isolated torus solutions of any sparse system with
-    this support, with equality for generic coefficients.
+    this support, with equality for generic coefficients. Raises
+    DependentRowsError when the support columns do not span Q^dim.
     """
     dim = support.matrix.rows
     pts = [tuple([0] * dim)] + [support.exponent(j) for j in range(support.matrix.cols)]
-    return normalized_volume(convex_hull(pts))
+    try:
+        hull = convex_hull(pts)
+    except ValueError:
+        if mat_rank(support.matrix.to_rows()) < dim:
+            raise DependentRowsError("support columns do not span the variable space over Q") from None
+        raise
+    return normalized_volume(hull)
 
 
 def euler_from_volume(shape, volume):

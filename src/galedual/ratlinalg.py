@@ -150,21 +150,6 @@ def right_kernel(rows, ncols=None):
     return basis
 
 
-def solve_linear(rows, rhs):
-    """One exact solution of A x = rhs, or None when inconsistent."""
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
-
-
 def row_space_equal(rows_a, rows_b):
     """Whether two row sets span the same subspace of Q^n."""
     ra, pa = rref(rows_a)

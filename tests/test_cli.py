@@ -289,6 +289,21 @@ def test_dependent_rows_is_parse_error(capsys, tmp_path):
     assert "dependent" in err
 
 
+def test_bound_on_non_spanning_support_is_parse_error(capsys, tmp_path):
+    path = write_json(
+        tmp_path,
+        "collinear.json",
+        {
+            "variables": ["x", "y"],
+            "support": [[1, 1], [2, 2], [3, 3]],
+            "coefficients": [["1", "2", "3", "1"], ["2", "1", "5", "7"]],
+        },
+    )
+    message = "error: support columns do not span the variable space over Q\n"
+    for command in ("bound", "dualize"):
+        assert run(capsys, command, "--input", path) == (1, "", message)
+
+
 def test_nonprimitive_support_is_diagnostic(capsys, tmp_path):
     path = nonprimitive_sparse(tmp_path)
     code, _, err = run(capsys, "dualize", "--input", path)

@@ -24,7 +24,22 @@ from galedual.lattice import (
     snf,
     solve_integer,
 )
-from galedual.ratlinalg import frac_rows, mat_det, solve_linear
+from galedual.ratlinalg import frac_rows, mat_det, rref
+
+
+def solve_linear(rows, rhs):
+    """One exact solution of A x = rhs, or None when inconsistent."""
+    if not rows:
+        return [] if all(v == 0 for v in rhs) else None
+    ncols = len(rows[0])
+    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
+    red, pivots = rref(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return x
 
 
 def rand_matrix(rng, rows, cols, lo=-3, hi=3):

@@ -14,7 +14,6 @@ from galedual.polynomials import (
     poly_equal_up_to_scale,
     udeg,
     uderiv,
-    udivmod,
     ueval,
     ugcd,
     uinterpolate,
@@ -24,6 +23,27 @@ from galedual.polynomials import (
     utrim,
 )
 from galedual.ratlinalg import det_bareiss_int, mat_det
+
+
+def udivmod(a, b):
+    """Exact field division with remainder."""
+    a = utrim(a)
+    b = utrim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = [Fraction(c) for c in a]
+    inv = 1 / Fraction(b[-1])
+    while len(r) >= len(b):
+        factor = r[-1] * inv
+        shift = len(r) - len(b)
+        q[shift] = factor
+        for i, cb in enumerate(b):
+            r[shift + i] -= factor * cb
+        r = utrim(r)
+        if not r:
+            break
+    return utrim(q), r
 
 
 def rand_poly(rng, nvars, max_terms=5, max_exp=3, lo=-5, hi=5):

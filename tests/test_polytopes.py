@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -25,7 +26,7 @@ from galedual.polytopes import (
     kouchnirenko_bound,
     normalized_volume,
 )
-from galedual.ratlinalg import mat_rank
+from galedual.ratlinalg import det_bareiss_int, mat_rank
 
 
 def rand_points(rng, count, dim, lo=-5, hi=5):
@@ -352,6 +353,102 @@ def test_vertex_needs_tight_normals_of_full_rank():
     assert (1, 1, 1, 1) not in poly.vertices
     assert list(poly.vertices) == ref_vertices(list(poly.points), 4)
     assert normalized_volume(poly) == ref_volume(pts, 4) == 64  # 4! * 2 * (4 / 3)
+
+
+# -- reference: brute-force cofactor facets -------------------------------------
+#
+# Every d-subset of the points, with the signed-cofactor normal, kept when all
+# points lie on one side of its hyperplane; vertices by the rank of their
+# tight normals; the volume by the pulling triangulation with faces found by
+# affine rank. Exact, but exponential in the number of points.
+
+
+def brute_facets(pts):
+    found = set()
+    for subset in combinations(pts, len(pts[0])):
+        base = subset[0]
+        diffs = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
+        minors = [
+            (-1) ** i * det_bareiss_int([row[:i] + row[i + 1 :] for row in diffs])
+            for i in range(len(base))
+        ]
+        g = math.gcd(*minors)
+        if not g:
+            continue
+        normal = tuple(m // g for m in minors)
+        offset = dot(normal, base)
+        sides = [dot(normal, p) - offset for p in pts]
+        if min(sides) < 0 < max(sides):
+            continue
+        if max(sides) > 0:
+            normal, offset = tuple(-n for n in normal), -offset
+        found.add((normal, offset))
+    return sorted(found)
+
+
+def affine_rank(pts):
+    return mat_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
+
+
+def brute_hull(pts):
+    """(facets, vertices, normalized volume) of sorted distinct points."""
+    dim = len(pts[0])
+    facets = brute_facets(pts)
+    verts = [p for p in pts if mat_rank([n for n, c in facets if dot(n, p) == c]) == dim]
+
+    @cache
+    def simplices(face, rank):
+        if rank == 0:
+            return [face]
+        out = []
+        for sub in {tuple(p for p in face if dot(n, p) == c) for n, c in facets}:
+            if sub and face[0] not in sub and affine_rank(sub) == rank - 1:
+                out += [(face[0],) + s for s in simplices(sub, rank - 1)]
+        return out
+
+    vol = sum(
+        abs(det_bareiss_int([[a - b for a, b in zip(p, s[0])] for p in s[1:]]))
+        for s in simplices(tuple(pts), dim)
+    )
+    return facets, verts, vol
+
+
+@st.composite
+def crowded_points(draw):
+    """Spanning point sets in dims 1-6 on small grids, where many points are
+    coplanar and many facets are not simplices."""
+    dim = draw(st.integers(1, 6))
+    coord = draw(st.sampled_from([st.integers(0, 2), st.integers(-2, 2)]))
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=min(dim + 6, 9)))
+    assume(affine_rank(pts) == dim)
+    return pts
+
+
+@settings(deadline=None, max_examples=60)
+@given(crowded_points())
+def test_hull_matches_brute_force_facets_on_crowded_grids(pts):
+    poly = convex_hull(pts)
+    facets, verts, vol = brute_hull(list(poly.points))
+    assert list(poly.facets) == facets
+    assert sorted(poly.vertices) == verts
+    assert normalized_volume(poly) == vol
+
+
+@pytest.mark.parametrize(
+    "pts, facets, vertices, volume",
+    [
+        (list(product(range(3), repeat=4)), 8, 16, 384),
+        (list(product(range(3), repeat=5)), 10, 32, 3840),
+        (list(product(range(2), repeat=6)), 12, 64, 720),
+        ([tuple(s * (i == j) for i in range(6)) for j in range(6) for s in (1, -1)], 64, 12, 64),
+    ],
+    ids=["box-0..2^4", "box-0..2^5", "cube-6", "cross-6"],
+)
+def test_hull_of_boxes_and_cross_polytope(pts, facets, vertices, volume):
+    poly = convex_hull(pts)
+    assert len(poly.facets) == facets
+    assert len(poly.vertices) == vertices
+    assert normalized_volume(poly) == volume
 
 
 # -- counting bounds ----------------------------------------------------------
