@@ -10,6 +10,7 @@ failure, 3 solver failure, 4 bijection mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .duality import (
@@ -27,6 +28,7 @@ from .errors import (
     NotEssentialError,
     NotPrimitiveError,
     SchemaError,
+    SeparationError,
 )
 from .lattice import quotient_images
 from .polytopes import euler_from_volume, fewnomial_bound, kouchnirenko_bound
@@ -54,7 +56,9 @@ EXIT_SOLVER = 3
 EXIT_MISMATCH = 4
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="galedual",
         description="Convert sparse polynomial systems to master-function "
@@ -74,7 +78,7 @@ def build_parser():
         p.add_argument("--format", choices=("json", "text"), default="json")
         if name in ("solve", "verify"):  # the commands that solve numerically
             p.add_argument("--tol-cluster", type=float, default=1e-6,
-                           help="distance below which numeric points merge")
+                           help="largest imaginary part of a point counted as real")
             p.add_argument("--tol-verify", type=float, default=1e-9,
                            help="largest residual accepted as a solution")
     return parser
@@ -225,7 +229,7 @@ def main(argv=None):
         return _fail(str(exc), EXIT_PARSE)
     except (NotPrimitiveError, NotEssentialError) as exc:
         return _fail(str(exc), EXIT_DIAGNOSTIC)
-    except (CommonComponentError, DegreeCapError, DimensionCapError) as exc:
+    except (CommonComponentError, DegreeCapError, DimensionCapError, SeparationError) as exc:
         return _fail(str(exc), EXIT_SOLVER)
 
 

@@ -64,3 +64,7 @@ class DegreeCapError(GaleDualError):
 
 class DimensionCapError(GaleDualError):
     """System dimensions exceed the solver's supported caps."""
+
+
+class SeparationError(GaleDualError):
+    """No tried projection separates the common zeros of a bivariate pair."""

@@ -76,21 +76,23 @@ def _abs(z):
 
 
 def _evaluate(compiled, z):
-    """Rows f, f_x, f_y, g, g_x, g_y of values at the points z[:, k] = (x, y).
+    """Rows f, f_x, f_y, g, g_x, g_y of values at the points z[:, k] = (x, y),
+    and the rows sum |c * x**i * y**j| over the terms of f and of g.
 
     Each value is c * x**i * y**j summed over the terms in order (a
     cumulative sum), so it does not depend on how many points share the call.
     """
     xpow, ypow, groups = compiled
     xp, yp = z[0] ** xpow, z[1] ** ypow
-    rows = []
+    rows, sizes = [], []
     for i, j, c in groups:
         terms = xp[i]
         terms *= c
         _mul(terms, yp[j])
+        sizes.append(np.cumsum(_abs(terms[0]), axis=0)[-1])
         np.cumsum(terms, axis=1, out=terms)
         rows.append(terms[:, -1])
-    return np.concatenate(rows)
+    return np.concatenate(rows), np.array(sizes)
 
 
 # Rows of _evaluate whose products make the Newton step: fx*gy - fy*gx is the
@@ -104,12 +106,16 @@ def refine(compiled, z0, config):
     """Newton refinement of every start z0[:, k] = (x, y) on the pair, in lockstep.
 
     Returns (points, residuals, converged) with one column or entry per
-    start. Each start keeps the point with the best residual seen, and stops
-    when the residual falls below verify_tol*1e-3, when |det| of the Jacobian
-    is below 1e-300, after a relative step below 1e-16 (the point reached is
-    evaluated once more) or after newton_max_iter steps; it has converged
-    when its best residual is below verify_tol. A non-finite iterate, value
-    or Jacobian counts as diverged.
+    start. The residual of a point is its backward error, the larger of
+    |f| / sum|terms of f| and |g| / sum|terms of g| there: unlike |f| it
+    does not grow with the rounding error of evaluating f far out, where
+    an exact point has |f| of that size too. Each start keeps the point
+    with the best residual seen, and stops when the residual falls below
+    verify_tol*1e-3, when |det| of the Jacobian is below 1e-300, after a
+    relative step below 1e-16 (the point reached is evaluated once more) or
+    after newton_max_iter steps; it has converged when its best residual is
+    below verify_tol. A non-finite iterate, value or Jacobian counts as
+    diverged.
 
     Up to _BLOCK_ENTRIES // terms starts are active at once, and each one
     that finishes is replaced by the next waiting start. Every operation acts
@@ -131,8 +137,9 @@ def refine(compiled, z0, config):
     last = np.zeros(len(idx), dtype=bool)
     with np.errstate(all="ignore"):  # overflow and 0/0 are caught by the finiteness test
         while len(idx):
-            values = _evaluate(compiled, z)
-            res = _abs(values[[0, 3]]).max(axis=0)  # max(|f|, |g|)
+            values, sizes = _evaluate(compiled, z)
+            # backward error max(|f| / sum|f's terms|, |g| / sum|g's terms|)
+            res = (_abs(values[[0, 3]]) / np.where(sizes > 0, sizes, 1)).max(axis=0)
             products = _mul(values[_LEFT], values[_RIGHT])
             differences = products[0::2] - products[1::2]
             det = differences[0]

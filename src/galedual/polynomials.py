@@ -2,13 +2,14 @@
 
 Just enough arithmetic for this package: ring operations, exact and complex
 evaluation, derivatives, and the univariate helpers (gcd, squarefree
-decomposition, interpolation, integer subresultants) behind the bivariate
-resultant the solver needs.
+decomposition, interpolation, integer subresultant chains) behind the
+bivariate resultant and first subresultant the solver eliminates with.
 General polynomial algebra (factoring, multivariate division) is out of scope.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -325,17 +326,18 @@ def _gcd_int(f, g):
     return f
 
 
-def _divexact(a, b):
-    """a / b for integer lists, b primitive and dividing a over Q.
+def udivexact(a, b):
+    """a / b for dense lists when b divides a, by long division.
 
-    By Gauss's lemma the quotient is an integer list, so every quotient of
-    leading coefficients in the long division is exact.
+    Each quotient of leading coefficients stays an int when it divides
+    exactly, as it always does for a primitive integer b (Gauss's lemma);
+    other data gets Fraction entries.
     """
-    r = list(a)
+    r = utrim(a)
     db = len(b) - 1
     q = [0] * (len(r) - db)
     for k in range(len(q) - 1, -1, -1):
-        qk = q[k] = r[k + db] // b[-1]
+        qk = q[k] = _exact_quotient(r[k + db], b[-1])
         if qk:
             for i in range(db):
                 r[k + i] -= qk * b[i]
@@ -360,16 +362,16 @@ def usquarefree(coeffs):
         return []
     fp = uderiv(f)
     a = _gcd_int(f, fp)
-    b = _divexact(f, a)
-    d = _usub(_divexact(fp, a), uderiv(b))
+    b = udivexact(f, a)
+    d = _usub(udivexact(fp, a), uderiv(b))
     out = []
     mult = 1
     while len(b) > 1:
         g = _gcd_int(b, d)
         if len(g) > 1:
             out.append((_monic(g), mult))
-        b = _divexact(b, g)
-        d = _usub(_divexact(d, g), uderiv(b))
+        b = udivexact(b, g)
+        d = _usub(udivexact(d, g), uderiv(b))
         mult += 1
     return out
 
@@ -379,30 +381,32 @@ def _usub(a, b):
     return utrim([x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
 
 
-def uinterpolate(points):
+def uinterpolate(points, integral=False):
     """Coefficients of the unique polynomial through the given (x, y) pairs.
 
     Newton divided differences, exact. A quotient stays an int whenever the
     division is exact, so the values of an integer polynomial at integer nodes
     are interpolated in ints throughout; other data gets Fraction entries.
+    ``integral=True`` promises such data: every divided difference is then
+    an integer, and plain floor division computes it.
     """
     xs = [_exact(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
     n = len(points)
     coef = [_exact(y) for _, y in points]
+    quotient = operator.floordiv if integral else _exact_quotient
     for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coef[i] = _exact_quotient(coef[i] - coef[i - 1], xs[i] - xs[i - level])
-    # expand the Newton form into dense coefficients
-    poly = [0]
-    basis = [1]
-    for i in range(n):
-        for j, b in enumerate(basis):
-            if len(poly) <= j:
-                poly.append(0)
-            poly[j] += coef[i] * b
-        basis = umul(basis, [-xs[i], 1])
+        coef[level:] = [
+            quotient(b - a, x1 - x0)
+            for a, b, x0, x1 in zip(coef[level - 1:], coef[level:], xs, xs[level:])
+        ]
+    # expand the Newton form by Horner's rule: each step multiplies by a
+    # small node, not by the growing basis polynomial
+    poly = [coef[-1]] if n else []
+    for i in range(n - 2, -1, -1):
+        x = xs[i]
+        poly = [coef[i] - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
     return utrim(poly)
 
 
@@ -415,7 +419,7 @@ def _exact(v):
 
 
 def _exact_quotient(num, den):
-    if isinstance(num, int) and isinstance(den, int):
+    if type(num) is int and type(den) is int:
         q, r = divmod(num, den)
         if not r:
             return q
@@ -425,44 +429,61 @@ def _exact_quotient(num, den):
 def uresultant_int(a, b):
     """Resultant of two integer polynomials given as dense ascending lists.
 
-    Collins' subresultant algorithm (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 3.3.7): O(deg a * deg b) integer operations,
-    and every division in it is exact. The degrees are those of the trimmed
-    lists; a zero operand gives 0.
+    The determinant of the Sylvester matrix of the trimmed lists; a zero
+    operand gives 0. See usubresultants_int.
+    """
+    return usubresultants_int(a, b)[0]
+
+
+def usubresultants_int(a, b):
+    """Resultant and first subresultant of two integer polynomials.
+
+    For dense ascending lists of degrees p >= q (trimmed) returns (res, s1):
+    the Sylvester determinant Res(a, b), and the subresultant of index 1 as
+    a dense list, each coefficient the determinant of a Sylvester submatrix
+    with q - 1 rows of a and p - 1 of b. When res = 0 and s1 has degree 1,
+    -s1[0] / s1[1] is the only common root. For q = 1 those determinants
+    give s1 = lc(b)**(p-2) * b (b itself when p = 1); for q = 0, s1 is a
+    when p = 1 and 0 otherwise. Swapping a and b multiplies res by
+    (-1)**(p*q) and s1 by (-1)**((p-1)*(q-1)). A zero operand gives (0, []).
+
+    Ducos' subresultant chain (JPAA 145, 2000): from S_d and S_{d-1} of
+    degree e, Lazard's formula S_e = lc(S_{d-1})**(d-e-1) * S_{d-1} /
+    lc(S_d)**(d-e-1) fills a defective gap, where a pseudo-remainder
+    sequence would give another multiple of s1 or none, and S_{e-1} =
+    prem(S_d, -S_{d-1}) / lc(S_d)**(d-e+1). Every division is exact.
     """
     a = utrim(a)
     b = utrim(b)
     if not a or not b:
-        return 0
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
-    ca, cb = _int_content(a), _int_content(b)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
-    content = ca ** db * cb ** da
-    sign = 1
-    if da < db:
-        a, b, da, db = b, a, db, da
-        if da & db & 1:
-            sign = -1
-    g = h = 1
-    while db > 0:
-        delta = da - db
-        if da & db & 1:
-            sign = -sign
-        r = _prem(a, b)
-        if not r:
-            return 0
-        divisor = g * h ** delta
-        a, b = b, [c // divisor for c in r]
-        da, db = db, len(b) - 1
-        g = a[-1]
-        if delta:
-            h = g ** delta // h ** (delta - 1)
-    return sign * content * (b[0] ** da // h ** (da - 1))
+        return 0, []
+    p, q = len(a) - 1, len(b) - 1
+    if p < q:
+        res, s1 = usubresultants_int(b, a)
+        return (-1) ** (p * q) * res, [(-1) ** ((p - 1) * (q - 1)) * c for c in s1]
+    if q == 0:
+        return b[0] ** p, (a if p == 1 else [])
+    s1 = [] if q > 1 else [b[-1] ** max(p - 2, 0) * c for c in b]
+    # S_q = lc(b)**(p-q-1) * b has leading coefficient s, and S_{q-1} = prem(a, -b);
+    # the first step divides out lc(b)**(p-q-1) once more by starting from b
+    s = b[-1] ** (p - q)
+    top, below, d = b, _prem(a, [-c for c in b]), q
+    while below:
+        e = len(below) - 1
+        if d == 2:
+            s1 = below
+        bottom = below
+        if d - e > 1:
+            lift, drop = below[-1] ** (d - e - 1), s ** (d - e - 1)
+            bottom = [c * lift // drop for c in below]
+            if e == 1:
+                s1 = bottom
+        if e == 0:
+            return bottom[0], s1
+        divisor = s ** (d - e) * top[-1]
+        below = [c // divisor for c in _prem(top, [-c for c in below])]
+        top, d, s = bottom, e, bottom[-1]
+    return 0, s1
 
 
 def bivariate_resultant(f, g, eliminate):
@@ -472,14 +493,30 @@ def bivariate_resultant(f, g, eliminate):
     dense ascending list of Fraction coefficients in the other variable: the
     determinant of the Sylvester matrix of f and g sized by their generic
     degrees d1, d2 in the eliminated variable.
+    """
+    values, scale = _chain_values(f, g, eliminate)
+    return [scale * c for c in uinterpolate([v[:2] for v in values], integral=True)]
 
-    All the work is in Python ints. Writing f = a*F and g = b*G with positive
-    rationals a, b and primitive integer F, G gives
-    Res(f, g) = a**d2 * b**d1 * Res(F, G). Res(F, G) is interpolated from its
-    values at the integer nodes 0, 1, -1, 2, ..., each one univariate
-    subresultant computation. Nodes where a leading coefficient of F or G
-    vanishes are skipped; at every other node the univariate resultant is the
-    generic-size Sylvester determinant, so the interpolant is unchanged.
+
+def bivariate_subresultants(f, g, eliminate):
+    """(res, s10, s11): the resultant and the first subresultant s11*v + s10
+    of f and g in the eliminated variable v (see usubresultants_int), up to
+    positive rational factors, as dense ascending integer lists."""
+    values, _ = _chain_values(f, g, eliminate)
+    return tuple(uinterpolate([(v[0], v[k]) for v in values], integral=True) for k in (1, 2, 3))
+
+
+def _chain_values(f, g, eliminate):
+    """(node, res, s10, s11) at enough integer nodes, and a scale.
+
+    All the work is in Python ints. Writing f = a*F and g = b*G with
+    positive rationals a, b and primitive integer F, G, the chain runs on
+    F and G at the nodes 0, 1, -1, 2, ..., and Res(f, g) = scale * Res(F, G)
+    with scale = a**d2 * b**d1 (d1, d2 the degrees in v). Nodes where a
+    leading coefficient of F or G vanishes are skipped; at every other node
+    the chain's determinants are those of the generic-size Sylvester
+    matrices, so interpolants are unchanged. If neither f nor g involves v,
+    res is 1 and the first subresultant 0.
     """
     if f.nvars != 2 or g.nvars != 2:
         raise ValueError("resultants here are bivariate only")
@@ -488,21 +525,46 @@ def bivariate_resultant(f, g, eliminate):
     d1 = len(frows) - 1
     d2 = len(grows) - 1
     if d1 == 0 and d2 == 0:
-        return [Fraction(1)]
-    deg_keep_f = max(len(row) for row in frows) - 1
-    deg_keep_g = max(len(row) for row in grows) - 1
-    bound = d1 * deg_keep_g + d2 * deg_keep_f
+        return [(0, 1, 0, 0)], Fraction(1)
+    bound = _degree_bound(frows, grows)
 
     values = []
     for t in _integer_nodes():
         fvals = [ueval(row, t) for row in frows]
         gvals = [ueval(row, t) for row in grows]
         if fvals[-1] and gvals[-1]:
-            values.append((t, uresultant_int(fvals, gvals)))
+            res, s1 = usubresultants_int(fvals, gvals)
+            values.append((t, res, *s1, *[0] * (2 - len(s1))))
             if len(values) > bound:
                 break
-    scale = fscale ** d2 * gscale ** d1
-    return [scale * c for c in uinterpolate(values)]
+    return values, fscale ** d2 * gscale ** d1
+
+
+def _degree_bound(frows, grows):
+    """A bound on the degrees of the resultant and first subresultant of
+    the rows' polynomials, in the kept variable.
+
+    For a slope b, row i of f has degree at most c_f - b*i where
+    c_f = max(deg row_i + b*i), and likewise for g. A term of the Sylvester
+    determinant defining S_j takes d2 - j rows of f and d1 - j of g whose
+    indices add up to d1*d2 for j = 0, and to d1*d2 - 2 + t for the
+    coefficient of v**t in S_1; that bounds its degree. Over b each bound
+    is least at b = 0 or at the slope between two rows of f or of g. Where
+    f or g stands in for S_1 (one of them lacks v), its rows bound it.
+    """
+    d1, d2 = len(frows) - 1, len(grows) - 1
+    points = [[(i, len(r) - 1) for i, r in enumerate(rows) if r] for rows in (frows, grows)]
+    slopes = {(0, 1)} | {(k - l, j - i) for pts in points for i, k in pts for j, l in pts if j > i}
+
+    def at(p, q, j):
+        """The bound at slope b = p/q, in integers: q*c_f is max(q*deg + p*i)."""
+        cf, cg = (max(q * k + p * i for i, k in pts) for pts in points)
+        indices = d1 * d2 if j == 0 else d1 * d2 - 2 + (p < 0)
+        return ((d2 - j) * cf + (d1 - j) * cg - p * indices) // q
+
+    subresultants = (0, 1) if min(d1, d2) >= 1 else (0,)
+    return max(*(min(at(p, q, j) for p, q in slopes) for j in subresultants),
+               *(k for pts in points for _, k in pts))
 
 
 def _integer_nodes():

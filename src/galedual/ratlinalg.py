@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over Fraction, and an integer determinant.
+"""Dense exact linear algebra over Fraction, and fraction-free integer
+determinants and ranks.
 
 Matrices are plain list-of-lists. They are small here (weight and support
 matrices, coordinate changes), so no attempt is made at asymptotic
@@ -9,6 +10,7 @@ computes them with an integer subresultant per interpolation node.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def frac_rows(rows):
@@ -17,26 +19,20 @@ def frac_rows(rows):
 
 
 def mat_det(rows):
-    """Determinant by fraction-exact Gaussian elimination."""
-    a = frac_rows(rows)
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                factor = a[i][c] * inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[c])]
-    return det
+    """Determinant over Q: det_bareiss_int of the rows scaled to integers."""
+    ints, scale = _integer_rows(rows)
+    return Fraction(det_bareiss_int(ints), scale)
+
+
+def _integer_rows(rows):
+    """Each row times the lcm of its entries' denominators, and the product
+    of those lcms. Entries are ints or Fractions."""
+    ints, scale = [], 1
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        ints.append([v.numerator * (den // v.denominator) for v in row])
+        scale *= den
+    return ints, scale
 
 
 def det_bareiss_int(rows):
@@ -98,8 +94,23 @@ def rref(rows):
 
 
 def mat_rank(rows):
-    _, pivots = rref(rows)
-    return len(pivots)
+    """Rank over Q by fraction-free (Bareiss) elimination on the rows scaled
+    to integers, which keeps the rank. Every entry below the pivot rows is
+    then a minor of the scaled matrix, so each division is exact."""
+    a, _ = _integer_rows(rows)
+    rank, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        for i in range(rank + 1, len(a)):
+            lead = a[i][c]
+            a[i] = [(top[c] * x - lead * y) // prev for x, y in zip(a[i], top)]
+        prev = top[c]
+        rank += 1
+    return rank
 
 
 def mat_inverse(rows):

@@ -1,0 +1,130 @@
+"""Roots of exact univariate polynomials, and values of quotients at them.
+
+Floating point does the work, in numpy. Where its rounding error bound
+leaves a root or a value uncertain, it is evaluated exactly in integers at
+the float's dyadic value instead.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+
+
+# Aberth passes at most (they converge cubically once the roots separate),
+# and the relative uncertainty at which a root or value is final: Newton's
+# method on the pair takes it from there
+_ABERTH_STEPS = 60
+_RTOL = 2.0 ** -30
+_EPS = 2.0 ** -52  # the spacing of floats at 1
+
+
+def polynomial_roots(coeffs):
+    """Complex roots of a squarefree ascending list of rationals.
+
+    numpy's companion-matrix eigenvalues start Aberth-Ehrlich iterations
+    (Bini, Numer. Algorithms 13, 1996) on the list itself: eigenvalues are
+    backward stable for the companion matrix only, so where roots cluster
+    and the coefficients span many orders of magnitude they can be far off.
+    A root iterates in floating point (Horner's rule, with its rounding
+    bound) until it stops moving. If the bound then leaves it uncertain to
+    more than _RTOL relative, it goes on with Newton ratios evaluated
+    exactly, in integers at the iterate's dyadic value.
+    """
+    n = len(coeffs) - 1
+    denom = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    asc = _floats(ints)
+    z = np.roots(asc[::-1]).astype(complex)
+    state = np.zeros(n, dtype=int)  # 0 floating point, 1 exact, 2 final
+    with np.errstate(all="ignore"):
+        for _ in range(_ABERTH_STEPS):
+            active = np.flatnonzero(state < 2)
+            if not len(active):
+                break
+            p, dp, bound = _horner(asc, z[active])
+            ratio, radius = p / dp, 4 * n * _EPS * bound / np.abs(dp)
+            exact = state[active] == 1
+            radius[exact] = 0
+            ratio[exact] = [_quotient(*_horner_exact(ints, v)) for v in z[active[exact]]]
+            gaps = z[active, None] - z[None, :]
+            gaps[np.arange(len(active)), active] = np.inf
+            step = ratio / (1 - ratio * (1 / gaps).sum(axis=1))
+            step[~np.isfinite(step)] = 0
+            z[active] -= step
+            tol = _RTOL * np.maximum(1, np.abs(z[active]))
+            stopped = np.abs(step) <= np.maximum(radius, tol)
+            state[active[stopped]] = np.where(radius <= tol, 2, 1)[stopped]
+    return z
+
+
+def rational_values(num, den, z):
+    """num(z)/den(z) for integer lists at the points z: floating-point Horner,
+    or exact evaluation where its rounding bound leaves a value uncertain to
+    more than _RTOL relative."""
+    n = max(len(num), len(den))
+    num, den = num + [0] * (n - len(num)), den + [0] * (n - len(den))
+    scaled = _floats(num + den)
+    with np.errstate(all="ignore"):
+        top, _, top_bound = _horner(scaled[:n], z)
+        bottom, _, bottom_bound = _horner(scaled[n:], z)
+        values = top / bottom
+        error = 4 * n * _EPS * (top_bound + np.abs(values) * bottom_bound) / np.abs(bottom)
+    for k in np.flatnonzero(~(error <= _RTOL * np.maximum(1, np.abs(values)))):
+        values[k] = _quotient(_horner_exact(num, z[k])[0], _horner_exact(den, z[k])[0])
+    return values
+
+
+def _floats(ints):
+    scale = max(abs(v) for v in ints) or 1
+    return np.array([v / scale for v in ints])
+
+
+def _horner(asc, z):
+    """p(z) and p'(z) for ascending float coefficients at each point, and the
+    sum of |terms| that bounds Horner's rounding error in p(z).
+
+    Beyond the unit circle Horner's rule runs on the reversed list at
+    w = 1/z, and all three come back divided by z**n: p/p' and the relative
+    error are unchanged, and nothing overflows.
+    """
+    n = len(asc) - 1
+    outside = np.abs(z) > 1
+    w = np.where(outside, 1 / z, z)
+    desc = np.where(outside[None, :], asc[:, None], asc[::-1, None])  # descending in w
+    p = np.zeros(len(z), dtype=complex)
+    dp = np.zeros(len(z), dtype=complex)
+    bound = np.zeros(len(z))
+    for row in desc:
+        dp = dp * w + p
+        p = p * w + row
+        bound = bound * np.abs(w) + np.abs(row)
+    # p(z) = z**n * q(w) for the reversed list q, so p'(z) / z**n = w * (n*q - w*q')
+    return p, np.where(outside, w * (n * p - w * dp), dp), bound
+
+
+def _horner_exact(ints, z):
+    """d**n * p(z) and d**n * p'(z) exactly, as (real, imaginary) integer
+    pairs, where z = (a + b*i)/d is the float complex z with d a power of two
+    and n + 1 is the length of the list."""
+    (ar, dr), (ai, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(dr, di)
+    a, b = ar * (d // dr), ai * (d // di)
+    tr, ti, ur, ui = ints[-1], 0, 0, 0
+    power = 1
+    for c in reversed(ints[:-1]):
+        power *= d
+        ur, ui = ur * a - ui * b + d * tr, ur * b + ui * a + d * ti
+        tr, ti = tr * a - ti * b + c * power, tr * b + ti * a
+    return (tr, ti), (ur, ui)
+
+
+def _quotient(num, den):
+    """num / den for (real, imaginary) integer pairs, rounded to a complex."""
+    (nr, ni), (dr, di) = num, den
+    norm = dr * dr + di * di
+    if not norm:
+        return complex("nan")
+    return complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm)

@@ -1,12 +1,12 @@
 """Numeric solving of bivariate instances and isomorphism verification.
 
-The elimination layer is exact: both resultants and their squarefree
-decompositions are computed in integers, so the multiplicity of each
-resultant root is exact. Assigning a multiplicity to a solution is not: a
-solution takes the multiplicity of the x- or y-resultant root nearest to it,
-and when several solutions share both nearest roots it gets 1 and the flag
-"multiplicity-ambiguous". Floats only enter at root finding
-(companion-matrix eigenvalues via numpy) and Newton refinement on the pair.
+Elimination is exact and happens once per solve: one subresultant chain in
+integers gives the resultant in x and the first subresultant, which
+recovers y from x. Excluded points (off the torus or on the arrangement)
+are divided out of the resultant, and separation is checked, before any
+root is found, so every root of the resultant gives one solution with an
+exact multiplicity. Floats enter only at root finding (galedual.roots) and
+Newton polishing (galedual.newton).
 """
 
 from __future__ import annotations
@@ -16,17 +16,32 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CommonComponentError, DegreeCapError, DimensionCapError
+from .errors import (
+    CommonComponentError,
+    DegreeCapError,
+    DimensionCapError,
+    SeparationError,
+)
 from .newton import compile_pair, refine
-from .polynomials import bivariate_resultant, udeg, ugcd, usquarefree, utrim
+from .polynomials import (
+    Poly,
+    bivariate_resultant,
+    bivariate_subresultants,
+    udeg,
+    udivexact,
+    ueval,
+    ugcd,
+    umul,
+    usquarefree,
+)
 from .systems import cleared_polynomials, clear_denominators, evaluate_phi
 from .ratlinalg import frac_rows
+from .roots import polynomial_roots, rational_values
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     cluster_tol: float = 1e-6
-    membership_tol: float = 1e-8
     verify_tol: float = 1e-9
     match_tol: float = 1e-6
     newton_max_iter: int = 50
@@ -63,36 +78,37 @@ class SolutionSet:
         return sum(s.multiplicity for s in self.solutions)
 
 
-def _roots_of(coeffs):
-    """Complex roots of an ascending Fraction coefficient list via numpy."""
-    c = utrim(coeffs)
-    if len(c) <= 1:
-        return []
-    scale = max(abs(v) for v in c)
-    floats = [float(v / scale) for v in c]
-    arr = np.array(list(reversed(floats)), dtype=float)
-    return [complex(r) for r in np.roots(arr)]
-
-
 def _max_norm(poly):
     m = poly.max_abs_coefficient()
     return m if m != 0 else Fraction(1)
 
 
-def solve_bivariate(f, g, config=None):
-    """All isolated common zeros of two bivariate polynomials.
+# shears x -> x - lam*y tried, lam = 1, 2, ..., before giving up on separating
+_MAX_SHEAR = 8
 
-    Integer resultants in both directions feed the squarefree decomposition
-    (multiplicities) and companion-matrix root finding. Each x-root is
-    paired with the roots of f and g on its fiber, and all these starts are
-    refined together by Newton's method on the pair, in numpy batches.
-    Converged points are clustered, and each cluster takes the multiplicity
-    of its nearest resultant root. Residuals are measured against
-    max-abs-normalized copies of f and g; callers with a defining system
-    re-verify on their own scale.
 
-    Raises CommonComponentError when the pair shares a curve (either resultant
-    vanishes identically) and DegreeCapError above config.degree_cap.
+def solve_bivariate(f, g, config=None, exclude=()):
+    """All isolated common zeros of two bivariate polynomials off some lines.
+
+    ``exclude`` lists lines (c, a, b), each the zero set of c + a*x + b*y;
+    common zeros on them are not solutions. One integer subresultant chain
+    per interpolation node gives R(x) = Res_y(f, g) and the first
+    subresultant S1 = S11(x)*y + S10(x). From R's squarefree factors the
+    roots under excluded zeros are divided out, and separation is checked
+    exactly: each factor must be coprime to S11. Then every root x0 lies
+    under exactly one common zero, (x0, -S10(x0)/S11(x0)), whose
+    intersection multiplicity is x0's multiplicity in R. A pair that fails
+    the check is sheared, x -> x - lam*y for lam = 1, 2, ..., and
+    eliminated again.
+
+    Roots and the lift to y are computed by roots.polynomial_roots and
+    roots.rational_values, and each point is then polished by Newton's
+    method on the pair (newton.refine); a point whose backward error stays
+    at or above verify_tol is dropped and counted as diverged.
+
+    Raises CommonComponentError when the pair shares a curve, DegreeCapError
+    above config.degree_cap, and SeparationError when no shear up to
+    _MAX_SHEAR separates the common zeros.
     """
     config = config or SolverConfig()
     if f.nvars != 2 or g.nvars != 2:
@@ -105,78 +121,58 @@ def solve_bivariate(f, g, config=None):
                 f"total degree {p.degree()} exceeds cap {config.degree_cap}"
             )
 
+    # unit max-norm keeps the float coefficients of Newton's method in range
     f = f.scale(1 / _max_norm(f))
     g = g.scale(1 / _max_norm(g))
 
-    diagnostics = []
-    deg_fx, deg_fy = f.degree(0), f.degree(1)
-    deg_gx, deg_gy = g.degree(0), g.degree(1)
-
     # constants (after the zero check) have no roots anywhere
-    if deg_fx == 0 and deg_fy == 0:
+    if f.degree() == 0 or g.degree() == 0:
         return SolutionSet((), (), ("one equation is a nonzero constant",), config)
-    if deg_gx == 0 and deg_gy == 0:
-        return SolutionSet((), (), ("one equation is a nonzero constant",), config)
+    if f.degree(1) == 0 and g.degree(1) == 0:
+        # two polynomials in x alone: a common root would be a vertical line
+        if not bivariate_resultant(f, g, 0):
+            raise CommonComponentError("both equations vanish on a common vertical line")
+        return SolutionSet((), (), (), config)
 
-    res_x = _resultant_or_none(f, g, eliminate=1)
-    res_y = _resultant_or_none(f, g, eliminate=0)
-    if res_x is None or res_y is None:
-        raise CommonComponentError("resultant vanishes identically; common curve")
+    diagnostics = []
+    for lam in range(_MAX_SHEAR + 1):
+        pair = (_shear(f, lam), _shear(g, lam))
+        res, s10, s11 = bivariate_subresultants(*pair, 1)
+        if not res:
+            raise CommonComponentError("resultant vanishes identically; common curve")
+        lines = [(c, a, b - a * lam) for c, a, b in exclude]
+        factors = _separated_factors(res, s11, pair, lines)
+        if factors is not None:
+            break
+    else:
+        raise SeparationError(
+            f"no shear x -> x - lam*y with lam <= {_MAX_SHEAR} separates the common zeros"
+        )
+    if lam:
+        diagnostics.append(f"sheared x -> x - {lam}*y to separate the solutions")
 
-    x_roots = _roots_with_multiplicity(res_x)
-    y_roots = _roots_with_multiplicity(res_y)
-
-    f_in_y = {e: c for e, c in f.coefficients_in(1).items()}
-    g_in_y = {e: c for e, c in g.coefficients_in(1).items()}
-
-    starts = []
-    for x0, _ in x_roots:
-        ys = _fiber_roots(f_in_y, x0) + _fiber_roots(g_in_y, x0)
-        if not ys:
-            # both equations independent of y on this fiber; pair with the
-            # global y-candidates instead
-            ys = [y0 for y0, _ in y_roots]
-        starts.extend((x0, y0) for y0 in ys)
+    starts, mults = [], []
+    for factor, mult in factors:
+        u = polynomial_roots(factor)
+        y = -rational_values(s10, s11, u)
+        starts.extend(zip(u - lam * y, y))
+        mults.extend([mult] * len(u))
     points, residuals, converged = refine(
         compile_pair(f, g), np.array(starts, dtype=complex).reshape(-1, 2).T, config
     )
-    candidates = [
-        ((complex(points[0, k]), complex(points[1, k])), float(residuals[k]))
-        for k in np.flatnonzero(converged)
-    ]
-    newton_failures = len(starts) - len(candidates)
+    newton_failures = len(starts) - int(converged.sum())
     if newton_failures:
         diagnostics.append(f"newton diverged on {newton_failures} candidate(s)")
 
-    clusters = _cluster(candidates, config.cluster_tol)
-
     solutions = []
-    ambiguous = 0
-    x_assign = _assign_roots(clusters, [r for r, _ in x_roots], axis=0, tol=config.cluster_tol)
-    y_assign = _assign_roots(clusters, [r for r, _ in y_roots], axis=1, tol=config.cluster_tol)
-    x_share = _share_counts(x_assign)
-    y_share = _share_counts(y_assign)
-    for idx, (point, residual) in enumerate(clusters):
-        flags = []
-        xi = x_assign[idx]
-        yi = y_assign[idx]
-        if xi is not None and x_share[xi] == 1:
-            mult = x_roots[xi][1]
-        elif yi is not None and y_share[yi] == 1:
-            mult = y_roots[yi][1]
-        else:
-            mult = 1
-            flags.append("multiplicity-ambiguous")
-            ambiguous += 1
+    for k in np.flatnonzero(converged):
+        point = (complex(points[0, k]), complex(points[1, k]))
         is_real = max(abs(point[0].imag), abs(point[1].imag)) <= config.cluster_tol
         if is_real:
             point = (complex(point[0].real, 0.0), complex(point[1].real, 0.0))
         solutions.append(
-            NumericSolution(point, residual, mult, is_real, "ambient", tuple(flags))
+            NumericSolution(point, float(residuals[k]), mults[k], is_real, "ambient")
         )
-    if ambiguous:
-        diagnostics.append(f"{ambiguous} solution(s) with ambiguous multiplicity")
-
     solutions.sort(key=_sort_key)
     return SolutionSet(tuple(solutions), (), tuple(diagnostics), config)
 
@@ -186,115 +182,82 @@ def _sort_key(sol):
     return (round(x.real, 9), round(x.imag, 9), round(y.real, 9), round(y.imag, 9))
 
 
-def _resultant_or_none(f, g, eliminate):
-    keep = 1 - eliminate
-    if f.degree(eliminate) == 0 and g.degree(eliminate) == 0:
-        # no occurrence of the eliminated variable: common roots of two
-        # univariate polynomials in the kept variable form vertical lines
-        fu = f.coefficients_in(keep)
-        gu = g.coefficients_in(keep)
-        fl = [Fraction(0)] * (max(fu) + 1)
-        for e, p in fu.items():
-            fl[e] = p.terms.get((0, 0), Fraction(0))
-        gl = [Fraction(0)] * (max(gu) + 1)
-        for e, p in gu.items():
-            gl[e] = p.terms.get((0, 0), Fraction(0))
-        if udeg(ugcd(fl, gl)) >= 1:
-            return None
-        return [Fraction(1)]
-    coeffs = bivariate_resultant(f, g, eliminate)
-    if not coeffs:
-        return None
-    return coeffs
+def _shear(p, lam):
+    """p(x - lam*y, y)."""
+    if not lam:
+        return p
+    x, y = Poly.variable(0, 2), Poly.variable(1, 2)
+    return sum((((x - lam * y) ** i * y ** j).scale(c) for (i, j), c in p.terms.items()), Poly(2))
 
 
-def _roots_with_multiplicity(res_coeffs):
-    """(root, multiplicity) pairs from an exact squarefree decomposition."""
+def _separated_factors(res, s11, pair, lines):
+    """Squarefree factors of res with their multiplicities, less the roots
+    under common zeros on the lines; None unless each factor left is coprime
+    to s11 and each root taken out is certified.
+
+    The common zeros on a line c + a*x + b*y = 0 lie over the roots of
+    gcd(Res_y(f, line), Res_y(g, line)), or over x = -c/a for a vertical
+    line. Taking out a root is safe when its fiber holds excluded zeros
+    only: so when the fiber is separated there (one common zero), and
+    _only_excluded checks the other roots.
+    """
+    forms = [Poly.linear(c, (a, b)) for c, a, b in lines]
+    excluded = [
+        [c, a] if b == 0 else ugcd(*(bivariate_resultant(p, form, 1) for p in pair))
+        for (c, a, b), form in zip(lines, forms)
+    ]
     out = []
-    for factor, mult in usquarefree(res_coeffs):
-        for r in _roots_of(factor):
-            out.append((r, mult))
+    for factor, mult in usquarefree(res):
+        for h in excluded:
+            common = ugcd(factor, h)
+            if udeg(common) > 0:
+                unseparated = ugcd(common, s11)
+                if udeg(unseparated) > 0 and not _only_excluded(unseparated, pair, forms):
+                    return None
+                factor = udivexact(factor, common)
+        if udeg(factor) > 0:
+            if udeg(ugcd(factor, s11)) > 0:
+                return None
+            out.append((factor, mult))
     return out
 
 
-def _fiber_roots(coeff_map, x0):
-    """Roots in y of a polynomial specialized at x = x0 (float arithmetic)."""
-    if not coeff_map:
-        return []
-    top = max(coeff_map)
-    values = []
-    for e in range(top + 1):
-        p = coeff_map.get(e)
-        values.append(_eval_univar_complex(p, x0) if p is not None else 0j)
-    while values and abs(values[-1]) < 1e-14:
-        values.pop()
-    if len(values) <= 1:
-        return []
-    scale = max(abs(v) for v in values)
-    arr = np.array(list(reversed([v / scale for v in values])), dtype=complex)
-    return [complex(r) for r in np.roots(arr)]
+def _only_excluded(roots, pair, forms):
+    """Whether each fiber x = x0 over a root of the squarefree ``roots``
+    holds zeros of the forms only.
 
-
-def _eval_univar_complex(poly, x0):
-    total = 0j
-    for mono, c in poly.terms.items():
-        total += complex(c) * x0 ** mono[0]
-    return total
-
-
-def _cluster(candidates, tol):
-    """Greedy dedup of refined points; keeps the best residual per cluster."""
-    ordered = sorted(
-        candidates,
-        key=lambda it: (it[1], it[0][0].real, it[0][0].imag, it[0][1].real, it[0][1].imag),
-    )
-    kept = []
-    for point, residual in ordered:
-        matched = False
-        for i, (kp, kr) in enumerate(kept):
-            if (
-                abs(point[0] - kp[0]) <= tol
-                and abs(point[1] - kp[1]) <= tol
-            ):
-                matched = True
-                break
-        if not matched:
-            kept.append((point, residual))
-    return kept
-
-
-def _assign_roots(clusters, roots, axis, tol):
-    """Index of the nearest resultant root per cluster, None when far."""
-    out = []
-    for point, _ in clusters:
-        coord = point[axis]
-        best = None
-        best_dist = None
-        for i, r in enumerate(roots):
-            d = abs(coord - r)
-            if best_dist is None or d < best_dist:
-                best, best_dist = i, d
-        if best is not None and best_dist is not None and best_dist <= max(tol * 100, 1e-4):
-            out.append(best)
-        else:
-            out.append(None)
-    return out
-
-
-def _share_counts(assignment):
-    counts = {}
-    for a in assignment:
-        if a is not None:
-            counts[a] = counts.get(a, 0) + 1
-    return counts
+    Decided exactly at the rational x0 where two forms' lines cross: there
+    every common root in y of the pair must be a root of some form on the
+    fiber (a vertical form through x0 takes the whole fiber). Any other
+    root is not certified.
+    """
+    certified = set()
+    for i, form in enumerate(forms):
+        for other in forms[i + 1:]:
+            cross = bivariate_resultant(form, other, 1)
+            if udeg(cross) != 1:
+                continue
+            x0 = -cross[0] / cross[1]
+            if x0 in certified or ueval(roots, x0):
+                continue
+            fiber = Poly.linear(-x0, (1, 0))
+            on_forms = [1]
+            for f in forms:
+                on_forms = umul(on_forms, bivariate_resultant(f, fiber, 0))
+            if on_forms:  # otherwise a vertical form is the fiber
+                common = ugcd(*(bivariate_resultant(p, fiber, 0) for p in pair))
+                if any(udeg(ugcd(h, on_forms)) < udeg(h) for h, _ in usquarefree(common)):
+                    return False
+            certified.add(x0)
+    return len(certified) == udeg(roots)
 
 
 def solve_sparse(system, config=None):
     """Isolated torus solutions of a bivariate sparse system.
 
-    Clears Laurent denominators row by row, solves the polynomial pair, keeps
-    points with every coordinate off zero by membership_tol, and re-verifies
-    the residual on the defining Laurent system.
+    Clears Laurent denominators row by row and solves the polynomial pair
+    off the coordinate axes, then re-verifies each point on the defining
+    Laurent system.
     """
     config = config or SolverConfig()
     shape = system.shape
@@ -304,23 +267,8 @@ def solve_sparse(system, config=None):
             f"got {shape.num_equations} equations in {shape.torus_dim} variables"
         )
     f, g = cleared_polynomials(system)
-    raw = solve_bivariate(f, g, config)
-
-    solutions = []
-    excluded = []
-    for sol in raw.solutions:
-        if not all(abs(v) > config.membership_tol for v in sol.point):
-            excluded.append(replace(sol, location="excluded", flags=sol.flags + ("off-torus",)))
-            continue
-        residual = _sparse_residual(system, sol.point)
-        if residual >= config.verify_tol:
-            excluded.append(
-                replace(sol, location="excluded", residual=residual,
-                        flags=sol.flags + ("defining-residual",))
-            )
-            continue
-        solutions.append(replace(sol, location="torus", residual=residual))
-    return SolutionSet(tuple(solutions), tuple(excluded), raw.diagnostics, config)
+    raw = solve_bivariate(f, g, config, exclude=((0, 1, 0), (0, 0, 1)))
+    return _reverified(raw, "torus", lambda point: _sparse_residual(system, point))
 
 
 def _sparse_residual(system, point):
@@ -338,9 +286,9 @@ def _sparse_residual(system, point):
 def solve_master(master, config=None):
     """Isolated complement solutions of a planar master system.
 
-    Expands each weight row's cleared binomial, solves the polynomial pair,
-    keeps points with every form value off zero by membership_tol, and
-    re-verifies the residual on the defining weighted-product system.
+    Expands each weight row's cleared binomial and solves the polynomial
+    pair off the arrangement's lines, then re-verifies each point on the
+    defining weighted-product system.
     """
     config = config or SolverConfig()
     shape = master.shape
@@ -351,24 +299,23 @@ def solve_master(master, config=None):
         )
     cleared = [clear_denominators(master, j) for j in range(shape.num_weights)]
     f, g = (cb.expand_difference(master.arrangement) for cb in cleared)
-    raw = solve_bivariate(f, g, config)
+    lines = tuple((form.constant, *form.coeffs) for form in master.arrangement.forms)
+    raw = solve_bivariate(f, g, config, exclude=lines)
+    return _reverified(raw, "complement", master.residual)
 
-    solutions = []
-    excluded = []
+
+def _reverified(raw, location, residual):
+    """Points of raw whose defining residual is below verify_tol, at that
+    residual; the others are excluded with the flag "defining-residual"."""
+    solutions, excluded = [], []
     for sol in raw.solutions:
-        values = [form.evaluate(sol.point) for form in master.arrangement.forms]
-        if not all(abs(v) > config.membership_tol for v in values):
-            excluded.append(replace(sol, location="excluded", flags=sol.flags + ("on-arrangement",)))
-            continue
-        residual = master.residual(sol.point)
-        if residual >= config.verify_tol:
-            excluded.append(
-                replace(sol, location="excluded", residual=residual,
-                        flags=sol.flags + ("defining-residual",))
-            )
-            continue
-        solutions.append(replace(sol, location="complement", residual=residual))
-    return SolutionSet(tuple(solutions), tuple(excluded), raw.diagnostics, config)
+        r = residual(sol.point)
+        if r < raw.config.verify_tol:
+            solutions.append(replace(sol, location=location, residual=r))
+        else:
+            flags = sol.flags + ("defining-residual",)
+            excluded.append(replace(sol, location="excluded", residual=r, flags=flags))
+    return SolutionSet(tuple(solutions), tuple(excluded), raw.diagnostics, raw.config)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from galedual.lattice import (
     snf,
     solve_integer,
 )
-from galedual.ratlinalg import frac_rows, mat_det, rref
+from galedual.ratlinalg import frac_rows, mat_det, mat_rank, rref
 
 
 def solve_linear(rows, rhs):
@@ -409,3 +409,25 @@ def test_system_shape_validation():
         SystemShape(1, 0, 0).validate()
     with pytest.raises(ValueError):
         SystemShape(1, -1, 1).validate()
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small Fraction and int matrices, often with rows that are rational
+    combinations of earlier rows, so the rank falls short."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.booleans()):
+            weights = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_matrices())
+def test_mat_rank_matches_rref(rows):
+    assert mat_rank(rows) == len(rref(rows)[1])

@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from galedual.polynomials import (
     Poly,
     _prem,
+    _primitive_rows,
     bivariate_resultant,
+    bivariate_subresultants,
     poly_equal_up_to_scale,
     udeg,
     uderiv,
@@ -20,6 +22,7 @@ from galedual.polynomials import (
     umul,
     uresultant_int,
     usquarefree,
+    usubresultants_int,
     utrim,
 )
 from galedual.ratlinalg import det_bareiss_int, mat_det
@@ -409,6 +412,60 @@ def test_uresultant_int_zero_operand():
     assert uresultant_int([0, 0], [1, 2]) == 0
 
 
+def first_subresultant(a, b):
+    """[S10, S11] of ascending lists a, b (lengths p + 1, q + 1, q >= 2) from the
+    determinant definition: the rows x^(q-2)*a, ..., a, x^(p-2)*b, ..., b, the
+    columns of x^(p+q-2) down to x^2, then that of x^k for S1k."""
+    p, q = len(a) - 1, len(b) - 1
+    rows = [[0] * s + a + [0] * (p + q - 1 - s - len(a)) for s in range(q - 2, -1, -1)]
+    rows += [[0] * s + b + [0] * (p + q - 1 - s - len(b)) for s in range(p - 2, -1, -1)]
+    return [det_bareiss_int([[r[c] for c in range(p + q - 2, 1, -1)] + [r[k]] for r in rows])
+            for k in (0, 1)]
+
+
+@st.composite
+def subresultant_pairs(draw):
+    """Integer pairs of degrees p >= q >= 2, half of them with a common factor
+    or sparse enough that the chain skips degrees (a defective chain)."""
+    a, b = draw(int_upoly(max_deg=7)), draw(int_upoly(max_deg=6))
+    kind = draw(st.sampled_from(["plain", "common", "sparse"]))
+    if kind == "common":
+        common = draw(int_upoly(max_deg=2, lo=-3, hi=3))
+        a, b = umul(a, common + [1]), umul(b, common + [1])
+    elif kind == "sparse":
+        a = [c if draw(st.booleans()) else 0 for c in a[:-1]] + a[-1:]
+        b = [c if draw(st.booleans()) else 0 for c in b[:-1]] + b[-1:]
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    assume(len(b) >= 3)
+    return a, b
+
+
+@settings(deadline=None, max_examples=300)
+@given(subresultant_pairs())
+@example(([1, 0, 0, 0, 1], [0, 0, 1]))  # x^4 + 1 against x^2: the chain skips degree 1
+@example(([-1, 0, 1], [-1, 0, 1]))  # equal polynomials: everything below vanishes
+@example(([2, 3, 1, 0, 0, 1], [1, 0, 0, 1]))  # x^5 ... against x^3 + 1, gap in the middle
+def test_first_subresultant_matches_determinants(pair):
+    a, b = pair
+    res, s1 = usubresultants_int(a, b)
+    assert res == det_bareiss_int(sylvester(a, b))
+    assert s1 + [0] * (2 - len(s1)) == first_subresultant(a, b)
+    # swapping the operands moves q - 1 rows past p - 1 rows
+    p, q = len(a) - 1, len(b) - 1
+    swapped = usubresultants_int(b, a)[1]
+    assert swapped == [(-1) ** ((p - 1) * (q - 1)) * c for c in s1]
+
+
+def test_first_subresultant_low_degree_conventions():
+    # q = 1: the determinants give lc(b)^(p-2) * b; p = q = 1 gives b
+    assert usubresultants_int([1, 0, 0, 1], [3, 2]) == (uresultant_int([1, 0, 0, 1], [3, 2]), [6, 4])
+    assert usubresultants_int([5, 7], [3, 2])[1] == [3, 2]
+    # q = 0: a linear a is the gcd on every fiber, higher degrees have none
+    assert usubresultants_int([1, 2], [4]) == (4, [1, 2])
+    assert usubresultants_int([1, 0, 2], [4]) == (16, [])
+    assert usubresultants_int([], [1, 2]) == (0, [])
+
+
 @settings(deadline=None)
 @given(int_upoly(max_deg=8), int_upoly(max_deg=5))
 def test_prem_is_exact(a, b):
@@ -521,6 +578,41 @@ def test_resultant_known_vanishing_leading_coefficients():
     g = (y - 2) * x ** 3 + Fraction(1, 2) * x - y
     for e in (0, 1):
         _check_against_reference(f, g, e)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([0, 1, 2]), bivariate_polys(max_exp=2), bivariate_polys(max_exp=2))
+def test_bivariate_subresultants_match_determinants_at_every_x(r, f_low, g_low):
+    # leading coefficients in y vanish at x = r and x = -r: the interpolation
+    # skips those nodes, yet S1 must match its determinant there too
+    x, y = x_y()
+    f = (x * x - r * r) * y ** 4 + f_low * y
+    g = (x - r) * y ** 3 + Fraction(2, 5) * g_low
+    res, s10, s11 = bivariate_subresultants(f, g, 1)
+    fscale, frows = _primitive_rows(f, 1)
+    gscale, grows = _primitive_rows(g, 1)
+    for t in range(-3, 4):
+        a = [ueval(row, t) for row in frows]
+        b = [ueval(row, t) for row in grows]
+        assert ueval(res, t) == det_bareiss_int(sylvester(a, b))
+        assert [ueval(s10, t), ueval(s11, t)] == first_subresultant(a, b)
+    assert [fscale ** 3 * gscale ** 4 * c for c in res] == bivariate_resultant(f, g, 1)
+
+
+@settings(deadline=None, max_examples=80)
+@given(bivariate_polys(max_exp=4), bivariate_polys(max_exp=4), st.sampled_from([0, 1]))
+def test_bivariate_subresultants_interpolate_enough_nodes(f, g, eliminate):
+    # the node count comes from a degree bound over Newton-polygon slopes; a
+    # bound one too small leaves some value here unmatched
+    fscale, frows = _primitive_rows(f, eliminate)
+    gscale, grows = _primitive_rows(g, eliminate)
+    assume(min(len(frows), len(grows)) >= 3)
+    res, s10, s11 = bivariate_subresultants(f, g, eliminate)
+    for t in range(-6, 7):
+        a = [ueval(row, t) for row in frows]
+        b = [ueval(row, t) for row in grows]
+        assert ueval(res, t) == det_bareiss_int(sylvester(a, b))
+        assert [ueval(s10, t), ueval(s11, t)] == first_subresultant(a, b)
 
 
 # -- integer squarefree decomposition ---------------------------------------------

@@ -1,7 +1,6 @@
 """Numeric solving on both sides of the duality, exact elimination underneath."""
 
 import random
-import re
 from fractions import Fraction
 from importlib.resources import files
 
@@ -19,6 +18,7 @@ from galedual.errors import (
     DegreeCapError,
     DependentRowsError,
     DimensionCapError,
+    SeparationError,
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from galedual.newton import compile_pair, refine
@@ -37,6 +37,7 @@ from galedual.systems import (
     LinearForm,
     MasterSystem,
     SparseSystem,
+    clear_denominators,
     cleared_polynomials,
 )
 
@@ -162,6 +163,31 @@ def test_shared_vertical_line_raises():
         solve_bivariate(x ** 2 - 1, x ** 2 + x - 2)
 
 
+def test_unseparated_fiber_is_sheared():
+    # both common zeros lie on x = 1, so no first subresultant separates them
+    # there; the shear x -> x - y does
+    x, y = x_y()
+    sols = solve_bivariate(x - 1, y ** 2 - 4)
+    assert [tuple(round(c.real) for c in s.point) for s in sols.solutions] == [(1, -2), (1, 2)]
+    assert sols.diagnostics == ("sheared x -> x - 1*y to separate the solutions",)
+
+
+def test_excluded_zero_sharing_a_fiber_is_not_divided_out_blindly():
+    # (1, 0) is on the excluded line y = 0 and (1, 2) is a solution over the
+    # same x: dividing x - 1 out of the resultant would lose it
+    x, y = x_y()
+    sols = solve_bivariate(x - 1, y * (y - 2) + (x - 1) * (y + 3), exclude=[(0, 0, 1)])
+    assert [tuple(round(c.real) for c in s.point) for s in sols.solutions] == [(1, 2)]
+    assert sols.diagnostics == ("sheared x -> x - 1*y to separate the solutions",)
+
+
+def test_non_curvilinear_zero_cannot_be_separated():
+    # every fiber through the origin meets both curves to order two
+    x, y = x_y()
+    with pytest.raises(SeparationError):
+        solve_bivariate(x ** 2, y ** 2)
+
+
 def test_degree_cap():
     x, y = x_y()
     with pytest.raises(DegreeCapError):
@@ -207,17 +233,6 @@ def test_deterministic_output():
     assert first.solutions == second.solutions
 
 
-def test_overflowing_candidates_count_as_diverged():
-    # starts far out on these fibers overflow in complex powers
-    x, y = x_y()
-    f = 2 * x ** 9 * y ** 2 + 4 * x ** 5 * y - 3
-    g = 2 * x ** 10 * y ** 5 - 3 * x ** 6 * y ** 12 + x + 2 * x ** 11 * y ** 7
-    sols = solve_bivariate(f, g)
-    assert sols.count > 0
-    assert all(s.residual < sols.config.verify_tol for s in sols.solutions)
-    assert any(re.fullmatch(r"newton diverged on \d+ candidate\(s\)", d) for d in sols.diagnostics)
-
-
 # -- batched Newton refinement ------------------------------------------------------
 
 
@@ -228,6 +243,14 @@ def _eval_terms(terms, x, y):
     return total
 
 
+def _backward_error(terms, x, y):
+    """|p| / sum|terms of p| at (x, y), summed in term order (|p| where every term is 0)."""
+    size = 0.0
+    for i, j, c in terms:
+        size += abs(c * x ** i * y ** j)
+    return abs(_eval_terms(terms, x, y)) / (size if size > 0 else 1)
+
+
 def scalar_newton(f, g, start, config):
     """Newton on the pair one start at a time in Python complex arithmetic: the
     reference for refine. Returns (point, residual, converged)."""
@@ -236,10 +259,10 @@ def scalar_newton(f, g, start, config):
     fp, fxp, fyp, gp, gxp, gyp = polys
     x, y = start
     best = (x, y)
-    best_res = max(abs(_eval_terms(fp, x, y)), abs(_eval_terms(gp, x, y)))
+    best_res = max(_backward_error(fp, x, y), _backward_error(gp, x, y))
     for _ in range(config.newton_max_iter):
         fv, gv = _eval_terms(fp, x, y), _eval_terms(gp, x, y)
-        res = max(abs(fv), abs(gv))
+        res = max(_backward_error(fp, x, y), _backward_error(gp, x, y))
         if res < best_res:
             best, best_res = (x, y), res
         if res < config.verify_tol * 1e-3:
@@ -253,7 +276,7 @@ def scalar_newton(f, g, start, config):
         dy = (a * gv - c * fv) / det
         x, y = x - dx, y - dy
         if abs(dx) + abs(dy) < 1e-16 * (1 + abs(x) + abs(y)):
-            res = max(abs(_eval_terms(fp, x, y)), abs(_eval_terms(gp, x, y)))
+            res = max(_backward_error(fp, x, y), _backward_error(gp, x, y))
             if res < best_res:
                 best, best_res = (x, y), res
             break
@@ -313,6 +336,22 @@ def test_refinement_is_independent_of_batch(monkeypatch):
         assert (permuted[0][:, pos].tobytes(), permuted[1][pos].tobytes(), bool(permuted[2][pos])) == expected
 
 
+def test_overflowing_starts_count_as_diverged():
+    # complex powers of the last two starts overflow: a non-finite iterate
+    # counts as diverged, and refine raises nothing
+    x, y = x_y()
+    f = 2 * x ** 9 * y ** 2 + 4 * x ** 5 * y - 3
+    g = 2 * x ** 10 * y ** 5 - 3 * x ** 6 * y ** 12 + x + 2 * x ** 11 * y ** 7
+    sols = solve_bivariate(f, g)
+    assert sols.count > 0
+    assert all(s.residual < sols.config.verify_tol for s in sols.solutions)
+    starts = np.array([sols.solutions[0].point, (1e40, 1e40), (1e300j, 1.0)]).T
+    points, residuals, converged = refine(compile_pair(f, g), starts, SolverConfig())
+    assert converged.tolist() == [True, False, False]
+    assert residuals[0] < sols.config.verify_tol
+    assert np.isinf(residuals[1:]).all()
+
+
 # -- solve_sparse ----------------------------------------------------------------
 
 
@@ -329,7 +368,13 @@ def test_sparse_filters_off_torus_roots():
     kept = sols.solutions[0]
     assert abs(kept.point[0] - 1) < 1e-9 and abs(kept.point[1] - 1) < 1e-9
     assert kept.location == "torus"
-    assert any("off-torus" in s.flags for s in sols.excluded)
+    # the origin is divided out of the resultant before any root is found
+    assert not sols.excluded
+    f, g = cleared_polynomials(system)
+    assert [tuple(round(c.real) for c in s.point) for s in solve_bivariate(f, g).solutions] == [
+        (0, 0),
+        (1, 1),
+    ]
 
 
 def test_sparse_worked_example_counts():
@@ -348,10 +393,12 @@ def test_master_worked_example_counts():
     assert sols.real_count == 3
     assert all(s.residual < 1e-9 for s in sols.solutions)
     assert all(s.location == "complement" for s in sols.solutions)
-    # clearing denominators introduces arrangement points; all must be filtered
-    assert sols.excluded
-    assert all("on-arrangement" in s.flags or "defining-residual" in s.flags
-               for s in sols.excluded)
+    # clearing denominators adds the common zero (0, 0), where the lines s = 0
+    # and t = 0 cross; it is divided out of the resultant, never a candidate
+    master = worked_master()
+    f, g = (clear_denominators(master, j).expand_difference(master.arrangement) for j in range(2))
+    assert f.eval_exact((0, 0)) == g.eval_exact((0, 0)) == 0
+    assert not sols.excluded
     assert_conjugation_closed(sols.solutions)
 
 
@@ -397,6 +444,69 @@ def test_random_counts_within_bound():
         solved += 1
         assert sols.total_multiplicity <= bound
         assert_conjugation_closed(sols.solutions)
+
+
+def doubled_master():
+    master = worked_master()
+    return MasterSystem(
+        master.arrangement,
+        WeightBasis(master.shape, IntMatrix.from_rows([[-2, 6, 4, -4], [3, -1, 1, -3]])),
+    )
+
+
+def fixture(name):
+    return load_system(str(files("galedual") / "fixtures" / name))
+
+
+@pytest.mark.parametrize("name", ["example22_sparse.json", "example22_master.json",
+                                  "example3_second.json", "doubled"])
+def test_multiplicities_exact_and_within_bound(name):
+    system = doubled_master() if name == "doubled" else fixture(name)
+    if isinstance(system, SparseSystem):
+        sols, support = solve_sparse(system), system.support
+    else:
+        sols, support = solve_master(system), dualize_master_to_poly(
+            saturate_weights(system)).poly.support
+    # a weight lattice of index 2 doubles the complement's solutions
+    index = 2 if name == "doubled" else 1
+    assert sols.count == 17 * index
+    assert not any("ambiguous" in flag for s in sols.solutions for flag in s.flags)
+    assert all(s.multiplicity >= 1 for s in sols.solutions)
+    assert sols.total_multiplicity <= index * kouchnirenko_bound(support)
+
+
+def test_regression_torus_side_of_a_random_system():
+    # one of the bench's random sparse systems (bound 21); fiber pairing used to
+    # leave 214 candidates with an ambiguous multiplicity here
+    shape = SystemShape(2, 0, 2)
+    support = ExponentMatrix(shape, IntMatrix.from_rows([[-4, 0, 3, -2], [3, -3, -4, 1]]))
+    system = SparseSystem(support, ((-3, 5, -3, 5, 1), (5, 2, -1, 2, 1)), ("x", "y"))
+    sols = solve_sparse(system)
+    assert kouchnirenko_bound(support) == 21
+    assert sols.count == sols.total_multiplicity == 21
+    assert not sols.excluded and not sols.diagnostics
+    assert all(s.residual < 1e-9 for s in sols.solutions)
+    assert_conjugation_closed(sols.solutions)
+
+
+def test_regression_complement_point_far_out():
+    # one of the bench's random masters (bound 15): its point near
+    # (-1816, -907) has |f| far above verify_tol at every float point near
+    # it, so Newton's absolute residual could neither accept it nor stop
+    forms = (
+        LinearForm(3, (1, -2)),
+        LinearForm(-3, (-3, -1)),
+        LinearForm(0, (1, 0)),
+        LinearForm(0, (0, 1)),
+    )
+    master = MasterSystem(
+        Arrangement(2, forms, ("s", "t")),
+        WeightBasis(SystemShape(2, 0, 2), IntMatrix.from_rows([[2, -1, -1, 3], [1, 0, 3, -3]])),
+    )
+    report = verify_isomorphism(dualize_master_to_poly(master))
+    assert report.poly_count == report.master_count == 15
+    assert report.all_pass
+    assert max(abs(s.point[0]) for s in report.master_solutions.solutions) > 1000
 
 
 # -- isomorphism verification -------------------------------------------------------
