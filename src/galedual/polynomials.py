@@ -9,7 +9,6 @@ General polynomial algebra (factoring, multivariate division) is out of scope.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -381,24 +380,21 @@ def _usub(a, b):
     return utrim([x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
 
 
-def uinterpolate(points, integral=False):
+def uinterpolate(points):
     """Coefficients of the unique polynomial through the given (x, y) pairs.
 
     Newton divided differences, exact. A quotient stays an int whenever the
     division is exact, so the values of an integer polynomial at integer nodes
     are interpolated in ints throughout; other data gets Fraction entries.
-    ``integral=True`` promises such data: every divided difference is then
-    an integer, and plain floor division computes it.
     """
     xs = [_exact(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
     n = len(points)
     coef = [_exact(y) for _, y in points]
-    quotient = operator.floordiv if integral else _exact_quotient
     for level in range(1, n):
         coef[level:] = [
-            quotient(b - a, x1 - x0)
+            _exact_quotient(b - a, x1 - x0)
             for a, b, x0, x1 in zip(coef[level - 1:], coef[level:], xs, xs[level:])
         ]
     # expand the Newton form by Horner's rule: each step multiplies by a
@@ -495,7 +491,7 @@ def bivariate_resultant(f, g, eliminate):
     degrees d1, d2 in the eliminated variable.
     """
     values, scale = _chain_values(f, g, eliminate)
-    return [scale * c for c in uinterpolate([v[:2] for v in values], integral=True)]
+    return [scale * c for c in uinterpolate([v[:2] for v in values])]
 
 
 def bivariate_subresultants(f, g, eliminate):
@@ -503,7 +499,7 @@ def bivariate_subresultants(f, g, eliminate):
     of f and g in the eliminated variable v (see usubresultants_int), up to
     positive rational factors, as dense ascending integer lists."""
     values, _ = _chain_values(f, g, eliminate)
-    return tuple(uinterpolate([(v[0], v[k]) for v in values], integral=True) for k in (1, 2, 3))
+    return tuple(uinterpolate([(v[0], v[k]) for v in values]) for k in (1, 2, 3))
 
 
 def _chain_values(f, g, eliminate):

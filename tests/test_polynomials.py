@@ -603,12 +603,13 @@ def test_bivariate_subresultants_match_determinants_at_every_x(r, f_low, g_low):
 @given(bivariate_polys(max_exp=4), bivariate_polys(max_exp=4), st.sampled_from([0, 1]))
 def test_bivariate_subresultants_interpolate_enough_nodes(f, g, eliminate):
     # the node count comes from a degree bound over Newton-polygon slopes; a
-    # bound one too small leaves some value here unmatched
+    # bound one too small still matches every node it interpolated, so the
+    # values are also checked at t = +-40..45, beyond the nodes 0, 1, -1, ...
     fscale, frows = _primitive_rows(f, eliminate)
     gscale, grows = _primitive_rows(g, eliminate)
     assume(min(len(frows), len(grows)) >= 3)
     res, s10, s11 = bivariate_subresultants(f, g, eliminate)
-    for t in range(-6, 7):
+    for t in [*range(-6, 7), *range(40, 46), *range(-45, -39)]:
         a = [ueval(row, t) for row in frows]
         b = [ueval(row, t) for row in grows]
         assert ueval(res, t) == det_bareiss_int(sylvester(a, b))
