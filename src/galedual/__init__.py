@@ -3,162 +3,28 @@
 Exact dualization between sparse Laurent systems on the torus and
 master-function systems on hyperplane arrangement complements, lattice
 counting bounds, and numeric verification that the two sides cut out the
-same points.
+same points. The modules hold the rest of the API.
 """
 
-from .errors import (
-    CommonComponentError,
-    DegreeCapError,
-    DependentRowsError,
-    DependentWeightsError,
-    DimensionCapError,
-    GaleDualError,
-    InvariantError,
-    NoPivotError,
-    NoRationalScalingError,
-    NotEssentialError,
-    NotPrimitiveError,
-    SchemaError,
-    SeparationError,
-)
-from .lattice import (
-    ExponentMatrix,
-    IntMatrix,
-    SystemShape,
-    WeightBasis,
-    hnf,
-    kernel_basis,
-    lattice_equal,
-    quotient_images,
-    saturation_index,
-    snf,
-    solve_integer,
-)
-from .polynomials import Poly, poly_equal_up_to_scale
-from .polytopes import (
-    BoundValue,
-    LatticePolytope,
-    convex_hull,
-    euler_characteristic,
-    euler_from_volume,
-    fewnomial_bound,
-    kouchnirenko_bound,
-    normalized_volume,
-)
-from .serialize import (
-    load_system,
-    master_to_dict,
-    parse_master,
-    parse_rational,
-    parse_sparse,
-    parse_system,
-    rational_to_string,
-    sparse_to_dict,
-)
-from .systems import (
-    Arrangement,
-    ClearedBinomial,
-    DiagonalizedSystem,
-    LinearForm,
-    MasterSystem,
-    SparseSystem,
-    absorb_constants,
-    clear_denominators,
-    cleared_polynomials,
-    diagonalize,
-    evaluate_phi,
-    is_essential,
-    normalize_support,
-)
-from .duality import (
-    GalePair,
-    GaleWitness,
-    PairCheck,
-    check_gale_pair,
-    dualize_master_to_poly,
-    dualize_poly_to_master,
-)
-from .solver import (
-    IsomorphismReport,
-    NumericSolution,
-    SolutionSet,
-    SolverConfig,
-    solve_bivariate,
-    solve_master,
-    solve_sparse,
-    verify_isomorphism,
-)
+from .duality import check_gale_pair, dualize_master_to_poly, dualize_poly_to_master
+from .errors import GaleDualError
+from .polytopes import kouchnirenko_bound
+from .serialize import load_system
+from .solver import solve_master, solve_sparse, verify_isomorphism
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arrangement",
-    "BoundValue",
-    "ClearedBinomial",
-    "CommonComponentError",
-    "DegreeCapError",
-    "DependentRowsError",
-    "DependentWeightsError",
-    "DiagonalizedSystem",
-    "DimensionCapError",
-    "ExponentMatrix",
-    "GaleDualError",
-    "GalePair",
-    "GaleWitness",
-    "IntMatrix",
-    "InvariantError",
-    "IsomorphismReport",
-    "LatticePolytope",
-    "LinearForm",
-    "MasterSystem",
-    "NoPivotError",
-    "NoRationalScalingError",
-    "NotEssentialError",
-    "NotPrimitiveError",
-    "NumericSolution",
-    "PairCheck",
-    "Poly",
-    "SchemaError",
-    "SeparationError",
-    "SolutionSet",
-    "SolverConfig",
-    "SparseSystem",
-    "SystemShape",
-    "WeightBasis",
-    "absorb_constants",
+    # the README quick start
     "check_gale_pair",
-    "clear_denominators",
-    "cleared_polynomials",
-    "convex_hull",
-    "diagonalize",
-    "dualize_master_to_poly",
     "dualize_poly_to_master",
-    "euler_characteristic",
-    "euler_from_volume",
-    "evaluate_phi",
-    "fewnomial_bound",
-    "hnf",
-    "is_essential",
-    "kernel_basis",
     "kouchnirenko_bound",
-    "lattice_equal",
     "load_system",
-    "master_to_dict",
-    "normalize_support",
-    "normalized_volume",
-    "parse_master",
-    "parse_rational",
-    "parse_sparse",
-    "parse_system",
-    "poly_equal_up_to_scale",
-    "quotient_images",
-    "rational_to_string",
-    "saturation_index",
-    "snf",
-    "solve_bivariate",
-    "solve_integer",
-    "solve_master",
     "solve_sparse",
-    "sparse_to_dict",
     "verify_isomorphism",
+    # their master-side twins
+    "dualize_master_to_poly",
+    "solve_master",
+    # the base class of the package's own errors
+    "GaleDualError",
 ]

@@ -11,7 +11,7 @@ dualization returns carries the check it passed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .errors import DependentRowsError, InvariantError, NotEssentialError, NotPrimitiveError
@@ -73,7 +73,11 @@ class GalePair:
 
 @dataclass(frozen=True)
 class PairCheck:
-    """Exact verification results for a GalePair; nothing here throws."""
+    """Exact verification results for a GalePair; nothing here throws.
+
+    Every bool field is one check, and the pair passes when all of them
+    hold; the two indices are reported beside them.
+    """
 
     shapes_consistent: bool
     support_primitive: bool
@@ -87,27 +91,11 @@ class PairCheck:
 
     @property
     def all_pass(self):
-        return (
-            self.shapes_consistent
-            and self.support_primitive
-            and self.weights_primitive
-            and self.annihilates
-            and self.forms_essential
-            and self.relations_vanish
-            and self.spans_match
-        )
+        return not self.failures()
 
     def failures(self):
-        names = [
-            "shapes_consistent",
-            "support_primitive",
-            "weights_primitive",
-            "annihilates",
-            "forms_essential",
-            "relations_vanish",
-            "spans_match",
-        ]
-        return tuple(n for n in names if not getattr(self, n))
+        """Names of the boolean checks that fail, in field order."""
+        return tuple(f.name for f in fields(self) if getattr(self, f.name) is False)
 
 
 def _lattice_index(mat, rank):

@@ -58,10 +58,6 @@ class IntMatrix:
     def identity(n):
         return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zeros(rows, cols):
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
-
     def at(self, i, j):
         return self.data[i * self.cols + j]
 

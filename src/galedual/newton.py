@@ -17,6 +17,9 @@ import numpy as np
 # (candidates x terms) temporaries at 64 KiB each
 _BLOCK_ENTRIES = 1 << 12
 
+# Newton steps a start takes at most
+_MAX_ITER = 50
+
 
 def compile_pair(f, g):
     """f, g and their partial derivatives as numpy term arrays.
@@ -113,7 +116,7 @@ def refine(compiled, z0, config):
     with the best residual seen, and stops when the residual falls below
     verify_tol*1e-3, when |det| of the Jacobian is below 1e-300, after a
     relative step below 1e-16 (the point reached is evaluated once more) or
-    after newton_max_iter steps; it has converged when its best residual is
+    after _MAX_ITER steps; it has converged when its best residual is
     below verify_tol. A non-finite iterate, value or Jacobian counts as
     diverged.
 
@@ -127,7 +130,6 @@ def refine(compiled, z0, config):
     best_res = np.full(n, np.inf)
     converged = np.zeros(n, dtype=bool)
     target = config.verify_tol * 1e-3
-    cap = config.newton_max_iter
     _, _, groups = compiled
     width = max(1, _BLOCK_ENTRIES // max(c.size for _, _, c in groups))
     idx = np.arange(min(width, n))
@@ -147,14 +149,14 @@ def refine(compiled, z0, config):
             better = finite & (res < best_res[idx])
             best[:, idx[better]] = z[:, better]
             best_res[idx[better]] = res[better]
-            stop = last | ~finite | (res < target) | (steps >= cap) | (_abs(det) < 1e-300)
+            stop = last | ~finite | (res < target) | (steps >= _MAX_ITER) | (_abs(det) < 1e-300)
             step = _div(differences[1:], det)
             z = z - step
             size, scale = _abs(step), _abs(z)
             last = size[0] + size[1] < 1e-16 * (1 + scale[0] + scale[1])
             steps += 1
             # the step that reaches the cap is not evaluated, unless it was a last one
-            done = stop | ((steps >= cap) & ~last)
+            done = stop | ((steps >= _MAX_ITER) & ~last)
             finished = idx[done]
             converged[finished] = finite[done] & (best_res[finished] < config.verify_tol)
             # refill finished slots from the queue; once it is empty, drop them

@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Just enough arithmetic for this package: ring operations, exact and complex
-evaluation, derivatives, and the univariate helpers (gcd, squarefree
-decomposition, interpolation, integer subresultant chains) behind the
-bivariate resultant and first subresultant the solver eliminates with.
+Just enough arithmetic for this package: ring operations, exact evaluation,
+derivatives, and the univariate helpers (gcd, squarefree decomposition,
+interpolation, integer subresultant chains) behind the bivariate resultant
+and first subresultant the solver eliminates with.
 General polynomial algebra (factoring, multivariate division) is out of scope.
 """
 
@@ -144,16 +144,6 @@ class Poly:
             for x, e in zip(point, mono):
                 if e:
                     v *= Fraction(x) ** e
-            total += v
-        return total
-
-    def eval_complex(self, point):
-        total = 0j
-        for mono, c in self.terms.items():
-            v = complex(c)
-            for x, e in zip(point, mono):
-                if e:
-                    v *= complex(x) ** e
             total += v
         return total
 
@@ -420,15 +410,6 @@ def _exact_quotient(num, den):
         if not r:
             return q
     return _exact(Fraction(num) / den)
-
-
-def uresultant_int(a, b):
-    """Resultant of two integer polynomials given as dense ascending lists.
-
-    The determinant of the Sylvester matrix of the trimmed lists; a zero
-    operand gives 0. See usubresultants_int.
-    """
-    return usubresultants_int(a, b)[0]
 
 
 def usubresultants_int(a, b):

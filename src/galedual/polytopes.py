@@ -18,7 +18,7 @@ from functools import cache, reduce
 from itertools import product
 from operator import and_
 
-from .errors import DependentRowsError, InvariantError
+from .errors import DependentRowsError, DimensionCapError, InvariantError
 from .lattice import quotient_images
 from .ratlinalg import det_bareiss_int, mat_rank
 
@@ -195,9 +195,14 @@ def kouchnirenko_bound(support):
 
     Bounds the number of isolated torus solutions of any sparse system with
     this support, with equality for generic coefficients. Raises
+    DimensionCapError in more than MAX_AMBIENT_DIM variables and
     DependentRowsError when the support columns do not span Q^dim.
     """
     dim = support.matrix.rows
+    if dim > MAX_AMBIENT_DIM:
+        raise DimensionCapError(
+            f"bounds are capped at {MAX_AMBIENT_DIM} variables, got {dim}"
+        )
     pts = [tuple([0] * dim)] + [support.exponent(j) for j in range(support.matrix.cols)]
     try:
         hull = convex_hull(pts)

@@ -8,6 +8,7 @@ sorted solution lists makes identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -220,19 +221,7 @@ def master_to_dict(master):
 
 
 def check_to_dict(check):
-    return {
-        "shapes_consistent": check.shapes_consistent,
-        "support_primitive": check.support_primitive,
-        "support_index": check.support_index,
-        "weights_primitive": check.weights_primitive,
-        "weight_index": check.weight_index,
-        "annihilates": check.annihilates,
-        "forms_essential": check.forms_essential,
-        "relations_vanish": check.relations_vanish,
-        "spans_match": check.spans_match,
-        "all_pass": check.all_pass,
-        "failures": list(check.failures()),
-    }
+    return asdict(check) | {"all_pass": check.all_pass, "failures": list(check.failures())}
 
 
 def pair_to_dict(pair, check):

@@ -43,9 +43,6 @@ from .roots import polynomial_roots, rational_values
 class SolverConfig:
     cluster_tol: float = 1e-6
     verify_tol: float = 1e-9
-    match_tol: float = 1e-6
-    newton_max_iter: int = 50
-    degree_cap: int = 30
 
 
 @dataclass(frozen=True)
@@ -86,6 +83,9 @@ def _max_norm(poly):
 # shears x -> x - lam*y tried, lam = 1, 2, ..., before giving up on separating
 _MAX_SHEAR = 8
 
+# largest total degree of an equation that solve_bivariate accepts
+_DEGREE_CAP = 30
+
 
 def solve_bivariate(f, g, config=None, exclude=()):
     """All isolated common zeros of two bivariate polynomials off some lines.
@@ -107,7 +107,7 @@ def solve_bivariate(f, g, config=None, exclude=()):
     at or above verify_tol is dropped and counted as diverged.
 
     Raises CommonComponentError when the pair shares a curve, DegreeCapError
-    above config.degree_cap, and SeparationError when no shear up to
+    above _DEGREE_CAP, and SeparationError when no shear up to
     _MAX_SHEAR separates the common zeros.
     """
     config = config or SolverConfig()
@@ -116,10 +116,8 @@ def solve_bivariate(f, g, config=None, exclude=()):
     for p in (f, g):
         if p.is_zero():
             raise CommonComponentError("an identically zero equation vanishes everywhere")
-        if p.degree() > config.degree_cap:
-            raise DegreeCapError(
-                f"total degree {p.degree()} exceeds cap {config.degree_cap}"
-            )
+        if p.degree() > _DEGREE_CAP:
+            raise DegreeCapError(f"total degree {p.degree()} exceeds cap {_DEGREE_CAP}")
 
     # unit max-norm keeps the float coefficients of Newton's method in range
     f = f.scale(1 / _max_norm(f))
@@ -318,6 +316,10 @@ def _reverified(raw, location, residual):
     return SolutionSet(tuple(solutions), tuple(excluded), raw.diagnostics, raw.config)
 
 
+# largest distance between a torus solution's image and its complement partner
+_MATCH_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class MatchedPair:
     poly_index: int
@@ -355,7 +357,7 @@ def verify_isomorphism(pair, config=None):
     Every torus solution x is pushed to z = x^support (in witness z-order) and
     the master point y is recovered by least squares from the degree-one
     system forms(y) = z; the nearest unused complement solution within
-    match_tol is its partner. Count or realness mismatches are reported, not
+    _MATCH_TOL is its partner. Count or realness mismatches are reported, not
     raised.
     """
     config = config or SolverConfig()
@@ -379,7 +381,7 @@ def verify_isomorphism(pair, config=None):
     for i, y in enumerate(projected):
         for j, msol in enumerate(master_sol.solutions):
             d = max(abs(a - b) for a, b in zip(y, msol.point))
-            if d < config.match_tol:
+            if d < _MATCH_TOL:
                 edges.append((d, i, j))
     edges.sort()
     used_poly = set()

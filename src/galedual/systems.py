@@ -18,11 +18,13 @@ from .errors import (
     InvariantError,
     NoPivotError,
     NoRationalScalingError,
-    NotEssentialError,
 )
-from .lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis, solve_integer
+from .lattice import ExponentMatrix, WeightBasis, solve_integer
 from .polynomials import Poly
-from .ratlinalg import frac_rows, mat_det, mat_inverse, mat_mul, mat_rank, solve_mod2
+from .ratlinalg import frac_rows, mat_rank, rref, solve_mod2
+
+# unused here; bench/spans.py looks these names up on this module to count calls
+from .ratlinalg import mat_det, mat_inverse, mat_mul  # noqa: F401
 
 
 def torus_variable_names(dim):
@@ -67,9 +69,6 @@ class LinearForm:
 
     def as_poly(self):
         return Poly.linear(self.constant, self.coeffs)
-
-    def is_proportional_to(self, other):
-        return _proportional((self.constant, *self.coeffs), (other.constant, *other.coeffs))
 
     def render(self, names):
         return self.as_poly().to_string(names)
@@ -200,126 +199,45 @@ class SparseSystem:
         return tuple(out)
 
 
-def normalize_support(support_vectors, coefficient_rows, variables=None):
-    """Canonicalize raw support data into a SparseSystem.
-
-    Translates the support so the zero exponent is present (no-op when it
-    already is, otherwise by the lexicographically least vector, which makes
-    the operation idempotent), merges duplicate exponent columns by summing
-    their coefficients, and drops non-constant columns whose merged
-    coefficients are all zero.
-    """
-    vectors = [tuple(int(v) for v in vec) for vec in support_vectors]
-    if not vectors:
-        raise ValueError("empty support")
-    dim = len(vectors[0])
-    if any(len(v) != dim for v in vectors):
-        raise ValueError("support vectors of mixed dimension")
-    rows = [[Fraction(c) for c in row] for row in coefficient_rows]
-    if any(len(r) != len(vectors) for r in rows):
-        raise ValueError("coefficient rows must align with the support columns")
-
-    zero = tuple([0] * dim)
-    if zero not in vectors:
-        shift = min(vectors)
-        vectors = [tuple(a - b for a, b in zip(v, shift)) for v in vectors]
-
-    merged = {}
-    order = []
-    for j, vec in enumerate(vectors):
-        if vec not in merged:
-            merged[vec] = [Fraction(0)] * len(rows)
-            order.append(vec)
-        for i, row in enumerate(rows):
-            merged[vec][i] += row[j]
-
-    constant = merged.pop(zero, [Fraction(0)] * len(rows))
-    order = [v for v in order if v != zero and any(merged[v])]
-
-    n = len(rows)
-    k = len(order)
-    m = dim - n
-    l = k - dim
-    if m < 0:
-        raise ValueError(f"more equations ({n}) than variables ({dim})")
-    if l <= 0:
-        raise ValueError(
-            f"support has {k} distinct nonzero columns for dimension {dim}; "
-            "need strictly more monomials than variables"
-        )
-    shape = SystemShape(l, m, n)
-    support = ExponentMatrix(shape, IntMatrix.from_rows([list(v) for v in order], cols=dim).transpose())
-    coeffs = [
-        [constant[i]] + [merged[v][i] for v in order]
-        for i in range(n)
-    ]
-    names = tuple(variables) if variables else torus_variable_names(dim)
-    return SparseSystem(support, coeffs, names)
-
-
 @dataclass(frozen=True)
 class DiagonalizedSystem:
     """Row-equivalent form expressing each pivot monomial in the others.
 
-    ``transform`` is the invertible rational matrix with
-    transform @ base.coefficients giving the diagonalized coefficient rows
-    (identity on the pivot columns). ``rhs[i]`` expresses the value of pivot
-    monomial pivots[i] as a degree-one function of the non-pivot monomial
-    values, ordered by ``nonpivots``.
+    ``rhs[i]`` expresses the value of pivot monomial pivots[i] as a
+    degree-one function of the non-pivot monomial values, ordered by
+    ``nonpivots``.
     """
 
     base: SparseSystem
     pivots: tuple
     nonpivots: tuple
-    transform: tuple
     rhs: tuple
-
-    def diagonal_coefficients(self):
-        return tuple(
-            tuple(row) for row in mat_mul([list(r) for r in self.transform],
-                                          [list(r) for r in self.base.coefficients])
-        )
 
 
 def diagonalize(system):
     """Solve for a pivot set of monomials in terms of the rest.
 
-    The pivot set is chosen deterministically: candidate sets of
-    num_equations support columns are ordered lexicographically by their
-    sorted tuples of exponent vectors, and the first whose coefficient
-    submatrix is invertible wins. The choice therefore does not depend on
-    storage order of the support. Raises NoPivotError when no candidate
-    submatrix is invertible.
+    One reduced row echelon form of the coefficient rows, with the support
+    columns sorted by exponent vector and the constant column last. Its
+    pivot columns are the greedy basis, which for a matroid is the
+    lexicographically first invertible set of num_equations columns (Gale,
+    1968), so the choice does not depend on the storage order of the
+    support; its rows are the diagonalized rows. Raises NoPivotError when
+    the constant column holds a pivot: then no set of support columns has an
+    invertible coefficient submatrix.
     """
-    shape = system.shape
-    n = shape.num_equations
-    k = shape.num_forms
-    by_vector = sorted(range(k), key=lambda j: system.support.exponent(j))
-    chosen = None
-    for subset in combinations(by_vector, n):
-        sub = [[system.coefficients[i][j + 1] for j in subset] for i in range(n)]
-        if mat_det(sub) != 0:
-            chosen = subset
-            break
-    if chosen is None:
+    k = system.shape.num_forms
+    # coefficient-row index of each column: monomial j at j + 1, the constant at 0
+    columns = [j + 1 for j in sorted(range(k), key=system.support.exponent)] + [0]
+    reduced, pivot_cols = rref([[row[c] for c in columns] for row in system.coefficients])
+    if columns[pivot_cols[-1]] == 0:
         raise NoPivotError("no invertible coefficient submatrix on any support subset")
-    pivots = tuple(sorted(chosen))
-    nonpivots = tuple(j for j in range(k) if j not in pivots)
-    sub = [[system.coefficients[i][j + 1] for j in pivots] for i in range(n)]
-    transform = mat_inverse(sub)
-    diag = mat_mul(transform, [list(r) for r in system.coefficients])
-    rhs = []
-    for i in range(n):
-        constant = -diag[i][0]
-        coeffs = [-diag[i][j + 1] for j in nonpivots]
-        rhs.append(LinearForm(constant, coeffs))
-    return DiagonalizedSystem(
-        base=system,
-        pivots=pivots,
-        nonpivots=nonpivots,
-        transform=tuple(tuple(row) for row in transform),
-        rhs=tuple(rhs),
-    )
+    # each reduced row back in coefficient-row order, keyed by its pivot monomial
+    rows = {columns[c] - 1: dict(zip(columns, row)) for row, c in zip(reduced, pivot_cols)}
+    pivots = tuple(sorted(rows))
+    nonpivots = tuple(j for j in range(k) if j not in rows)
+    rhs = tuple(LinearForm(-rows[p][0], [-rows[p][j + 1] for j in nonpivots]) for p in pivots)
+    return DiagonalizedSystem(base=system, pivots=pivots, nonpivots=nonpivots, rhs=rhs)
 
 
 @dataclass(frozen=True)

@@ -370,6 +370,22 @@ def test_degree_cap_is_solver_error(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_bound_above_hull_dimension_cap_is_solver_error(capsys, tmp_path):
+    # 7 variables, one past the hull's cap: the unit vectors, all-ones and 2*e1 + e2
+    units = [[int(i == j) for j in range(7)] for i in range(7)]
+    path = write_json(
+        tmp_path,
+        "seven.json",
+        {
+            "variables": [f"x{i + 1}" for i in range(7)],
+            "support": units + [[1] * 7, [2, 1, 0, 0, 0, 0, 0]],
+            "coefficients": [[str(c) for c in range(1, 11)]],
+        },
+    )
+    message = "error: bounds are capped at 6 variables, got 7\n"
+    assert run(capsys, "bound", "--input", path) == (3, "", message)
+
+
 def test_argparse_rejects_malformed_invocations():
     for argv in ([], ["dualize"], ["frobnicate", "--input", SPARSE],
                  ["solve", "--input", SPARSE, "--format", "yaml"],

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import galedual
 from galedual.duality import (
     GalePair,
     GaleWitness,
+    PairCheck,
     check_gale_pair,
     dualize_master_to_poly,
     dualize_poly_to_master,
@@ -31,6 +33,7 @@ from galedual.lattice import (
     smith_diagonal,
 )
 from galedual.polytopes import kouchnirenko_bound
+from galedual.serialize import check_to_dict
 from galedual.systems import Arrangement, LinearForm, MasterSystem, SparseSystem
 
 
@@ -229,6 +232,21 @@ def test_check_flags_shape_mismatch():
     check = check_gale_pair(GalePair(pair.poly, pair.master, witness))
     assert not check.shapes_consistent
     assert not check.all_pass
+
+
+def test_check_failures_are_the_false_boolean_fields():
+    check = PairCheck(
+        shapes_consistent=True, support_primitive=False, support_index=0,
+        weights_primitive=True, weight_index=1, annihilates=False,
+        forms_essential=True, relations_vanish=True, spans_match=True,
+    )
+    # an index of 0 is a value, not a failed check
+    assert check.failures() == ("support_primitive", "annihilates")
+    assert not check.all_pass
+    assert replace(check, support_primitive=True, annihilates=True).all_pass
+    # the JSON keys follow the fields, then the two summaries
+    assert list(check_to_dict(check)) == [f.name for f in fields(PairCheck)] + ["all_pass", "failures"]
+    assert check_to_dict(check)["failures"] == ["support_primitive", "annihilates"]
 
 
 def test_saturate_weights():

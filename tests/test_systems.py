@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from galedual.errors import (
     DependentRowsError,
@@ -12,7 +15,7 @@ from galedual.errors import (
     NoRationalScalingError,
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
-from galedual.ratlinalg import mat_det, mat_mul
+from galedual.ratlinalg import mat_det, mat_inverse, mat_mul, row_space_equal
 from galedual.systems import (
     Arrangement,
     LinearForm,
@@ -26,7 +29,6 @@ from galedual.systems import (
     is_essential,
     master_variable_names,
     monomial_string,
-    normalize_support,
     torus_variable_names,
 )
 
@@ -118,82 +120,6 @@ def test_sparse_system_rejects_malformed():
         SparseSystem(support, ((1, 2, 3, 4, 5), (2, 4, 6, 8, 10)), ("x", "y"))
 
 
-# -- normalize_support -----------------------------------------------------------
-
-
-def test_normalize_translates_to_include_origin():
-    rng = random.Random(61)
-    for _ in range(40):
-        shift = (rng.randint(-3, 3), rng.randint(-3, 3))
-        raw = [(1, 0), (0, 1), (1, 1), (2, 2)]
-        vectors = [(a + shift[0], b + shift[1]) for a, b in raw]
-        rows = [
-            [rng.randint(-5, 5) for _ in vectors],
-            [rng.randint(-5, 5) for _ in vectors],
-        ]
-        try:
-            system = normalize_support(vectors, rows)
-        except (ValueError, DependentRowsError):
-            continue
-        # torus solutions are preserved: values match up to a monomial factor
-        for _ in range(5):
-            p = rand_torus_point(rng, 2)
-            raw_vals = [
-                sum(
-                    Fraction(c) * p[0] ** v[0] * p[1] ** v[1]
-                    for c, v in zip(row, vectors)
-                )
-                for row in rows
-            ]
-            for i in range(2):
-                got = laurent_value(system, i, p)
-                if raw_vals[i] == 0:
-                    assert got == 0
-                else:
-                    ratio = got / raw_vals[i]
-                    # the same monomial rescales both equations
-                    assert ratio != 0
-                    other = laurent_value(system, 1 - i, p)
-                    if raw_vals[1 - i] != 0:
-                        assert other / raw_vals[1 - i] == ratio
-
-
-def test_normalize_idempotent():
-    vectors = [(2, 1), (3, 1), (2, 2), (5, 3)]
-    rows = [[1, 2, 3, 4], [4, 3, 2, 1]]
-    once = normalize_support(vectors, rows)
-    full_cols = [[0, 0]] + [list(c) for c in once.support.exponents()]
-    again = normalize_support(full_cols, [list(r) for r in once.coefficients])
-    # zero column already present, so nothing moves
-    assert once.support.exponents() == again.support.exponents()
-    assert once.coefficients == again.coefficients
-
-
-def test_normalize_merges_and_drops():
-    vectors = [(0, 0), (1, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 0)]
-    rows = [[1, 2, 3, 4, 1, 5, -5], [5, 6, 7, 8, 2, 1, -1]]
-    system = normalize_support(vectors, rows)
-    assert system.support.matrix.to_rows() == [[1, 0, 1], [0, 1, 1]]
-    assert system.coefficients == ((1, 5, 4, 1), (5, 13, 8, 2))
-
-
-def test_normalize_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        normalize_support([], [])
-    with pytest.raises(ValueError):
-        normalize_support([(0, 0), (1,)], [[1, 2]])
-    with pytest.raises(ValueError):
-        normalize_support([(0, 0), (1, 0)], [[1, 2, 3]])
-    # two distinct nonzero columns in dimension 2: no weight directions left
-    with pytest.raises(ValueError):
-        normalize_support([(0, 0), (1, 0), (0, 1)], [[1, 1, 1], [1, 2, 3]])
-    # more equations than variables
-    with pytest.raises(ValueError):
-        normalize_support(
-            [(1,), (2,), (3,)], [[1, 1, 1], [1, 2, 3]]
-        )
-
-
 # -- diagonalize -----------------------------------------------------------------
 
 
@@ -207,33 +133,29 @@ def test_diagonalize_worked_system():
     assert diag.rhs[1].coeffs == (1, 1)
 
 
+def diagonal_rows(diag):
+    """The diagonalized coefficient rows: 1 on the row's pivot column, 0 on
+    the other pivots, the negated rhs elsewhere."""
+    k = diag.base.shape.num_forms
+    rows = []
+    for i, pivot in enumerate(diag.pivots):
+        row = [-diag.rhs[i].constant] + [Fraction(0)] * k
+        row[pivot + 1] = Fraction(1)
+        for j, c in zip(diag.nonpivots, diag.rhs[i].coeffs):
+            row[j + 1] = -c
+        rows.append(row)
+    return rows
+
+
 def test_diagonalize_is_row_equivalence():
-    rng = random.Random(62)
+    # the diagonalized rows span the coefficient rows' space, so the two
+    # systems have the same solutions
     system = worked_sparse()
     diag = diagonalize(system)
-    transform = [list(r) for r in diag.transform]
-    assert mat_det(transform) != 0
-    produced = diag.diagonal_coefficients()
-    check = mat_mul(transform, [list(r) for r in system.coefficients])
-    assert produced == tuple(tuple(r) for r in check)
-    # identity on pivot columns, negated rhs elsewhere
-    for i, pivot in enumerate(diag.pivots):
-        for r in range(len(diag.pivots)):
-            assert produced[r][pivot + 1] == (1 if r == i else 0)
-        assert produced[i][0] == -diag.rhs[i].constant
-        for t, j in enumerate(diag.nonpivots):
-            assert produced[i][j + 1] == -diag.rhs[i].coeffs[t]
-    # diagonalized system has the same solutions: rows are an invertible
-    # recombination, so values vanish together at random points
-    for _ in range(10):
-        p = rand_torus_point(rng, 2)
-        base_vals = [laurent_value(system, i, p) for i in range(2)]
-        phi = evaluate_phi(system.support, p)
-        for i, pivot in enumerate(diag.pivots):
-            lhs = phi[pivot]
-            rhs = diag.rhs[i].evaluate([phi[j] for j in diag.nonpivots])
-            combo = sum(Fraction(transform[i][r]) * base_vals[r] for r in range(2))
-            assert (lhs - rhs) == combo
+    assert row_space_equal(diagonal_rows(diag), [list(r) for r in system.coefficients])
+    perturbed = diagonal_rows(diag)
+    perturbed[0][0] += 1
+    assert not row_space_equal(perturbed, [list(r) for r in system.coefficients])
 
 
 def test_diagonalize_pivot_choice_ignores_storage_order():
@@ -255,6 +177,73 @@ def test_diagonalize_pivot_choice_ignores_storage_order():
         shuffled.base.support.exponent(j) for j in shuffled.pivots
     }
     assert base_pivot_vectors == shuffled_pivot_vectors
+
+
+def brute_diagonalize(system):
+    """The reference for diagonalize: the first num_equations-subset of
+    support columns, in exponent-vector order, with an invertible coefficient
+    submatrix, found by one determinant per subset, then solved for by the
+    inverse. Returns (pivots, nonpivots, rhs), or None when no subset is
+    invertible."""
+    shape = system.shape
+    n = shape.num_equations
+    k = shape.num_forms
+    by_vector = sorted(range(k), key=lambda j: system.support.exponent(j))
+    for subset in combinations(by_vector, n):
+        sub = [[system.coefficients[i][j + 1] for j in subset] for i in range(n)]
+        if mat_det(sub) != 0:
+            break
+    else:
+        return None
+    pivots = tuple(sorted(subset))
+    nonpivots = tuple(j for j in range(k) if j not in pivots)
+    sub = [[system.coefficients[i][j + 1] for j in pivots] for i in range(n)]
+    diag = mat_mul(mat_inverse(sub), [list(r) for r in system.coefficients])
+    rhs = tuple(
+        LinearForm(-diag[i][0], [-diag[i][j + 1] for j in nonpivots]) for i in range(n)
+    )
+    return pivots, nonpivots, rhs
+
+
+@st.composite
+def sparse_systems(draw):
+    """Systems in dimensions 1 to 4 with sparse coefficients, where some
+    columns repeat an earlier one up to a factor, so that early subsets of
+    columns are often singular and some systems have no pivot set at all."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, dim))
+    k = draw(st.integers(dim + 1, dim + 3))
+    vector = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    vectors = draw(st.lists(vector, min_size=k, max_size=k, unique=True))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-3, 2)])
+    rows = [[draw(entry) for _ in range(k + 1)] for _ in range(n)]
+    for j in range(2, k + 1):
+        if draw(st.booleans()):
+            source = draw(st.integers(0, j - 1))
+            factor = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+            for row in rows:
+                row[j] = factor * row[source]
+    support = IntMatrix.from_rows([list(v) for v in vectors], cols=dim).transpose()
+    try:
+        return SparseSystem(
+            ExponentMatrix(SystemShape(k - dim, dim - n, n), support),
+            rows,
+            torus_variable_names(dim),
+        )
+    except DependentRowsError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_diagonalize_matches_subset_search(system):
+    expected = brute_diagonalize(system)
+    if expected is None:
+        with pytest.raises(NoPivotError):
+            diagonalize(system)
+        return
+    diag = diagonalize(system)
+    assert (diag.pivots, diag.nonpivots, diag.rhs) == expected
 
 
 def test_diagonalize_no_pivot():
@@ -291,9 +280,8 @@ def test_cleared_polynomials_match_on_torus():
 
 
 def test_cleared_polynomials_plain_when_no_negatives():
-    system = normalize_support(
-        [(0, 0), (1, 0), (0, 1), (1, 1)], [[1, 2, 3, 4], [4, 3, 2, 1]]
-    )
+    support = ExponentMatrix(SystemShape(1, 0, 2), IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]]))
+    system = SparseSystem(support, ((1, 2, 3, 4), (4, 3, 2, 1)), ("x", "y"))
     cleared = cleared_polynomials(system)
     rng = random.Random(64)
     for i, poly in enumerate(cleared):
@@ -308,8 +296,6 @@ def test_cleared_polynomials_plain_when_no_negatives():
 def test_linear_form_basics():
     f = LinearForm(Fraction(-1, 2), (1, -1))
     assert f.evaluate((Fraction(2), Fraction(1))) == Fraction(1, 2)
-    assert f.is_proportional_to(LinearForm(1, (-2, 2)))
-    assert not f.is_proportional_to(LinearForm(0, (1, -1)))
     assert f.render(("s", "t")) == "s - t - 1/2"
 
 
