@@ -25,6 +25,7 @@ from .errors import (
     DependentRowsError,
     DependentWeightsError,
     DimensionCapError,
+    NoPivotError,
     NotEssentialError,
     NotPrimitiveError,
     SchemaError,
@@ -56,6 +57,16 @@ EXIT_SOLVER = 3
 EXIT_MISMATCH = 4
 
 
+def _positive(text):
+    """An argparse type: a positive finite float."""
+    try:
+        if 0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once: parsing does not change it."""
@@ -77,18 +88,13 @@ def build_parser():
         p.add_argument("--output", help="output file (default stdout)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if name in ("solve", "verify"):  # the commands that solve numerically
-            p.add_argument("--tol-cluster", type=float, default=1e-6,
-                           help="largest imaginary part of a point counted as real")
-            p.add_argument("--tol-verify", type=float, default=1e-9,
+            p.add_argument("--tol-verify", type=_positive, default=1e-9,
                            help="largest residual accepted as a solution")
     return parser
 
 
 def _config(args):
-    return SolverConfig(
-        cluster_tol=args.tol_cluster,
-        verify_tol=args.tol_verify,
-    )
+    return SolverConfig(verify_tol=args.tol_verify)
 
 
 def _emit(args, payload):
@@ -227,7 +233,7 @@ def main(argv=None):
         return _fail(f"invalid input: {exc}", EXIT_PARSE)
     except (DependentRowsError, DependentWeightsError) as exc:
         return _fail(str(exc), EXIT_PARSE)
-    except (NotPrimitiveError, NotEssentialError) as exc:
+    except (NoPivotError, NotPrimitiveError, NotEssentialError) as exc:
         return _fail(str(exc), EXIT_DIAGNOSTIC)
     except (CommonComponentError, DegreeCapError, DimensionCapError, SeparationError) as exc:
         return _fail(str(exc), EXIT_SOLVER)

@@ -43,7 +43,8 @@ class DependentWeightsError(GaleDualError):
 
 
 class NoPivotError(GaleDualError):
-    """No invertible coefficient submatrix exists on any candidate pivot set."""
+    """No invertible coefficient submatrix on any pivot set: the equations
+    are inconsistent."""
 
 
 class NotEssentialError(GaleDualError):

@@ -167,36 +167,37 @@ class Poly:
 
     def to_string(self, names):
         """Deterministic human-readable rendering."""
-        if not self.terms:
-            return "0"
         monos = sorted(self.terms, key=lambda m: (-sum(m), tuple(-e for e in m)))
-        parts = []
-        for mono in monos:
-            c = self.terms[mono]
-            factors = []
-            for name, e in zip(names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                text = str(abs(c))
-            elif abs(c) == 1:
-                text = body
-            else:
-                text = f"{abs(c)}*{body}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, text))
-        first_sign, first_text = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_text
-        for sign, text in parts[1:]:
-            out += f" {sign} {text}"
-        return out
+        return term_sum((self.terms[m], monomial_string(m, names)) for m in monos)
 
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]
         return f"Poly({self.to_string(names)})"
+
+
+def monomial_string(exponents, names):
+    """Render an integer exponent vector as a Laurent monomial."""
+    factors = []
+    for name, e in zip(names, exponents):
+        if e == 1:
+            factors.append(name)
+        elif e != 0:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors) if factors else "1"
+
+
+def term_sum(terms):
+    """Render (coefficient, monomial string) pairs as a signed sum, skipping
+    zero coefficients; the monomial "1" shows its coefficient alone, and no
+    terms give "0"."""
+    out = ""
+    for c, mono in terms:
+        if c:
+            mag = abs(c)
+            body = str(mag) if mono == "1" else mono if mag == 1 else f"{mag}*{mono}"
+            sign = "-" if c < 0 else "+"
+            out += f" {sign} {body}" if out else body if c > 0 else f"-{body}"
+    return out or "0"
 
 
 def poly_equal_up_to_scale(a, b):

@@ -2,7 +2,8 @@
 
 Floating point does the work, in numpy. Where its rounding error bound
 leaves a root or a value uncertain, it is evaluated exactly in integers at
-the float's dyadic value instead.
+the float's dyadic value instead. How many roots are real is counted
+exactly, in integers.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+
+from .polynomials import _prem, _primitive, _to_int_primitive, uderiv
 
 
 # Aberth passes at most (they converge cubically once the roots separate),
@@ -26,7 +29,7 @@ def polynomial_roots(coeffs):
 
     numpy's companion-matrix eigenvalues start Aberth-Ehrlich iterations
     (Bini, Numer. Algorithms 13, 1996) on the list itself: eigenvalues are
-    backward stable for the companion matrix only, so where roots cluster
+    backward stable for the companion matrix only, so where roots crowd
     and the coefficients span many orders of magnitude they can be far off.
     A root iterates in floating point (Horner's rule, with its rounding
     bound) until it stops moving. If the bound then leaves it uncertain to
@@ -58,6 +61,30 @@ def polynomial_roots(coeffs):
             stopped = np.abs(step) <= np.maximum(radius, tol)
             state[active[stopped]] = np.where(radius <= tol, 2, 1)[stopped]
     return z
+
+
+def ureal_root_count(coeffs):
+    """The number of distinct real roots of an ascending list of rationals.
+
+    Sturm's theorem (Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry, ch. 2) on the primitive integer form p: the sign changes of
+    the Sturm sequence p, p', -rem, ... at -infinity less those at
+    +infinity. Each remainder is a pseudo-remainder by a divisor with
+    positive leading coefficient, made primitive: a positive multiple of
+    the true one, with the same signs.
+    """
+    p = _to_int_primitive(coeffs)
+    if len(p) < 2:
+        return 0
+    a, b, signs = p, _primitive(uderiv(p)), []
+    while a:
+        # whether a is negative at -infinity and at +infinity; only these
+        # are kept, as the remainders' integers grow large
+        signs.append(((a[-1] < 0) != (len(a) % 2 == 0), a[-1] < 0))
+        r = _prem(a, b if b[-1] > 0 else [-c for c in b]) if b else []
+        a, b = b, _primitive([-c for c in r])
+    low, high = (sum(s != t for s, t in zip(v, v[1:])) for v in zip(*signs))
+    return low - high
 
 
 def rational_values(num, den, z):

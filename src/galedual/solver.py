@@ -36,12 +36,11 @@ from .polynomials import (
 )
 from .systems import cleared_polynomials, clear_denominators, evaluate_phi
 from .ratlinalg import frac_rows
-from .roots import polynomial_roots, rational_values
+from .roots import polynomial_roots, rational_values, ureal_root_count
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    cluster_tol: float = 1e-6
     verify_tol: float = 1e-9
 
 
@@ -104,7 +103,9 @@ def solve_bivariate(f, g, config=None, exclude=()):
     Roots and the lift to y are computed by roots.polynomial_roots and
     roots.rational_values, and each point is then polished by Newton's
     method on the pair (newton.refine); a point whose backward error stays
-    at or above verify_tol is dropped and counted as diverged.
+    at or above verify_tol is dropped and counted as diverged. A factor with
+    r real roots (roots.ureal_root_count) marks its r roots nearest the real
+    axis real, and those lift to real points: S10, S11 and lam are integral.
 
     Raises CommonComponentError when the pair shares a curve, DegreeCapError
     above _DEGREE_CAP, and SeparationError when no shear up to
@@ -149,12 +150,14 @@ def solve_bivariate(f, g, config=None, exclude=()):
     if lam:
         diagnostics.append(f"sheared x -> x - {lam}*y to separate the solutions")
 
-    starts, mults = [], []
+    starts, mults, real = [], [], []
     for factor, mult in factors:
         u = polynomial_roots(factor)
         y = -rational_values(s10, s11, u)
         starts.extend(zip(u - lam * y, y))
         mults.extend([mult] * len(u))
+        nearest = np.argsort(np.abs(u.imag), kind="stable")[:ureal_root_count(factor)]
+        real.extend(np.isin(np.arange(len(u)), nearest))
     points, residuals, converged = refine(
         compile_pair(f, g), np.array(starts, dtype=complex).reshape(-1, 2).T, config
     )
@@ -165,11 +168,10 @@ def solve_bivariate(f, g, config=None, exclude=()):
     solutions = []
     for k in np.flatnonzero(converged):
         point = (complex(points[0, k]), complex(points[1, k]))
-        is_real = max(abs(point[0].imag), abs(point[1].imag)) <= config.cluster_tol
-        if is_real:
+        if real[k]:
             point = (complex(point[0].real, 0.0), complex(point[1].real, 0.0))
         solutions.append(
-            NumericSolution(point, float(residuals[k]), mults[k], is_real, "ambient")
+            NumericSolution(point, float(residuals[k]), mults[k], bool(real[k]), "ambient")
         )
     solutions.sort(key=_sort_key)
     return SolutionSet(tuple(solutions), (), tuple(diagnostics), config)

@@ -20,7 +20,7 @@ from .errors import (
     NoRationalScalingError,
 )
 from .lattice import ExponentMatrix, WeightBasis, solve_integer
-from .polynomials import Poly
+from .polynomials import Poly, monomial_string, term_sum
 from .ratlinalg import frac_rows, mat_rank, rref, solve_mod2
 
 # unused here; bench/spans.py looks these names up on this module to count calls
@@ -37,17 +37,6 @@ def master_variable_names(dim):
     if dim == 2:
         return ("s", "t")
     return tuple(f"y{i + 1}" for i in range(dim))
-
-
-def monomial_string(exponents, names):
-    """Render an integer exponent vector as a Laurent monomial."""
-    factors = []
-    for name, e in zip(names, exponents):
-        if e == 1:
-            factors.append(name)
-        elif e != 0:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors) if factors else "1"
 
 
 @dataclass(frozen=True)
@@ -71,7 +60,7 @@ class LinearForm:
         return Poly.linear(self.constant, self.coeffs)
 
     def render(self, names):
-        return self.as_poly().to_string(names)
+        return term_sum([*zip(self.coeffs, names), (self.constant, "1")])
 
 
 def _proportional(a, b):
@@ -172,31 +161,8 @@ class SparseSystem:
         return tuple(monomial_string(e, self.variables) for e in self.support.exponents())
 
     def equation_strings(self):
-        monos = self.monomial_strings()
-        out = []
-        for row in self.coefficients:
-            parts = [(row[j + 1], monos[j]) for j in range(len(monos)) if row[j + 1] != 0]
-            if row[0] != 0:
-                parts.append((row[0], "1"))
-            if not parts:
-                out.append("0 = 0")
-                continue
-            pieces = []
-            for c, mono in parts:
-                mag = abs(c)
-                if mono == "1":
-                    body = str(mag)
-                elif mag == 1:
-                    body = mono
-                else:
-                    body = f"{mag}*{mono}"
-                pieces.append(("-" if c < 0 else "+", body))
-            sign0, body0 = pieces[0]
-            text = ("-" if sign0 == "-" else "") + body0
-            for sign, body in pieces[1:]:
-                text += f" {sign} {body}"
-            out.append(f"{text} = 0")
-        return tuple(out)
+        monos = self.monomial_strings() + ("1",)
+        return tuple(term_sum(zip(row[1:] + row[:1], monos)) + " = 0" for row in self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -223,15 +189,16 @@ def diagonalize(system):
     lexicographically first invertible set of num_equations columns (Gale,
     1968), so the choice does not depend on the storage order of the
     support; its rows are the diagonalized rows. Raises NoPivotError when
-    the constant column holds a pivot: then no set of support columns has an
-    invertible coefficient submatrix.
+    the constant column holds a pivot: then a combination of the equations
+    reads 1 = 0, and no set of support columns has an invertible
+    coefficient submatrix.
     """
     k = system.shape.num_forms
     # coefficient-row index of each column: monomial j at j + 1, the constant at 0
     columns = [j + 1 for j in sorted(range(k), key=system.support.exponent)] + [0]
     reduced, pivot_cols = rref([[row[c] for c in columns] for row in system.coefficients])
     if columns[pivot_cols[-1]] == 0:
-        raise NoPivotError("no invertible coefficient submatrix on any support subset")
+        raise NoPivotError("the equations are inconsistent: a combination of them reads 1 = 0")
     # each reduced row back in coefficient-row order, keyed by its pivot monomial
     rows = {columns[c] - 1: dict(zip(columns, row)) for row, c in zip(reduced, pivot_cols)}
     pivots = tuple(sorted(rows))

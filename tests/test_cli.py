@@ -183,13 +183,20 @@ def test_solve_text(capsys):
 
 def test_solve_tolerance_flags(capsys):
     code, out, _ = run(
-        capsys, "solve", "--input", SPARSE,
-        "--tol-cluster", "1e-7", "--tol-verify", "1e-10",
+        capsys, "solve", "--input", SPARSE, "--tol-verify", "1e-10",
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 17
     assert all(s["residual"] < 1e-10 for s in payload["solutions"])
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
+def test_tol_verify_must_be_positive_and_finite(capsys, value):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--input", SPARSE, "--tol-verify", value])
+    assert err.value.code == 2
+    assert "--tol-verify: must be a positive finite number" in capsys.readouterr().err
 
 
 # -- verify --------------------------------------------------------------------
@@ -395,3 +402,15 @@ def test_argparse_rejects_malformed_invocations():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["dualize", "verify"])
+def test_inconsistent_equations_are_a_diagnostic(tmp_path, capsys, command):
+    # 1 + x = 0 and 1 = 0
+    path = write_json(tmp_path, "inconsistent.json", {
+        "variables": ["x", "y"],
+        "support": [[1, 0], [0, 1], [1, 1]],
+        "coefficients": [["1", "1", "0", "0"], ["1", "0", "0", "0"]],
+    })
+    message = "error: the equations are inconsistent: a combination of them reads 1 = 0\n"
+    assert run(capsys, command, "--input", path) == (2, "", message)

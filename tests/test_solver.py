@@ -6,6 +6,8 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galedual.duality import (
     GalePair,
@@ -22,8 +24,9 @@ from galedual.errors import (
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from galedual.newton import compile_pair, refine
-from galedual.polynomials import Poly
+from galedual.polynomials import Poly, umul
 from galedual.polytopes import kouchnirenko_bound
+from galedual.roots import ureal_root_count
 from galedual.serialize import load_system
 from galedual.solver import (
     SolverConfig,
@@ -126,6 +129,43 @@ def test_conjugate_pair_detected():
     assert sols.count == 2
     assert sols.real_count == 0
     assert_conjugation_closed(sols.solutions)
+
+
+@pytest.mark.parametrize("k", range(2, 23, 2))
+def test_real_count_is_exact_near_the_real_axis(k):
+    # the conjugate pair 3 +- 10**(-k/2)*i, whose imaginary parts fall below
+    # any fixed threshold from k = 14 on, and two real roots 10**(-k/2) apart
+    x, y = x_y()
+    near = solve_bivariate(10 ** k * (x - 3) ** 2 + 1, 7 * y - x)
+    close = solve_bivariate((2 * 10 ** (k // 2) * (x - 3)) ** 2 - 1, 7 * y - x)
+    assert (near.count, near.real_count) == (2, 0)
+    assert (close.count, close.real_count) == (2, 2)
+    assert all(s.point[0].imag == s.point[1].imag == 0 for s in close.solutions)
+
+
+def real_and_complex_factors():
+    """Distinct rational roots r_i and quadratics a*x**2 + b*x + c with
+    b**2 < 4*a*c, which have no real roots."""
+    roots = st.lists(st.fractions(-8, 8, max_denominator=4), max_size=5, unique=True)
+    quadratic = st.tuples(st.integers(1, 4), st.integers(-9, 9), st.integers(1, 25)).filter(
+        lambda q: q[1] ** 2 < 4 * q[0] * q[2])
+    return st.tuples(roots, st.lists(quadratic, max_size=3))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(real_and_complex_factors())
+def test_real_count_is_the_number_of_real_roots(factors):
+    roots, quadratics = factors
+    coeffs = [1]
+    for r in roots:
+        coeffs = umul(coeffs, [-r, 1])
+    for a, b, c in quadratics:
+        coeffs = umul(coeffs, [c, b, a])
+    assert ureal_root_count(coeffs) == len(roots)
+    x, y = x_y()
+    f = Poly(2, {(i, 0): c for i, c in enumerate(coeffs)})
+    if f.degree() > 0:
+        assert solve_bivariate(f, 7 * y - x).real_count == len(roots)
 
 
 def test_constant_equation_has_no_roots():
@@ -550,7 +590,7 @@ def test_verify_reports_count_mismatch_for_index_two_weights():
 
 
 def test_solver_config_plumbs_through():
-    config = SolverConfig(cluster_tol=1e-7, verify_tol=1e-10)
+    config = SolverConfig(verify_tol=1e-10)
     sols = solve_sparse(worked_sparse(), config)
     assert sols.config is config
     assert sols.count == 17
