@@ -16,7 +16,9 @@ from fractions import Fraction
 
 from .errors import DependentRowsError, InvariantError, NotEssentialError, NotPrimitiveError
 from .lattice import (
+    ExponentMatrix,
     WeightBasis,
+    hnf,
     kernel_basis,
     lll_reduce,
     quotient_images,
@@ -171,8 +173,12 @@ def dualize_poly_to_master(system):
 def dualize_master_to_poly(master):
     """Sparse torus system cut out by the same scheme as a master system.
 
-    The support is the quotient-image matrix of the weights; the coefficient
-    rows are the reduced basis of linear relations among 1 and the forms.
+    The support is the quotient-image matrix of the weights with its rows
+    replaced by the lll_reduce basis of their Hermite normal form. That is a
+    GL(Z) change of the torus coordinates: the pair stays a Gale pair, the
+    support depends only on the weight lattice, and its exponents are short,
+    which keeps the cleared degree the solver sees low. The coefficient rows
+    are the reduced basis of linear relations among 1 and the forms.
     """
     shape = master.shape
     index = saturation_index(master.weights.matrix)
@@ -183,6 +189,7 @@ def dualize_master_to_poly(master):
             "forms plus the constant do not span degree one"
         )
     images = quotient_images(master.weights)
+    images = ExponentMatrix(shape, lll_reduce(hnf(images.matrix)[0]))
 
     ambient = shape.master_dim
     stacked = [[Fraction(1)] + [f.constant for f in master.arrangement.forms]]

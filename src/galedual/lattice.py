@@ -2,13 +2,12 @@
 
 Hermite and Smith normal forms with unimodular witnesses, saturated kernel
 bases, saturation indices, LLL reduction and quotient-image matrices, all in
-Python int or Fraction; nothing here rounds or overflows.
+Python int; nothing here rounds or overflows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DependentRowsError, NotPrimitiveError
@@ -384,9 +383,6 @@ def lattice_equal(a, b):
     return reduced(a) == reduced(b)
 
 
-LLL_DELTA = Fraction(99, 100)
-
-
 def _canonical_rows(rows):
     """Rows with first nonzero entry positive, sorted by (squared norm, lex)."""
     signed = [[-x for x in r] if next((x for x in r if x), 0) < 0 else list(r) for r in rows]
@@ -398,7 +394,7 @@ def lll_reduce(mat):
 
     Rows come out with first nonzero entry positive, sorted by (squared norm,
     lex); in some order they are size-reduced and meet the Lovasz condition
-    with LLL_DELTA. Sorting can undo a reduction, so reduce-then-sort passes
+    with delta 99/100. Sorting can undo a reduction, so reduce-then-sort passes
     repeat until they cycle (a lattice has finitely many reduced bases), and
     the cycle member of least total squared norm is returned: reducing it
     again returns it. Dependent rows raise DependentRowsError.
@@ -414,34 +410,43 @@ def lll_reduce(mat):
 
 
 def _lll(rows):
-    """LLL reduction (Lenstra, Lenstra and Lovasz 1982) in exact Fractions.
+    """LLL reduction (Lenstra, Lenstra and Lovasz 1982) in integers, after
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7.
 
-    star/norm hold the Gram-Schmidt vectors of rows 0..k-1 and their squared
-    norms. Only |mu| > 1/2 is rounded away (round() takes 1/2 to 0), so a
-    reduced basis comes back unchanged.
+    d[j] is the Gram determinant of rows 0..j-1 (d[0] = 1), and
+    lam[k][j] = d[j + 1] * mu_kj is an integer. Row k's lam and d[k + 1] are
+    recomputed from dot products by exact divisions on every visit. Only
+    |mu| > 1/2 is rounded away (ties go to even, as round() does), so a
+    reduced basis comes back unchanged. The Lovasz test with delta 99/100
+    reads 100*d[k+1]*d[k-1] < 99*d[k]**2 - 100*lam[k][k-1]**2.
     """
     b = [list(r) for r in rows]
-    star, norm = [], []
+    lam = [None] * len(b)
+    d = [1]
     k = 0
     while k < len(b):
-        del star[k:], norm[k:]
+        row = lam[k] = []
+        for j in range(k + 1):
+            u = _dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - row[i] * lam[j][i]) // d[i]
+            row.append(u)
+        del d[k + 1:]
+        d.append(row.pop())
         for j in reversed(range(k)):
-            r = round(_dot(b[k], star[j]) / norm[j])
+            q, rem = divmod(2 * row[j] + d[j + 1], 2 * d[j + 1])
+            r = q - 1 if rem == 0 and q % 2 else q
             if r:
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-        v = [Fraction(x) for x in b[k]]
-        for j in range(k):
-            mu = _dot(b[k], star[j]) / norm[j]
-            v = [x - mu * y for x, y in zip(v, star[j])]
-        n2 = _dot(v, v)
-        if n2 == 0:
+                row[j] -= r * d[j + 1]
+                for i in range(j):
+                    row[i] -= r * lam[j][i]
+        if d[k + 1] == 0:
             raise DependentRowsError("rows are dependent over Q")
-        if k and n2 < (LLL_DELTA - mu * mu) * norm[k - 1]:
+        if k and 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * row[k - 1] ** 2:
             b[k - 1], b[k] = b[k], b[k - 1]
             k -= 1
         else:
-            star.append(v)
-            norm.append(n2)
             k += 1
     return b
 
@@ -458,7 +463,9 @@ def quotient_images(basis):
     integer coordinate system on it and returns the ExponentMatrix whose column
     j is the image of e_j. The result satisfies W @ B^T = 0, its columns
     generate Z^torus_dim, and it is unique up to a GL(Z) change of the quotient
-    coordinates. Columns can repeat (or vanish) when e_i - e_j (or e_i) lies in
+    coordinates: its rows are a basis of the saturated kernel lattice of B,
+    taken as the Smith witness gives it (dualize_master_to_poly reduces them
+    with lll_reduce). Columns can repeat (or vanish) when e_i - e_j (or e_i) lies in
     the row span; downstream constructors that need distinct nonzero columns
     check for themselves.
 

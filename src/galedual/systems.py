@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     DependentRowsError,
@@ -55,9 +56,6 @@ class LinearForm:
         for c, x in zip(self.coeffs, point):
             total = total + c * x
         return total
-
-    def as_poly(self):
-        return Poly.linear(self.constant, self.coeffs)
 
     def render(self, names):
         return term_sum([*zip(self.coeffs, names), (self.constant, "1")])
@@ -258,21 +256,40 @@ class ClearedBinomial:
     plus: tuple
     minus: tuple
 
-    def expand_plus(self, arrangement):
-        return _form_power_product(arrangement, self.plus)
-
-    def expand_minus(self, arrangement):
-        return _form_power_product(arrangement, self.minus)
-
     def expand_difference(self, arrangement):
-        return self.expand_plus(arrangement) - self.expand_minus(arrangement)
+        """A positive multiple of product(p_i^plus) - product(p_i^minus).
+
+        Each form p_i is q_i/d_i with q_i integral and d_i > 0; the multiple
+        product(q_i^plus)*product(d_i^minus) - product(q_i^minus)*product(d_i^plus)
+        is expanded in ints.
+        """
+        n = arrangement.ambient_dim
+        monos = [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        plus, minus = {monos[0]: 1}, {monos[0]: 1}
+        plus_scale = minus_scale = 1
+        for form, up, down in zip(arrangement.forms, self.plus, self.minus):
+            values = (form.constant, *form.coeffs)
+            den = lcm(*(v.denominator for v in values))
+            factor = [(m, int(v * den)) for m, v in zip(monos, values) if v]
+            for _ in range(up):
+                plus = _times(plus, factor)
+            for _ in range(down):
+                minus = _times(minus, factor)
+            plus_scale *= den**down
+            minus_scale *= den**up
+        terms = {m: c * plus_scale for m, c in plus.items()}
+        for m, c in minus.items():
+            terms[m] = terms.get(m, 0) - c * minus_scale
+        return Poly(n, terms)
 
 
-def _form_power_product(arrangement, exponents):
-    out = Poly.constant(arrangement.ambient_dim, 1)
-    for form, e in zip(arrangement.forms, exponents):
-        if e:
-            out = out * form.as_poly() ** e
+def _times(terms, factor):
+    """Product of an int term dict and a list of (monomial, int) terms."""
+    out = {}
+    for m1, c1 in terms.items():
+        for m2, c2 in factor:
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
     return out
 
 

@@ -218,6 +218,20 @@ def test_verify_text(capsys):
     assert "bijection: perfect" in out
 
 
+@pytest.mark.parametrize("path, degree", [(MASTER, 6), (SECOND, 9)])
+def test_master_fixtures_dualize_to_a_reduced_torus_side(capsys, path, degree):
+    # quotient_images' own basis gives cleared degree 27 on both fixtures
+    _, out, _ = run(capsys, "dualize", "--input", path)
+    points = [(0, 0)] + [tuple(e) for e in json.loads(out)["sparse"]["support"]]
+    shift = [min(p[v] for p in points) for v in range(2)]
+    assert max(sum(e - s for e, s in zip(p, shift)) for p in points) == degree
+    _, out, _ = run(capsys, "bound", "--input", path)
+    assert json.loads(out)["kouchnirenko"] == 17
+    code, out, _ = run(capsys, "verify", "--input", path, "--format", "text")
+    assert code == 0
+    assert "bijection: perfect" in out
+
+
 def test_verify_deterministic_output(capsys):
     _, first, _ = run(capsys, "verify", "--input", SPARSE)
     _, second, _ = run(capsys, "verify", "--input", SPARSE)

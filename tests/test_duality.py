@@ -29,6 +29,7 @@ from galedual.lattice import (
     WeightBasis,
     kernel_basis,
     lattice_equal,
+    lll_reduce,
     saturation_index,
     smith_diagonal,
 )
@@ -121,14 +122,37 @@ def test_dualize_master_to_poly_keeps_count_data():
     base = dualize_master_to_poly(worked_master())
     assert check_gale_pair(base).all_pass
     assert kouchnirenko_bound(base.poly.support) == 17
-    # round trip: the poly side sees the same weight lattice
+    # round trip: the poly side sees the same weight lattice, with the form
+    # columns in the witness's z order
     again = dualize_poly_to_master(base.poly)
+    weights = worked_master().weights.matrix
     assert lattice_equal(
-        again.master.weights.matrix, worked_master().weights.matrix
+        again.master.weights.matrix,
+        weights.submatrix_columns(again.witness.z_support_columns),
     )
     assert kouchnirenko_bound(
         dualize_master_to_poly(again.master).poly.support
     ) == 17
+
+
+def random_unimodular2(rng):
+    """A 2x2 integer matrix of determinant +-1: shears in turn, maybe a swap."""
+    m = [[1, 0], [0, 1]]
+    for i in range(rng.randint(1, 6)):
+        c = rng.randint(-3, 3)
+        m[i % 2] = [a + c * b for a, b in zip(m[i % 2], m[1 - i % 2])]
+    return IntMatrix.from_rows(m[::-1] if rng.random() < 0.5 else m)
+
+
+@pytest.mark.parametrize("master", [worked_master(), second_master()])
+def test_torus_side_depends_only_on_the_weight_lattice(master):
+    base = dualize_master_to_poly(master).poly
+    assert lll_reduce(base.support.matrix) == base.support.matrix
+    rng = random.Random(12)
+    for _ in range(100):
+        weights = random_unimodular2(rng) @ master.weights.matrix
+        moved = MasterSystem(master.arrangement, WeightBasis(master.shape, weights))
+        assert dualize_master_to_poly(moved).poly == base
 
 
 def test_dualize_second_master():

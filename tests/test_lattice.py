@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from galedual.errors import DependentRowsError, NotPrimitiveError
 from galedual.lattice import (
     IntMatrix,
+    _lll,
     SystemShape,
     WeightBasis,
     hnf,
@@ -339,6 +340,76 @@ def test_lll_reduce_undoes_what_sorting_breaks():
     # the worked example's HNF kernel reduces to the published weights
     kernel = kernel_basis(IntMatrix.from_rows([[3, 1, 4, 4], [2, 2, -1, 1]]))
     assert lll_reduce(kernel).to_rows() == [[1, -3, -2, 2], [3, -1, 1, -3]]
+
+
+def fraction_lll(rows):
+    """The Fraction LLL that _lll replaced, kept as its reference.
+
+    star/norm hold the Gram-Schmidt vectors of rows 0..k-1 and their squared
+    norms; round() takes a tie to the even neighbor.
+    """
+    b = [list(r) for r in rows]
+    star, norm = [], []
+    k = 0
+    while k < len(b):
+        del star[k:], norm[k:]
+        for j in reversed(range(k)):
+            r = round(sum(x * y for x, y in zip(b[k], star[j])) / norm[j])
+            if r:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+        v = [Fraction(x) for x in b[k]]
+        for j in range(k):
+            mu = sum(x * y for x, y in zip(b[k], star[j])) / norm[j]
+            v = [x - mu * y for x, y in zip(v, star[j])]
+        n2 = sum(x * x for x in v)
+        if n2 == 0:
+            raise DependentRowsError("rows are dependent over Q")
+        if k and n2 < (Fraction(99, 100) - mu * mu) * norm[k - 1]:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            k -= 1
+        else:
+            star.append(v)
+            norm.append(n2)
+            k += 1
+    return b
+
+
+def lll_or_dependent(lll, rows):
+    try:
+        return lll(rows)
+    except DependentRowsError:
+        return "dependent"
+
+
+@st.composite
+def lll_inputs(draw):
+    """1 to 4 rows of 1 to 10 columns; sometimes one row is an integer
+    combination of two others, so the rows are dependent."""
+    cols = draw(st.integers(1, 10))
+    bound = draw(st.sampled_from([3, 20, 1000]))
+    entries = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=4))
+    if len(rows) > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(lll_inputs())
+def test_integer_lll_matches_fraction_lll(rows):
+    assert lll_or_dependent(_lll, rows) == lll_or_dependent(fraction_lll, rows)
+
+
+@pytest.mark.parametrize("rows, reduced", [
+    ([[2, 0], [1, 5]], [[2, 0], [1, 5]]),  # mu = 1/2 stays
+    ([[2, 0], [-1, 5]], [[2, 0], [-1, 5]]),  # mu = -1/2 stays
+    ([[2, 0], [3, 5]], [[2, 0], [-1, 5]]),  # mu = 3/2 rounds to 2
+    ([[2, 0], [-3, 5]], [[2, 0], [1, 5]]),  # mu = -3/2 rounds to -2
+    ([[2, 0, 0], [0, 2, 0], [1, 3, 5]], [[2, 0, 0], [0, 2, 0], [1, -1, 5]]),  # 3/2, then 1/2
+])
+def test_integer_lll_rounds_ties_to_even(rows, reduced):
+    assert _lll(rows) == fraction_lll(rows) == reduced
 
 
 def test_quotient_images_properties():

@@ -1,8 +1,9 @@
 """Property tests of the paper's invariants on random systems.
 
-Round trips through the dual keep the relation lattice and the volume bound;
-torus solution counts do not depend on the coordinates of the support and
-never exceed its bound; solution sets of real systems are closed under
+Round trips through the dual keep the relation lattice and the volume bound,
+and the torus side of a master depends only on its weight lattice; torus
+solution counts do not depend on the coordinates of the support and never
+exceed its bound; solution sets of real systems are closed under
 complex conjugation. The solving tests draw a fixed sequence of examples
 (``derandomize``), since their counts rest on floating-point root finding.
 """
@@ -19,11 +20,18 @@ from galedual.errors import (
     NotPrimitiveError,
     SeparationError,
 )
-from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, kernel_basis, lattice_equal
+from galedual.lattice import (
+    ExponentMatrix,
+    IntMatrix,
+    SystemShape,
+    WeightBasis,
+    kernel_basis,
+    lattice_equal,
+)
 from galedual.polytopes import kouchnirenko_bound
 from galedual.ratlinalg import row_space_equal
 from galedual.solver import solve_master, solve_sparse
-from galedual.systems import SparseSystem, torus_variable_names
+from galedual.systems import MasterSystem, SparseSystem, torus_variable_names
 
 
 def sparse_system(vectors, rows):
@@ -86,6 +94,27 @@ def test_round_trip_keeps_lattice_and_bound(drawn):
     assert kouchnirenko_bound(back.poly.support) == kouchnirenko_bound(system.support)
     z_rows = [[row[0]] + [row[c + 1] for c in z_cols] for row in system.coefficients]
     assert row_space_equal([list(r) for r in back.poly.coefficients], z_rows)
+
+
+@st.composite
+def unimodular(draw, n):
+    """An n x n integer matrix of determinant +-1: a few shears and a swap."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for i, j, c in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2, st.integers(-2, 2)),
+                                     max_size=4)):
+            if i != j:
+                m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m[::-1] if draw(st.booleans()) else m
+
+
+@settings(max_examples=40, deadline=None)
+@given(dualizable_systems(), st.data())
+def test_torus_side_depends_only_on_the_weight_lattice(drawn, data):
+    master = drawn[1].master
+    u = IntMatrix.from_rows(data.draw(unimodular(master.shape.num_weights)))
+    moved = MasterSystem(master.arrangement, WeightBasis(master.shape, u @ master.weights.matrix))
+    assert dualize_master_to_poly(moved).poly == dualize_master_to_poly(master).poly
 
 
 @st.composite

@@ -15,6 +15,7 @@ from galedual.errors import (
     NoRationalScalingError,
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
+from galedual.polynomials import Poly
 from galedual.ratlinalg import mat_det, mat_inverse, mat_mul, row_space_equal
 from galedual.systems import (
     Arrangement,
@@ -379,6 +380,51 @@ def test_cleared_binomial_zero_iff_product_one():
 
 
 # -- constant absorption --------------------------------------------------------------
+
+
+def fraction_difference(cleared, arrangement):
+    """product(p_i^plus) - product(p_i^minus) in Fraction Polys, the way
+    expand_difference computed it before it cleared denominators."""
+
+    def product(exponents):
+        out = Poly.constant(arrangement.ambient_dim, 1)
+        for form, e in zip(arrangement.forms, exponents):
+            out = out * Poly.linear(form.constant, form.coeffs) ** e
+        return out
+
+    return product(cleared.plus) - product(cleared.minus)
+
+
+@st.composite
+def rational_masters(draw):
+    """Masters of 2 weights on dim + 2 forms in dim = 2 or 3 variables, with
+    coefficients of denominator up to 6."""
+    dim = draw(st.integers(2, 3))
+    value = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    forms = draw(st.lists(st.tuples(value, st.tuples(*[value] * dim)),
+                          min_size=dim + 2, max_size=dim + 2))
+    weights = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim + 2, max_size=dim + 2),
+                            min_size=2, max_size=2))
+    try:
+        arrangement = Arrangement(dim, [LinearForm(*f) for f in forms], master_variable_names(dim))
+        return MasterSystem(arrangement, WeightBasis(SystemShape(2, dim - 2, 2),
+                                                     IntMatrix.from_rows(weights)))
+    except (ValueError, DependentWeightsError):
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_masters())
+def test_expand_difference_is_a_positive_multiple(master):
+    assume(any(d.denominator > 1 for f in master.arrangement.forms for d in (f.constant, *f.coeffs)))
+    for j in range(master.shape.num_weights):
+        cleared = clear_denominators(master, j)
+        reference = fraction_difference(cleared, master.arrangement)
+        expanded = cleared.expand_difference(master.arrangement)
+        mono = next(iter(reference.terms))
+        ratio = expanded.terms[mono] / reference.terms[mono]
+        assert ratio > 0
+        assert expanded == reference.scale(ratio)
 
 
 def extract_scales(original, scaled):
