@@ -390,9 +390,11 @@ def _canonical_rows(rows):
 
 
 def lll_reduce(mat):
-    """Canonical LLL-reduced basis of the row lattice of independent rows.
+    """LLL-reduced basis of the row lattice of independent rows.
 
-    Rows come out with first nonzero entry positive, sorted by (squared norm,
+    The result depends on the input basis, not only on its lattice; callers
+    that need a function of the lattice pass its Hermite normal form. Rows
+    come out with first nonzero entry positive, sorted by (squared norm,
     lex); in some order they are size-reduced and meet the Lovasz condition
     with delta 99/100. Sorting can undo a reduction, so reduce-then-sort passes
     repeat until they cycle (a lattice has finitely many reduced bases), and
@@ -463,11 +465,11 @@ def quotient_images(basis):
     integer coordinate system on it and returns the ExponentMatrix whose column
     j is the image of e_j. The result satisfies W @ B^T = 0, its columns
     generate Z^torus_dim, and it is unique up to a GL(Z) change of the quotient
-    coordinates: its rows are a basis of the saturated kernel lattice of B,
-    taken as the Smith witness gives it (dualize_master_to_poly reduces them
-    with lll_reduce). Columns can repeat (or vanish) when e_i - e_j (or e_i) lies in
-    the row span; downstream constructors that need distinct nonzero columns
-    check for themselves.
+    coordinates: its rows are the basis of the saturated kernel lattice of B
+    that the Smith witness gives, and dualize_master_to_poly replaces them by
+    the lll_reduce basis of their Hermite normal form. Columns can repeat (or
+    vanish) when e_i - e_j (or e_i) lies in the row span; downstream
+    constructors that need distinct nonzero columns check for themselves.
 
     Raises DependentRowsError or NotPrimitiveError when B is not a primitive
     basis.
