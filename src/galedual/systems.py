@@ -270,7 +270,7 @@ class ClearedBinomial:
         for form, up, down in zip(arrangement.forms, self.plus, self.minus):
             values = (form.constant, *form.coeffs)
             den = lcm(*(v.denominator for v in values))
-            factor = [(m, int(v * den)) for m, v in zip(monos, values) if v]
+            factor = [(m, v.numerator * (den // v.denominator)) for m, v in zip(monos, values) if v]
             for _ in range(up):
                 plus = _times(plus, factor)
             for _ in range(down):

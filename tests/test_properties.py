@@ -97,33 +97,22 @@ def test_round_trip_keeps_lattice_and_bound(drawn):
 
 
 @st.composite
-def unimodular(draw, n):
-    """An n x n integer matrix of determinant +-1: a few shears and a swap."""
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n > 1:
-        for i, j, c in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2, st.integers(-2, 2)),
-                                     max_size=4)):
-            if i != j:
-                m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-    return m[::-1] if draw(st.booleans()) else m
-
-
-@settings(max_examples=40, deadline=None)
-@given(dualizable_systems(), st.data())
-def test_torus_side_depends_only_on_the_weight_lattice(drawn, data):
-    master = drawn[1].master
-    u = IntMatrix.from_rows(data.draw(unimodular(master.shape.num_weights)))
-    moved = MasterSystem(master.arrangement, WeightBasis(master.shape, u @ master.weights.matrix))
-    assert dualize_master_to_poly(moved).poly == dualize_master_to_poly(master).poly
-
-
-@st.composite
 def unimodular2(draw):
     """A 2x2 integer matrix of determinant +-1: a few shears and a swap."""
     m = [[1, 0], [0, 1]]
     for i, c in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(-1, 1)), max_size=3)):
         m[i] = [a + c * b for a, b in zip(m[i], m[1 - i])]
     return m[::-1] if draw(st.booleans()) else m
+
+
+@settings(max_examples=40, deadline=None)
+@given(dualizable_systems(), unimodular2())
+def test_torus_side_depends_only_on_the_weight_lattice(drawn, u):
+    master = drawn[1].master
+    assume(master.shape.num_weights == 2)
+    weights = IntMatrix.from_rows(u) @ master.weights.matrix
+    moved = MasterSystem(master.arrangement, WeightBasis(master.shape, weights))
+    assert dualize_master_to_poly(moved).poly == dualize_master_to_poly(master).poly
 
 
 def solved(system):

@@ -379,9 +379,6 @@ def test_cleared_binomial_zero_iff_product_one():
             assert tuple(a - b for a, b in zip(cleared.plus, cleared.minus)) == master.weights.weight(j)
 
 
-# -- constant absorption --------------------------------------------------------------
-
-
 def fraction_difference(cleared, arrangement):
     """product(p_i^plus) - product(p_i^minus) in Fraction Polys, the way
     expand_difference computed it before it cleared denominators."""
@@ -425,6 +422,9 @@ def test_expand_difference_is_a_positive_multiple(master):
         ratio = expanded.terms[mono] / reference.terms[mono]
         assert ratio > 0
         assert expanded == reference.scale(ratio)
+
+
+# -- constant absorption --------------------------------------------------------------
 
 
 def extract_scales(original, scaled):
