@@ -3,8 +3,8 @@
 Subcommands: dualize, bound, solve, verify. Input is a JSON system file
 (sparse or master, detected by schema); output goes to --output or stdout.
 
-Exit codes: 0 success, 1 parse or validation error, 2 dualization diagnostic
-failure, 3 solver failure, 4 bijection mismatch.
+Exit codes: 0 success, 1 parse or validation error or unwritable output,
+2 dualization diagnostic failure, 3 solver failure, 4 bijection mismatch.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     NoPivotError,
     NotEssentialError,
     NotPrimitiveError,
+    OutputError,
     SchemaError,
     SeparationError,
 )
@@ -98,11 +99,14 @@ def _config(args):
 
 
 def _emit(args, payload):
-    if args.output:
+    if not args.output:
+        sys.stdout.write(payload)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.output}: {exc}") from None
 
 
 def _fail(message, code):
@@ -231,7 +235,7 @@ def main(argv=None):
         return COMMANDS[args.command](args)
     except SchemaError as exc:
         return _fail(f"invalid input: {exc}", EXIT_PARSE)
-    except (DependentRowsError, DependentWeightsError) as exc:
+    except (DependentRowsError, DependentWeightsError, OutputError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     except (NoPivotError, NotPrimitiveError, NotEssentialError) as exc:
         return _fail(str(exc), EXIT_DIAGNOSTIC)

@@ -10,7 +10,6 @@ dualization returns carries the check it passed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
@@ -18,12 +17,10 @@ from .errors import DependentRowsError, InvariantError, NotEssentialError, NotPr
 from .lattice import (
     ExponentMatrix,
     WeightBasis,
-    hnf,
     kernel_basis,
     lll_reduce,
     quotient_images,
     saturation_index,
-    smith_diagonal,
 )
 from .ratlinalg import right_kernel, row_space_equal, rref
 from .systems import (
@@ -37,6 +34,9 @@ from .systems import (
     monomial_string,
     torus_variable_names,
 )
+
+# unused here; bench/spans.py looks this name up on this module to count calls
+from .lattice import smith_diagonal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,9 @@ class PairCheck:
         return tuple(f.name for f in fields(self) if getattr(self, f.name) is False)
 
 
-def _lattice_index(mat, rank):
-    """Product of the Smith divisors of ``mat``; 0 when its rank is below ``rank``."""
-    divisors = smith_diagonal(mat)
-    return math.prod(divisors) if len(divisors) == rank else 0
-
-
 def require_support_primitive(support):
     """Raise unless the support columns generate all of Z^torus_dim."""
-    index = _lattice_index(support.matrix, support.shape.torus_dim)
+    index = saturation_index(support.matrix)
     if index == 0:
         raise DependentRowsError(
             "support columns do not span the variable space over Q"
@@ -173,23 +167,22 @@ def dualize_poly_to_master(system):
 def dualize_master_to_poly(master):
     """Sparse torus system cut out by the same scheme as a master system.
 
-    The support is the quotient-image matrix of the weights with its rows
-    replaced by the lll_reduce basis of their Hermite normal form. That is a
-    GL(Z) change of the torus coordinates: the pair stays a Gale pair, the
-    support depends only on the weight lattice, and its exponents are short,
-    which keeps the cleared degree the solver sees low. The coefficient rows
-    are the reduced basis of linear relations among 1 and the forms.
+    The support is the lll_reduce basis of the quotient-image matrix of the
+    weights, which is the Hermite normal form of their saturated kernel. That
+    is a GL(Z) change of the torus coordinates: the pair stays a Gale pair,
+    the support depends only on the weight lattice, and its exponents are
+    short, which keeps the cleared degree the solver sees low. The
+    coefficient rows are the reduced basis of linear relations among 1 and
+    the forms. Non-primitive weights are reported before a non-essential
+    arrangement.
     """
     shape = master.shape
-    index = saturation_index(master.weights.matrix)
-    if index != 1:
-        raise NotPrimitiveError(index, what="weight lattice")
+    images = quotient_images(master.weights)
     if not is_essential(master.arrangement):
         raise NotEssentialError(
             "forms plus the constant do not span degree one"
         )
-    images = quotient_images(master.weights)
-    images = ExponentMatrix(shape, lll_reduce(hnf(images.matrix)[0]))
+    images = ExponentMatrix(shape, lll_reduce(images.matrix))
 
     ambient = shape.master_dim
     stacked = [[Fraction(1)] + [f.constant for f in master.arrangement.forms]]
@@ -244,8 +237,8 @@ def check_gale_pair(pair):
         and len(witness.z_monomials) == k
     )
 
-    support_index = _lattice_index(poly.support.matrix, shape.torus_dim)
-    weight_index = _lattice_index(master.weights.matrix, shape.num_weights)
+    support_index = saturation_index(poly.support.matrix)
+    weight_index = saturation_index(master.weights.matrix)
 
     annihilates = False
     if shapes_consistent:

@@ -23,6 +23,10 @@ class SchemaError(GaleDualError):
         super().__init__(f"{field}: {message}" if field else message)
 
 
+class OutputError(GaleDualError):
+    """The output file cannot be written."""
+
+
 class NotPrimitiveError(GaleDualError):
     """A lattice that must be primitive (saturation index 1) is not.
 

@@ -7,6 +7,7 @@ Python int; nothing here rounds or overflows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -322,17 +323,26 @@ def snf(mat):
 def smith_diagonal(mat):
     """Nonzero Smith normal form divisors of ``mat``, in chain order."""
     s, _, _ = snf(mat)
-    out = []
-    for t in range(min(s.rows, s.cols)):
-        d = s.at(t, t)
-        if d != 0:
-            out.append(d)
-    return out
+    return [d for d in (s.at(t, t) for t in range(min(s.rows, s.cols))) if d]
 
 
 def integer_rank(mat):
     """Rank over Q (equivalently over Z up to torsion)."""
     return len(smith_diagonal(mat))
+
+
+def _smith_kernel(mat):
+    """Nonzero Smith divisors of ``mat`` and the Hermite normal form of its
+    saturated kernel, both from one snf."""
+    s, _, v = snf(mat)
+    divisors = [d for d in (s.at(t, t) for t in range(min(s.rows, s.cols))) if d]
+    rows = [v.column(j) for j in range(len(divisors), mat.cols)]
+    return divisors, hnf(IntMatrix.from_rows(rows, cols=mat.cols))[0]
+
+
+def _index(divisors, rows):
+    """Product of the Smith divisors; 0 when there are fewer than ``rows``."""
+    return math.prod(divisors) if len(divisors) == rows else 0
 
 
 def kernel_basis(mat):
@@ -344,30 +354,18 @@ def kernel_basis(mat):
     Hermite normal form, so the result is canonical for the kernel lattice.
     Row count is cols - rank(mat).
     """
-    s, _, v = snf(mat)
-    nonzero = sum(1 for t in range(min(s.rows, s.cols)) if s.at(t, t) != 0)
-    cols = mat.cols
-    rows = [v.column(j) for j in range(nonzero, cols)]
-    h, _ = hnf(IntMatrix.from_rows(rows, cols=cols))
-    return h
+    return _smith_kernel(mat)[1]
 
 
 def saturation_index(mat):
-    """Index of the row lattice inside its saturation.
+    """Index of the row lattice inside its saturation; 0 when the rows are
+    dependent over Q.
 
-    The saturation is (row span over Q) intersected with Z^cols. Requires the
-    rows to be linearly independent over Q; raises DependentRowsError
-    otherwise. Index 1 means the rows generate a primitive lattice.
+    The saturation is (row span over Q) intersected with Z^cols, and the index
+    is the product of the Smith divisors. Index 1 means the rows generate a
+    primitive lattice.
     """
-    divisors = smith_diagonal(mat)
-    if len(divisors) < mat.rows:
-        raise DependentRowsError(
-            f"rows are dependent over Q: rank {len(divisors)} < {mat.rows} rows"
-        )
-    index = 1
-    for d in divisors:
-        index *= d
-    return index
+    return _index(smith_diagonal(mat), mat.rows)
 
 
 def lattice_equal(a, b):
@@ -463,30 +461,23 @@ def quotient_images(basis):
     For a primitive weight basis B (rows independent, saturation index 1) the
     quotient Z^num_forms / rowspan(B) is free of rank torus_dim; this picks an
     integer coordinate system on it and returns the ExponentMatrix whose column
-    j is the image of e_j. The result satisfies W @ B^T = 0, its columns
-    generate Z^torus_dim, and it is unique up to a GL(Z) change of the quotient
-    coordinates: its rows are the basis of the saturated kernel lattice of B
-    that the Smith witness gives, and dualize_master_to_poly replaces them by
-    the lll_reduce basis of their Hermite normal form. Columns can repeat (or
-    vanish) when e_i - e_j (or e_i) lies in the row span; downstream
-    constructors that need distinct nonzero columns check for themselves.
+    j is the image of e_j. The result satisfies W @ B^T = 0 and its columns
+    generate Z^torus_dim. Its rows are the Hermite normal form of the saturated
+    kernel lattice of B, so W equals kernel_basis(B.matrix) and depends only on
+    the weight lattice. Columns can repeat (or vanish) when e_i - e_j (or e_i)
+    lies in the row span; downstream constructors that need distinct nonzero
+    columns check for themselves.
 
     Raises DependentRowsError or NotPrimitiveError when B is not a primitive
     basis.
     """
-    shape = basis.shape
-    s, _, v = snf(basis.matrix)
-    divisors = [s.at(t, t) for t in range(min(s.rows, s.cols)) if s.at(t, t) != 0]
-    if len(divisors) < shape.num_weights:
+    divisors, kernel = _smith_kernel(basis.matrix)
+    index = _index(divisors, basis.shape.num_weights)
+    if index == 0:
         raise DependentRowsError("weight rows are dependent over Q")
-    index = 1
-    for d in divisors:
-        index *= d
     if index != 1:
         raise NotPrimitiveError(index, what="weight lattice")
-    k = shape.num_forms
-    rows = [v.column(j) for j in range(shape.num_weights, k)]
-    return ExponentMatrix(shape, IntMatrix.from_rows(rows, cols=k))
+    return ExponentMatrix(basis.shape, kernel)
 
 
 def solve_integer(mat, rhs):

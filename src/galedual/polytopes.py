@@ -33,10 +33,9 @@ class LatticePolytope:
     """Full-dimensional hull of finitely many integer points.
 
     ``points`` are the deduplicated input points (sorted), ``vertices`` the
-    hull vertices: counterclockwise from the lexicographic minimum in two
-    dimensions, sorted lexicographically otherwise. ``facets`` are the
-    facet hyperplanes as sorted (primitive outward normal, offset) pairs:
-    every point p has normal . p <= offset, with equality on the facet.
+    hull vertices (sorted), and ``facets`` the facet hyperplanes as sorted
+    (primitive outward normal, offset) pairs: every point p has
+    normal . p <= offset, with equality on the facet.
     """
 
     ambient_dim: int
@@ -61,37 +60,16 @@ def convex_hull(points):
     if dim < 1 or dim > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension {dim} outside supported range 1..{MAX_AMBIENT_DIM}")
     facets = _facets(pts)
-    if dim == 2:
-        verts = _hull_2d(pts)
-    else:  # a vertex is the only point on every facet through it
-        verts = [
-            p for i, p in enumerate(pts)
-            if reduce(and_, (m for m in facets.values() if m >> i & 1), -1) == 1 << i
-        ]
+    # a vertex is the only point on every facet through it
+    verts = [
+        p for i, p in enumerate(pts)
+        if reduce(and_, (m for m in facets.values() if m >> i & 1), -1) == 1 << i
+    ]
     return LatticePolytope(dim, tuple(pts), tuple(verts), tuple(sorted(facets)))
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull_2d(pts):
-    """Monotone chain on presorted distinct points; CCW from the lex minimum."""
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def _normal(subset):

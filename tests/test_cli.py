@@ -220,7 +220,7 @@ def test_verify_text(capsys):
 
 @pytest.mark.parametrize("path, degree", [(MASTER, 6), (SECOND, 9)])
 def test_master_fixtures_dualize_to_a_reduced_torus_side(capsys, path, degree):
-    # quotient_images' own basis gives cleared degree 27 on both fixtures
+    # quotient_images' Hermite normal form basis gives cleared degree 24 and 20
     _, out, _ = run(capsys, "dualize", "--input", path)
     points = [(0, 0)] + [tuple(e) for e in json.loads(out)["sparse"]["support"]]
     shift = [min(p[v] for p in points) for v in range(2)]
@@ -352,6 +352,36 @@ def test_nonessential_arrangement_is_diagnostic(capsys, tmp_path):
     code, _, err = run(capsys, "dualize", "--input", path)
     assert code == 2
     assert "span" in err or "essential" in err
+
+
+def test_nonprimitive_is_reported_before_nonessential(capsys, tmp_path):
+    path = write_json(
+        tmp_path,
+        "parallel_doubled.json",
+        {
+            "variables": ["s", "t"],
+            "forms": [
+                {"constant": "0", "coeffs": ["1", "0"]},
+                {"constant": "-1", "coeffs": ["1", "0"]},
+                {"constant": "1", "coeffs": ["1", "0"]},
+            ],
+            "weights": [[2, -2, 0]],
+        },
+    )
+    code, out, err = run(capsys, "dualize", "--input", path)
+    assert code == 2
+    assert out == ""
+    assert "input is not primitive (saturation index 2)" in err
+
+
+@pytest.mark.parametrize("command", ["dualize", "bound", "solve", "verify"])
+def test_unwritable_output_is_a_parse_error(capsys, tmp_path, command):
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        code, out, err = run(capsys, command, "--input", SPARSE, "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
 
 
 def test_common_component_is_solver_error(capsys, tmp_path):

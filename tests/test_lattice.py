@@ -249,8 +249,7 @@ def test_saturation_index_known():
     assert saturation_index(IntMatrix.from_rows([[2, 0], [0, 2]])) == 4
     assert saturation_index(IntMatrix.from_rows([[2, 4]])) == 2
     assert saturation_index(IntMatrix.from_rows([[-1, 3, 2, -2], [3, -1, 1, -3]])) == 1
-    with pytest.raises(DependentRowsError):
-        saturation_index(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    assert saturation_index(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
 
 
 def test_saturation_index_against_coordinate_determinant():
@@ -429,6 +428,19 @@ def test_quotient_images_properties():
         assert saturation_index(w) == 1
         # double duality: the kernel of the images is exactly the weight lattice
         assert lattice_equal(kernel_basis(w), b)
+
+
+def test_quotient_images_is_the_hnf_kernel():
+    rng = random.Random(23)
+    done = 0
+    while done < 60:
+        rows, cols = rng.randint(1, 3), rng.randint(4, 6)
+        b = rand_matrix(rng, rows, cols, lo=-4, hi=4)
+        if saturation_index(b) != 1:
+            continue
+        done += 1
+        shape = SystemShape(rows, 0, cols - rows)
+        assert quotient_images(WeightBasis(shape, b)).matrix == kernel_basis(b)
 
 
 def test_quotient_images_worked_example():
