@@ -3,7 +3,8 @@
 Just enough arithmetic for this package: ring operations, exact evaluation,
 derivatives, and the univariate helpers (gcd, squarefree decomposition,
 interpolation, integer subresultant chains) behind the bivariate resultant
-and first subresultant the solver eliminates with.
+and first subresultant the solver eliminates with, and behind the
+restrictions to lines that it excludes zeros with.
 General polynomial algebra (factoring, multivariate division) is out of scope.
 """
 
@@ -288,10 +289,11 @@ def _prem(a, b):
 
 
 def ugcd(a, b):
-    """Monic gcd over Q via a primitive pseudo-remainder sequence.
+    """Monic gcd over Q, normalized so gcds are canonical.
 
-    Taking primitive parts between steps keeps integer coefficient growth
-    manageable; the result is normalized monic so gcds are canonical.
+    The work is _gcd_int's, on the primitive integer parts of a and b: a
+    coprimality test modulo a prime, then a primitive pseudo-remainder
+    sequence if that test does not settle it.
     """
     g = _gcd_int(_to_int_primitive(a), _to_int_primitive(b))
     return _monic(g) if g else []
@@ -306,14 +308,47 @@ def _monic(coeffs):
     return [Fraction(c, coeffs[-1]) for c in coeffs]
 
 
+# primes for _gcd_int's coprimality test, tried in order: the four largest
+# below 2**30, so that residues are one-digit Python ints
+_PRIMES = (2 ** 30 - 35, 2 ** 30 - 41, 2 ** 30 - 83, 2 ** 30 - 101)
+
+
 def _gcd_int(f, g):
-    """A primitive gcd of two trimmed integer lists (its sign is arbitrary)."""
+    """The primitive gcd of two trimmed integer lists with a positive
+    leading coefficient ([] when both are zero).
+
+    [1] when f and g are coprime modulo the first prime of _PRIMES that
+    divides neither leading coefficient: their gcd's leading coefficient
+    divides both, so its image keeps its degree and divides both images,
+    and gcd 1 mod p proves coprimality (Brown, JACM 18, 1971). Otherwise a
+    primitive pseudo-remainder sequence.
+    """
+    if f and g:
+        p = next((p for p in _PRIMES if f[-1] % p and g[-1] % p), 0)
+        if p and _coprime_mod(f, g, p):
+            return [1]
     f, g = _primitive(f), _primitive(g)
     if len(f) < len(g):
         f, g = g, f
     while g:
         f, g = g, _primitive(_prem(f, g))
-    return f
+    return f if not f or f[-1] > 0 else [-c for c in f]
+
+
+def _coprime_mod(f, g, p):
+    """Whether f and g, whose leading coefficients p does not divide, are
+    coprime modulo the prime p: Euclid's algorithm over GF(p)."""
+    a, b = [c % p for c in f], [c % p for c in g]
+    while len(b) > 1:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:
+            q = a.pop() * inv % p
+            shift = len(a) - db
+            a[shift:] = [(u - q * v) % p for u, v in zip(a[shift:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 def udivexact(a, b):
@@ -339,31 +374,42 @@ def usquarefree(coeffs):
 
     Returns [(factor, multiplicity), ...] with monic squarefree Fraction
     factors of positive degree, multiplicities ascending, and
-    product(factor^multiplicity) equal to the input up to a constant.
-
-    The work is in Python ints: Yun's steps run on the primitive integer part
-    of the input, with primitive gcds and exact quotients. Scaling a gcd by a
-    constant scales the next b and c alike, so d = c - b' and every factor
-    are the rational algorithm's up to a constant, and _monic makes them
-    equal.
+    product(factor^multiplicity) equal to the input up to a constant. The
+    work is usquarefree_int's, on the primitive integer part of the input.
     """
-    f = _to_int_primitive(coeffs)
-    if len(f) < 2:
-        return []
-    fp = uderiv(f)
-    a = _gcd_int(f, fp)
-    b = udivexact(f, a)
-    d = _usub(udivexact(fp, a), uderiv(b))
-    out = []
-    mult = 1
-    while len(b) > 1:
-        g = _gcd_int(b, d)
-        if len(g) > 1:
-            out.append((_monic(g), mult))
-        b = udivexact(b, g)
-        d = _usub(udivexact(d, g), uderiv(b))
-        mult += 1
-    return out
+    return [(_monic(g), m) for g, m in usquarefree_int(_to_int_primitive(coeffs))]
+
+
+def usquarefree_int(coeffs):
+    """usquarefree for a trimmed integer list, with each factor the
+    primitive integer list with a positive leading coefficient.
+
+    A factor x**k is split off first, and x joins the factor of
+    multiplicity k or becomes one. Yun's steps run on the rest, with
+    primitive gcds and exact quotients. Scaling a gcd by a constant scales
+    the next b and c alike, so d = c - b' and every factor are the rational
+    algorithm's up to a constant.
+    """
+    f = _primitive(coeffs)
+    k = next((i for i, c in enumerate(f) if c), 0)
+    f = f[k:]
+    parts = {}  # multiplicity -> factor
+    if len(f) > 1:
+        fp = uderiv(f)
+        a = _gcd_int(f, fp)
+        b = udivexact(f, a)
+        d = _usub(udivexact(fp, a), uderiv(b))
+        mult = 1
+        while len(b) > 1:
+            g = _gcd_int(b, d)
+            if len(g) > 1:
+                parts[mult] = g
+            b = udivexact(b, g)
+            d = _usub(udivexact(d, g), uderiv(b))
+            mult += 1
+    if k:
+        parts[k] = [0] + parts.get(k, [1])
+    return [(parts[m], m) for m in sorted(parts)]
 
 
 def _usub(a, b):
@@ -462,6 +508,27 @@ def usubresultants_int(a, b):
         below = [c // divisor for c in _prem(top, [-c for c in below])]
         top, d, s = bottom, e, bottom[-1]
     return 0, s1
+
+
+def line_restriction(p, line):
+    """p on the line c + a*x + b*y = 0, as a primitive integer list.
+
+    For b != 0 it is b**d * p(x, -(c + a*x)/b), a list in x with d the
+    degree of p in y: Res_y(p, line) up to a nonzero rational factor. For
+    b = 0 it is a**d * p(-c/a, y), a list in y with d the degree of p in x:
+    Res_x(p, line) up to such a factor. The line's denominators are cleared
+    first, and Horner's rule runs over the rows of p in the substituted
+    variable. The empty list means the line is a component of p.
+    """
+    var = 1 if line[2] else 0
+    den = lcm(*(v.denominator for v in line))
+    c, k, m = (line[i].numerator * (den // line[i].denominator) for i in (0, 2 - var, 1 + var))
+    _, rows = _primitive_rows(p, var)
+    out, scale = rows[-1], 1
+    for row in reversed(rows[:-1]):
+        scale *= m
+        out = _usub([scale * r for r in row], umul(out, [c, k]))
+    return _primitive(out)
 
 
 def bivariate_resultant(f, g, eliminate):

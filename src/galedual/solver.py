@@ -25,15 +25,17 @@ from .errors import (
 from .newton import compile_pair, refine
 from .polynomials import (
     Poly,
-    bivariate_resultant,
+    _gcd_int,
+    _to_int_primitive,
     bivariate_subresultants,
-    udeg,
+    line_restriction,
     udivexact,
     ueval,
-    ugcd,
     umul,
-    usquarefree,
+    usquarefree_int,
 )
+# unused here; bench/spans.py looks these names up on this module to count calls
+from .polynomials import bivariate_resultant, ugcd, usquarefree  # noqa: F401
 from .systems import cleared_polynomials, clear_denominators, evaluate_phi
 from .ratlinalg import frac_rows
 from .roots import polynomial_roots, rational_values, ureal_root_count
@@ -128,8 +130,9 @@ def solve_bivariate(f, g, config=None, exclude=()):
     if f.degree() == 0 or g.degree() == 0:
         return SolutionSet((), (), ("one equation is a nonzero constant",), config)
     if f.degree(1) == 0 and g.degree(1) == 0:
-        # two polynomials in x alone: a common root would be a vertical line
-        if not bivariate_resultant(f, g, 0):
+        # two polynomials in x alone, read on the line y = 0: a common root
+        # would be a vertical line
+        if len(_gcd_int(*(line_restriction(p, (0, 0, 1)) for p in (f, g)))) > 1:
             raise CommonComponentError("both equations vanish on a common vertical line")
         return SolutionSet((), (), (), config)
 
@@ -195,61 +198,63 @@ def _separated_factors(res, s11, pair, lines):
     under common zeros on the lines; None unless each factor left is coprime
     to s11 and each root taken out is certified.
 
-    The common zeros on a line c + a*x + b*y = 0 lie over the roots of
-    gcd(Res_y(f, line), Res_y(g, line)), or over x = -c/a for a vertical
-    line. Taking out a root is safe when its fiber holds excluded zeros
+    The common zeros on a line c + a*x + b*y = 0 lie over the roots of the
+    gcd of the pair's restrictions to it (line_restriction), or over
+    x = -c/a for a vertical line; a line where that gcd is constant is
+    skipped. Taking out a root is safe when its fiber holds excluded zeros
     only: so when the fiber is separated there (one common zero), and
-    _only_excluded checks the other roots.
+    _only_excluded checks the other roots. The work is in primitive integer
+    lists, and the factors have positive leading coefficients.
     """
-    forms = [Poly.linear(c, (a, b)) for c, a, b in lines]
-    excluded = [
-        [c, a] if b == 0 else ugcd(*(bivariate_resultant(p, form, 1) for p in pair))
-        for (c, a, b), form in zip(lines, forms)
-    ]
+    excluded = []
+    for line in lines:
+        h = _gcd_int(*(line_restriction(p, line) for p in pair)) if line[2] else _to_int_primitive(line[:2])
+        if len(h) > 1:
+            excluded.append(h)
     out = []
-    for factor, mult in usquarefree(res):
+    for factor, mult in usquarefree_int(res):
         for h in excluded:
-            common = ugcd(factor, h)
-            if udeg(common) > 0:
-                unseparated = ugcd(common, s11)
-                if udeg(unseparated) > 0 and not _only_excluded(unseparated, pair, forms):
+            common = _gcd_int(factor, h)
+            if len(common) > 1:
+                unseparated = _gcd_int(common, s11)
+                if len(unseparated) > 1 and not _only_excluded(unseparated, pair, lines):
                     return None
                 factor = udivexact(factor, common)
-        if udeg(factor) > 0:
-            if udeg(ugcd(factor, s11)) > 0:
+        if len(factor) > 1:
+            if len(_gcd_int(factor, s11)) > 1:
                 return None
             out.append((factor, mult))
     return out
 
 
-def _only_excluded(roots, pair, forms):
-    """Whether each fiber x = x0 over a root of the squarefree ``roots``
-    holds zeros of the forms only.
+def _only_excluded(roots, pair, lines):
+    """Whether each fiber x = x0 over a root of the squarefree integer list
+    ``roots`` holds zeros of the lines only.
 
-    Decided exactly at the rational x0 where two forms' lines cross: there
-    every common root in y of the pair must be a root of some form on the
-    fiber (a vertical form through x0 takes the whole fiber). Any other
+    Decided exactly at the rational x0 where two lines cross: there every
+    common root in y of the pair must be a root of some line's form on the
+    fiber (a vertical line through x0 takes the whole fiber). Any other
     root is not certified.
     """
     certified = set()
-    for i, form in enumerate(forms):
-        for other in forms[i + 1:]:
-            cross = bivariate_resultant(form, other, 1)
-            if udeg(cross) != 1:
+    for i, (c1, a1, b1) in enumerate(lines):
+        for c2, a2, b2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if not det:
                 continue
-            x0 = -cross[0] / cross[1]
+            x0 = Fraction(b1 * c2 - b2 * c1) / det
             if x0 in certified or ueval(roots, x0):
                 continue
-            fiber = Poly.linear(-x0, (1, 0))
-            on_forms = [1]
-            for f in forms:
-                on_forms = umul(on_forms, bivariate_resultant(f, fiber, 0))
-            if on_forms:  # otherwise a vertical form is the fiber
-                common = ugcd(*(bivariate_resultant(p, fiber, 0) for p in pair))
-                if any(udeg(ugcd(h, on_forms)) < udeg(h) for h, _ in usquarefree(common)):
+            on_lines = [1]
+            for c, a, b in lines:
+                on_lines = umul(on_lines, [c + a * x0, b])
+            if on_lines:  # otherwise a vertical line is the fiber
+                on_lines = _to_int_primitive(on_lines)
+                common = _gcd_int(*(line_restriction(p, (-x0, 1, 0)) for p in pair))
+                if any(len(_gcd_int(h, on_lines)) < len(h) for h, _ in usquarefree_int(common)):
                     return False
             certified.add(x0)
-    return len(certified) == udeg(roots)
+    return len(certified) == len(roots) - 1
 
 
 def solve_sparse(system, config=None):

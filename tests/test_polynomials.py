@@ -1,5 +1,6 @@
 """Sparse multivariate and dense univariate polynomial arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,12 +8,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from galedual import polynomials
 from galedual.polynomials import (
     Poly,
+    _PRIMES,
+    _gcd_int,
     _prem,
+    _primitive,
     _primitive_rows,
     bivariate_resultant,
     bivariate_subresultants,
+    line_restriction,
     poly_equal_up_to_scale,
     udeg,
     uderiv,
@@ -21,6 +27,7 @@ from galedual.polynomials import (
     uinterpolate,
     umul,
     usquarefree,
+    usquarefree_int,
     usubresultants_int,
     utrim,
 )
@@ -650,6 +657,13 @@ def fraction_yun(coeffs):
 @example([([-1, 1], 2), ([2, 1], 1)], Fraction(1))  # (x-1)^2 (x+2), ints
 @example([([1, 0, 1], 3)], Fraction(-5, 3))  # a cube, Fraction coefficients
 @example([([3], 2)], Fraction(7))  # a constant
+# x**k, split off before Yun's steps: k below, equal to and above the other
+# multiplicities, between two of them, and alone
+@example([([0, 1], 1), ([-1, 1], 2), ([2, 1], 3)], Fraction(1))
+@example([([0, 1], 2), ([-1, 1], 2), ([2, 0, 1], 1)], Fraction(-3))
+@example([([0, 1], 3), ([1, 1], 1)], Fraction(2, 7))
+@example([([0, 1], 2), ([1, 1], 1), ([3, 1], 3)], Fraction(1))
+@example([([0, 1], 3)], Fraction(5))
 def test_usquarefree_matches_fraction_reference(factors, scale):
     target = [scale]
     for factor, mult in factors:
@@ -660,3 +674,114 @@ def test_usquarefree_matches_fraction_reference(factors, scale):
     parts = usquarefree(target)
     assert parts == fraction_yun(target)
     assert all(type(c) is Fraction for factor, _ in parts for c in factor)
+    # the integer form: the same factors, primitive with positive leading coefficients
+    numerators = [c.numerator * (scale.denominator // c.denominator) for c in map(Fraction, target)]
+    int_parts = usquarefree_int(numerators)
+    assert [m for _, m in int_parts] == [m for _, m in parts]
+    for (g, _), (monic, _) in zip(int_parts, parts):
+        assert all(type(c) is int for c in g) and g[-1] > 0 and _primitive(g) == g
+        assert [Fraction(c, g[-1]) for c in g] == monic
+
+
+# -- integer gcd: coprimality modulo a prime ---------------------------------------
+
+
+def prs_gcd(f, g):
+    """The primitive gcd with a positive leading coefficient by the primitive
+    pseudo-remainder sequence alone, the reference for _gcd_int."""
+    f, g = _primitive(utrim(f)), _primitive(utrim(g))
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _primitive(_prem(f, g))
+    return f if not f or f[-1] > 0 else [-c for c in f]
+
+
+@settings(deadline=None, max_examples=150)
+@given(int_upoly(max_deg=6), int_upoly(max_deg=6))
+def test_gcd_int_matches_prs_reference(f, g):
+    assert _gcd_int(f, g) == prs_gcd(f, g)
+
+
+@settings(deadline=None, max_examples=150)
+@given(int_upoly(max_deg=3, lo=-30, hi=30).filter(lambda c: len(c) > 1),
+       int_upoly(max_deg=4), int_upoly(max_deg=4))
+def test_planted_common_factor_is_never_coprime(common, u, v):
+    f, g = umul(common, u), umul(common, v)
+    d = _gcd_int(f, g)
+    assert len(d) > 1
+    assert d == prs_gcd(f, g)
+    # the planted factor divides the gcd
+    assert not utrim(udivmod(d, common)[1])
+
+
+def test_leading_coefficients_divisible_by_a_prime_skip_it(monkeypatch):
+    used = []
+    coprime_mod = polynomials._coprime_mod
+
+    def spy(f, g, p):
+        used.append(p)
+        return coprime_mod(f, g, p)
+
+    monkeypatch.setattr(polynomials, "_coprime_mod", spy)
+    first, second = _PRIMES[:2]
+    f, g = [1, 2, 3 * first], [5, -1, 7]  # coprime; p0 divides lc(f)
+    assert _gcd_int(f, g) == [1]
+    assert used == [second]
+    # a common factor x + 1: the third prime finds it, and the primitive
+    # pseudo-remainder sequence returns it
+    f, g = umul([1, 1], [2, first * second]), umul([1, 1], [-3, 1])
+    used.clear()
+    assert _gcd_int(f, g) == [1, 1]
+    assert used == [_PRIMES[2]]
+    # with lc(f) a multiple of every prime, the sequence alone decides
+    f = umul([1, 1], [2, math.prod(_PRIMES)])
+    for g in ([5, -1, 7], umul([1, 1], [-3, 1])):
+        used.clear()
+        assert _gcd_int(f, g) == prs_gcd(f, g)
+        assert used == []
+
+
+def test_unlucky_prime_falls_back_to_prs():
+    # x + 1 and x + 1 + p are coprime over Q but equal modulo p
+    p = _PRIMES[0]
+    assert not polynomials._coprime_mod([1, 1], [1 + p, 1], p)
+    assert _gcd_int([1, 1], [1 + p, 1]) == [1]
+
+
+# -- restriction to a line ----------------------------------------------------------
+
+
+def proportional(u, v):
+    """Whether u = r * v for one nonzero rational r; the empty list matches itself."""
+    if not u or not v:
+        return not u and not v
+    ratio = Fraction(u[-1]) / v[-1]
+    return len(u) == len(v) and all(Fraction(a) == ratio * b for a, b in zip(u, v))
+
+
+lines = st.tuples(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+).filter(lambda line: line[1] or line[2])
+
+
+@settings(deadline=None, max_examples=120)
+@given(bivariate_polys(), lines, st.booleans())
+@example(Poly(2, {(2, 0): 1, (0, 0): -3}), (Fraction(1, 2), Fraction(-2, 3), Fraction(5)), False)  # no y
+@example(Poly(2, {(1, 1): 2, (0, 2): 1}), (Fraction(1), Fraction(3), Fraction(-1)), False)  # sheared
+@example(Poly(2, {(1, 1): 2, (0, 2): 1}), (Fraction(1), Fraction(3), Fraction(-1)), True)  # component
+@example(Poly(2, {(1, 2): 1, (0, 0): 4}), (Fraction(-7, 3), Fraction(1), Fraction(0)), False)  # vertical
+def test_line_restriction_is_the_resultant_against_the_line(p, line, component):
+    c, a, b = line
+    form = Poly.linear(c, (a, b))
+    if component:
+        p = p * form
+    eliminate = 1 if b else 0
+    got = line_restriction(p, line)
+    assert all(type(v) is int for v in got)
+    assert got == _primitive(got)
+    assert proportional(got, bivariate_resultant(p, form, eliminate))
+    if component:
+        assert got == []

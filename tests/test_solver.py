@@ -24,6 +24,7 @@ from galedual.errors import (
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from galedual.newton import compile_pair, refine
+from galedual import polynomials
 from galedual.polynomials import Poly, umul
 from galedual.polytopes import kouchnirenko_bound
 from galedual.roots import ureal_root_count
@@ -218,6 +219,15 @@ def test_excluded_zero_sharing_a_fiber_is_not_divided_out_blindly():
     x, y = x_y()
     sols = solve_bivariate(x - 1, y * (y - 2) + (x - 1) * (y + 3), exclude=[(0, 0, 1)])
     assert [tuple(round(c.real) for c in s.point) for s in sols.solutions] == [(1, 2)]
+    assert sols.diagnostics == ("sheared x -> x - 1*y to separate the solutions",)
+
+
+def test_zero_at_a_crossing_of_excluded_lines_sharing_a_fiber():
+    # (0, 0) is where the excluded lines y = 0 and y = x cross, and (0, 2) is
+    # a solution over the same x: the crossing does not certify the fiber
+    x, y = x_y()
+    sols = solve_bivariate(x, y * (y - 2) + x * (y + 3), exclude=[(0, 0, 1), (0, -1, 1)])
+    assert [tuple(round(c.real) for c in s.point) for s in sols.solutions] == [(0, 2)]
     assert sols.diagnostics == ("sheared x -> x - 1*y to separate the solutions",)
 
 
@@ -458,6 +468,19 @@ def test_master_fixtures_solve_without_determinants(monkeypatch, fixture):
     monkeypatch.setattr("galedual.polynomials.det_bareiss_int", refuse)
     sols = solve_master(load_system(str(files("galedual") / "fixtures" / fixture)))
     assert sols.count == 17
+
+
+@pytest.mark.parametrize("fixture", ["example22_sparse.json", "example22_master.json", "example3_second.json"])
+def test_fixtures_eliminate_once_per_shear(monkeypatch, fixture):
+    # excluded lines are handled by substitution, never by another chain
+    calls = []
+    chain_values = polynomials._chain_values
+    monkeypatch.setattr(polynomials, "_chain_values", lambda *args: calls.append(1) or chain_values(*args))
+    system = load_system(str(files("galedual") / "fixtures" / fixture))
+    sols = (solve_sparse if isinstance(system, SparseSystem) else solve_master)(system)
+    sheared = [int(d.split(" - ")[1].split("*")[0]) for d in sols.diagnostics if d.startswith("sheared")]
+    assert sols.count == 17
+    assert len(calls) == 1 + sum(sheared)
 
 
 def test_random_counts_within_bound():
