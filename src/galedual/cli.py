@@ -23,7 +23,6 @@ from .errors import (
     CommonComponentError,
     DegreeCapError,
     DependentRowsError,
-    DependentWeightsError,
     DimensionCapError,
     NoPivotError,
     NotEssentialError,
@@ -130,8 +129,6 @@ def cmd_dualize(args):
             "the dual system would miss solutions",
             EXIT_DIAGNOSTIC,
         )
-    except NotEssentialError as exc:
-        return _fail(str(exc), EXIT_DIAGNOSTIC)
     # dualization already checked the pair and raises unless every check passes
     if args.format == "json":
         _emit(args, dump_json(pair_to_dict(pair, pair.check)))
@@ -197,16 +194,13 @@ def cmd_verify(args):
     system = load_system(args.input)
     try:
         pair = _dual_pair(system)
-    except NotPrimitiveError as exc:
+    except NotPrimitiveError:
         if not isinstance(system, MasterSystem):
-            # non-primitive support: the dual genuinely misses solutions
-            return _fail(str(exc), EXIT_DIAGNOSTIC)
+            raise  # non-primitive support: the dual genuinely misses solutions
         # solve the original master side against the dual of its saturation;
         # the count mismatch shows up in the report instead of an exception
         base = dualize_master_to_poly(saturate_weights(system))
         pair = GalePair(base.poly, system, base.witness)
-    except NotEssentialError as exc:
-        return _fail(str(exc), EXIT_DIAGNOSTIC)
     report = verify_isomorphism(pair, _config(args))
     bound = kouchnirenko_bound(pair.poly.support)
     payload = report_to_dict(report)
@@ -235,7 +229,7 @@ def main(argv=None):
         return COMMANDS[args.command](args)
     except SchemaError as exc:
         return _fail(f"invalid input: {exc}", EXIT_PARSE)
-    except (DependentRowsError, DependentWeightsError, OutputError) as exc:
+    except (DependentRowsError, OutputError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     except (NoPivotError, NotPrimitiveError, NotEssentialError) as exc:
         return _fail(str(exc), EXIT_DIAGNOSTIC)

@@ -42,10 +42,6 @@ class DependentRowsError(GaleDualError):
     """Rows required to be linearly independent over Q are dependent."""
 
 
-class DependentWeightsError(GaleDualError):
-    """Weight vectors required to be linearly independent are dependent."""
-
-
 class NoPivotError(GaleDualError):
     """No invertible coefficient submatrix on any pivot set: the equations
     are inconsistent."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import InvariantError
 # unused here; bench/spans.py looks these names up on this module to count calls
 from .ratlinalg import det_bareiss_int, mat_det  # noqa: F401
 
@@ -213,8 +214,8 @@ def poly_equal_up_to_scale(a, b):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers: dense coefficient lists, ascending order, Fraction or
-# int entries (the resultant path keeps to ints)
+# univariate helpers: dense coefficient lists in ascending order. Below the
+# Q-facing ugcd and usquarefree every list is an int list
 
 
 def utrim(coeffs):
@@ -229,7 +230,7 @@ def udeg(coeffs):
 
 
 def ueval(coeffs, x):
-    total = 0 if isinstance(x, (int, Fraction)) else 0j
+    total = 0
     for c in reversed(coeffs):
         total = total * x + c
     return total
@@ -352,11 +353,10 @@ def _coprime_mod(f, g, p):
 
 
 def udivexact(a, b):
-    """a / b for dense lists when b divides a, by long division.
+    """a / b for integer lists when b divides a, by long division.
 
-    Each quotient of leading coefficients stays an int when it divides
-    exactly, as it always does for a primitive integer b (Gauss's lemma);
-    other data gets Fraction entries.
+    Each quotient of leading coefficients is exact when b is primitive
+    (Gauss's lemma); a remainder raises InvariantError.
     """
     r = utrim(a)
     db = len(b) - 1
@@ -420,15 +420,15 @@ def _usub(a, b):
 def uinterpolate(points):
     """Coefficients of the unique polynomial through the given (x, y) pairs.
 
-    Newton divided differences, exact. A quotient stays an int whenever the
-    division is exact, so the values of an integer polynomial at integer nodes
-    are interpolated in ints throughout; other data gets Fraction entries.
+    Newton divided differences in ints: for the values of an integer
+    polynomial at integer nodes every quotient is exact. Other data raises
+    InvariantError.
     """
-    xs = [_exact(x) for x, _ in points]
+    xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
     n = len(points)
-    coef = [_exact(y) for _, y in points]
+    coef = [y for _, y in points]
     for level in range(1, n):
         coef[level:] = [
             _exact_quotient(b - a, x1 - x0)
@@ -443,20 +443,11 @@ def uinterpolate(points):
     return utrim(poly)
 
 
-def _exact(v):
-    """An int for an integral value, a Fraction otherwise."""
-    if isinstance(v, int):
-        return v
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
 def _exact_quotient(num, den):
-    if type(num) is int and type(den) is int:
-        q, r = divmod(num, den)
-        if not r:
-            return q
-    return _exact(Fraction(num) / den)
+    q, r = divmod(num, den)
+    if r:
+        raise InvariantError(f"{num} is not a multiple of {den}")
+    return q
 
 
 def usubresultants_int(a, b):

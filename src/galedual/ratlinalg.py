@@ -1,10 +1,12 @@
-"""Dense exact linear algebra over Fraction, and fraction-free integer
-determinants and ranks.
+"""Dense exact linear algebra over Q, eliminating in integers.
 
-Matrices are plain list-of-lists. They are small here (weight and support
-matrices, coordinate changes), so no attempt is made at asymptotic
-cleverness. Resultants do not come through this module: ``polynomials``
-computes them with an integer subresultant per interpolation node.
+Matrices are plain list-of-lists of ints and Fractions. They are small here
+(weight and support matrices, coordinate changes), so no attempt is made at
+asymptotic cleverness. Ranks, determinants and reduced row echelon forms
+all come from one fraction-free elimination (_bareiss) on the rows scaled
+to integers; Fractions appear only in the results over Q. Resultants do not
+come through this module: ``polynomials`` computes them with an integer
+subresultant per interpolation node.
 """
 
 from __future__ import annotations
@@ -36,90 +38,68 @@ def _integer_rows(rows):
 
 
 def det_bareiss_int(rows):
-    """Determinant of an integer matrix by fraction-free Bareiss elimination.
-
-    Keeps every intermediate value an integer, which is much faster than
-    Fraction arithmetic once entries grow.
-    """
+    """Determinant of an integer matrix: the sign of the row swaps times the
+    last pivot of _bareiss, or 0 below full rank."""
     a = [[int(v) for v in row] for row in rows]
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
-            a[i][c] = 0
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
+    _, pivots, last, sign = _bareiss(a, False)
+    return sign * last if len(pivots) == n else 0
 
 
 def rref(rows):
     """Reduced row echelon form.
 
-    Returns (R, pivot_columns). Zero rows are kept at the bottom.
+    Returns (R, pivot_columns). Zero rows are kept at the bottom. The rows,
+    scaled to integers, are eliminated by _bareiss with every other row
+    cleared; each pivot entry is then the last pivot d, so R is the integer
+    rows divided by d.
     """
-    a = frac_rows(rows)
-    if not a:
-        return a, []
-    ncols = len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    a, pivots, d, _ = _bareiss(_integer_rows(rows)[0], True)
+    return [[Fraction(v, d) for v in row] for row in a], pivots
 
 
 def mat_rank(rows):
-    """Rank over Q by fraction-free (Bareiss) elimination on the rows scaled
-    to integers, which keeps the rank. Every entry below the pivot rows is
-    then a minor of the scaled matrix, so each division is exact."""
-    a, _ = _integer_rows(rows)
-    rank, prev = 0, 1
+    """Rank over Q: the pivots of _bareiss on the rows scaled to integers."""
+    return len(_bareiss(_integer_rows(rows)[0], False)[1])
+
+
+def _bareiss(a, full):
+    """Fraction-free elimination of a list of integer rows, in place.
+
+    Returns (rows, pivot_columns, last_pivot, sign), the last pivot 1 when
+    there is none and sign that of the row swaps. Each pivot p in column c
+    replaces every row below it, and with ``full`` every row above too, by
+    (p * row - row[c] * pivot_row) / prev, prev the pivot before p (Bareiss,
+    Math. Comp. 22, 1968). Each division is exact: every entry is a minor of
+    the input. The rows below the rank end up zero, and with ``full`` every
+    pivot entry ends up equal to the last pivot.
+    """
+    pivots, prev, sign = [], 1, 1
     for c in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        for i in range(rank + 1, len(a)):
-            lead = a[i][c]
-            a[i] = [(top[c] * x - lead * y) // prev for x, y in zip(a[i], top)]
-        prev = top[c]
-        rank += 1
-    return rank
+        if piv != r:
+            a[r], a[piv], sign = a[piv], a[r], -sign
+        top, p = a[r], a[r][c]
+        for i in range(0 if full else r + 1, len(a)):
+            if i != r:
+                lead = a[i][c]
+                a[i] = [(p * x - lead * y) // prev for x, y in zip(a[i], top)]
+        pivots.append(c)
+        prev = p
+    return a, pivots, prev, sign
 
 
 def mat_inverse(rows):
     """Exact inverse; raises ValueError when singular."""
     n = len(rows)
-    a = frac_rows(rows)
-    if any(len(r) != n for r in a):
+    if any(len(r) != n for r in rows):
         raise ValueError("inverse needs a square matrix")
-    aug = [a[i] + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -8,12 +8,9 @@ exactly, in integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 import numpy as np
 
-from .polynomials import _prem, _primitive, _to_int_primitive, uderiv
+from .polynomials import _prem, _primitive, uderiv
 
 
 # Aberth passes at most (they converge cubically once the roots separate),
@@ -25,7 +22,7 @@ _EPS = 2.0 ** -52  # the spacing of floats at 1
 
 
 def polynomial_roots(coeffs):
-    """Complex roots of a squarefree ascending list of rationals.
+    """Complex roots of a squarefree ascending list of integers.
 
     numpy's companion-matrix eigenvalues start Aberth-Ehrlich iterations
     (Bini, Numer. Algorithms 13, 1996) on the list itself: eigenvalues are
@@ -37,9 +34,7 @@ def polynomial_roots(coeffs):
     exactly, in integers at the iterate's dyadic value.
     """
     n = len(coeffs) - 1
-    denom = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    asc = _floats(ints)
+    asc = _floats(coeffs)
     z = np.roots(asc[::-1]).astype(complex)
     state = np.zeros(n, dtype=int)  # 0 floating point, 1 exact, 2 final
     with np.errstate(all="ignore"):
@@ -51,7 +46,7 @@ def polynomial_roots(coeffs):
             ratio, radius = p / dp, 4 * n * _EPS * bound / np.abs(dp)
             exact = state[active] == 1
             radius[exact] = 0
-            ratio[exact] = [_quotient(*_horner_exact(ints, v)) for v in z[active[exact]]]
+            ratio[exact] = [_quotient(*_horner_exact(coeffs, v)) for v in z[active[exact]]]
             gaps = z[active, None] - z[None, :]
             gaps[np.arange(len(active)), active] = np.inf
             step = ratio / (1 - ratio * (1 / gaps).sum(axis=1))
@@ -64,19 +59,18 @@ def polynomial_roots(coeffs):
 
 
 def ureal_root_count(coeffs):
-    """The number of distinct real roots of an ascending list of rationals.
+    """The number of distinct real roots of a trimmed ascending list of
+    integers p.
 
     Sturm's theorem (Basu, Pollack and Roy, Algorithms in Real Algebraic
-    Geometry, ch. 2) on the primitive integer form p: the sign changes of
-    the Sturm sequence p, p', -rem, ... at -infinity less those at
-    +infinity. Each remainder is a pseudo-remainder by a divisor with
-    positive leading coefficient, made primitive: a positive multiple of
-    the true one, with the same signs.
+    Geometry, ch. 2): the sign changes of the Sturm sequence p, p', -rem,
+    ... at -infinity less those at +infinity. Each remainder is a
+    pseudo-remainder by a divisor with positive leading coefficient, made
+    primitive: a positive multiple of the true one, with the same signs.
     """
-    p = _to_int_primitive(coeffs)
-    if len(p) < 2:
+    if len(coeffs) < 2:
         return 0
-    a, b, signs = p, _primitive(uderiv(p)), []
+    a, b, signs = coeffs, _primitive(uderiv(coeffs)), []
     while a:
         # whether a is negative at -infinity and at +infinity; only these
         # are kept, as the remainders' integers grow large

@@ -76,11 +76,6 @@ class SolutionSet:
         return sum(s.multiplicity for s in self.solutions)
 
 
-def _max_norm(poly):
-    m = poly.max_abs_coefficient()
-    return m if m != 0 else Fraction(1)
-
-
 # shears x -> x - lam*y tried, lam = 1, 2, ..., before giving up on separating
 _MAX_SHEAR = 8
 
@@ -121,10 +116,6 @@ def solve_bivariate(f, g, config=None, exclude=()):
             raise CommonComponentError("an identically zero equation vanishes everywhere")
         if p.degree() > _DEGREE_CAP:
             raise DegreeCapError(f"total degree {p.degree()} exceeds cap {_DEGREE_CAP}")
-
-    # unit max-norm keeps the float coefficients of Newton's method in range
-    f = f.scale(1 / _max_norm(f))
-    g = g.scale(1 / _max_norm(g))
 
     # constants (after the zero check) have no roots anywhere
     if f.degree() == 0 or g.degree() == 0:

@@ -15,14 +15,13 @@ from math import lcm
 
 from .errors import (
     DependentRowsError,
-    DependentWeightsError,
     InvariantError,
     NoPivotError,
     NoRationalScalingError,
 )
 from .lattice import ExponentMatrix, WeightBasis, solve_integer
 from .polynomials import Poly, monomial_string, term_sum
-from .ratlinalg import frac_rows, mat_rank, rref, solve_mod2
+from .ratlinalg import mat_rank, rref, solve_mod2
 
 # unused here; bench/spans.py looks these names up on this module to count calls
 from .ratlinalg import mat_det, mat_inverse, mat_mul  # noqa: F401
@@ -225,8 +224,8 @@ class MasterSystem:
                 f"weights have {shape.num_forms} coordinates, "
                 f"arrangement has {len(self.arrangement.forms)} forms"
             )
-        if mat_rank(frac_rows(self.weights.matrix.to_rows())) != shape.num_weights:
-            raise DependentWeightsError("weight rows are dependent over Q")
+        if mat_rank(self.weights.matrix.to_rows()) != shape.num_weights:
+            raise DependentRowsError("weight rows are dependent over Q")
 
     @property
     def shape(self):

@@ -335,8 +335,8 @@ def test_nonprimitive_support_is_diagnostic(capsys, tmp_path):
     assert "saturation index 4" in err
 
 
-def test_nonessential_arrangement_is_diagnostic(capsys, tmp_path):
-    path = write_json(
+def nonessential_master(tmp_path):
+    return write_json(
         tmp_path,
         "parallel.json",
         {
@@ -349,9 +349,19 @@ def test_nonessential_arrangement_is_diagnostic(capsys, tmp_path):
             "weights": [[1, -1, 0]],
         },
     )
-    code, _, err = run(capsys, "dualize", "--input", path)
+
+
+def test_nonessential_arrangement_is_diagnostic(capsys, tmp_path):
+    code, _, err = run(capsys, "dualize", "--input", nonessential_master(tmp_path))
     assert code == 2
     assert "span" in err or "essential" in err
+
+
+def test_verify_reports_a_nonessential_arrangement_as_dualize_does(capsys, tmp_path):
+    path = nonessential_master(tmp_path)
+    dualized = run(capsys, "dualize", "--input", path)
+    verified = run(capsys, "verify", "--input", path)
+    assert verified == dualized == (2, "", "error: forms plus the constant do not span degree one\n")
 
 
 def test_nonprimitive_is_reported_before_nonessential(capsys, tmp_path):

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galedual.errors import DependentRowsError, NotPrimitiveError
@@ -25,7 +26,7 @@ from galedual.lattice import (
     snf,
     solve_integer,
 )
-from galedual.ratlinalg import frac_rows, mat_det, mat_rank, rref
+from galedual.ratlinalg import det_bareiss_int, frac_rows, mat_det, mat_rank, rref
 
 
 def solve_linear(rows, rhs):
@@ -494,22 +495,81 @@ def test_system_shape_validation():
 
 
 @st.composite
-def rational_matrices(draw):
-    """Small Fraction and int matrices, often with rows that are rational
-    combinations of earlier rows, so the rank falls short."""
-    ncols = draw(st.integers(1, 6))
-    entry = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5))
+def rational_matrices(draw, square=False, integer=False):
+    """Small Fraction and int matrices (int only with ``integer``), often
+    with rows that are combinations of earlier rows, so the rank falls
+    short, and with zero columns."""
+    nrows = draw(st.integers(0, 5 if square else 6))
+    ncols = nrows if square else draw(st.integers(1, 8))
+    entry, weight = st.integers(-4, 4), st.integers(-3, 3)
+    if not integer:
+        entry = st.one_of(entry, st.fractions(-4, 4, max_denominator=5))
+        weight = st.fractions(-3, 3, max_denominator=4)
+    zero = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
     rows = []
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(nrows):
         if rows and draw(st.booleans()):
-            weights = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=len(rows), max_size=len(rows)))
-            rows.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(ncols)])
+            weights = draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+            row = [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(ncols)]
         else:
-            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+            row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rows.append([0 if j in zero else v for j, v in enumerate(row)])
     return rows
+
+
+# References kept here on purpose: Fraction Gauss-Jordan elimination and the
+# Leibniz formula, with nothing of ratlinalg's fraction-free elimination.
+
+
+def gauss_jordan(rows):
+    """(R, pivot_columns): the reduced row echelon form over Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def leibniz_det(rows):
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * prod(row[k] for row, k in zip(rows, perm))
+    return total
 
 
 @settings(deadline=None, max_examples=300)
 @given(rational_matrices())
+@example([])
+@example([[0], [0]])
+@example([[0], [Fraction(3, 2)], [-2]])
+@example([[1, 2, 0, 3], [2, 4, 0, 6], [0, 0, 0, 0]])
 def test_mat_rank_matches_rref(rows):
-    assert mat_rank(rows) == len(rref(rows)[1])
+    red, pivots = gauss_jordan(rows)
+    assert rref(rows) == (red, pivots)
+    assert all(type(v) is Fraction for row in rref(rows)[0] for v in row)
+    assert mat_rank(rows) == len(pivots)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rational_matrices(square=True, integer=True))
+@example([])
+@example([[0]])
+@example([[0, 1], [1, 0]])
+def test_det_bareiss_int_matches_leibniz(rows):
+    assert det_bareiss_int(rows) == leibniz_det(rows)
+
+
+@settings(deadline=None, max_examples=100)
+@given(rational_matrices(square=True))
+def test_mat_det_matches_leibniz(rows):
+    assert mat_det(rows) == leibniz_det(rows)

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from galedual import polynomials
+from galedual.errors import InvariantError
 from galedual.polynomials import (
     Poly,
     _PRIMES,
@@ -22,6 +23,7 @@ from galedual.polynomials import (
     poly_equal_up_to_scale,
     udeg,
     uderiv,
+    udivexact,
     ueval,
     ugcd,
     uinterpolate,
@@ -251,10 +253,19 @@ def test_uinterpolate_round_trip():
             continue
         pts = [(Fraction(t), ueval(coeffs, Fraction(t))) for t in range(len(coeffs))]
         assert uinterpolate(pts) == coeffs
-        halves = [(Fraction(t, 2), ueval(coeffs, Fraction(t, 2))) for t in range(len(coeffs))]
-        assert uinterpolate(halves) == coeffs
     with pytest.raises(ValueError):
         uinterpolate([(1, 1), (1, 2)])
+
+
+def test_inexact_data_raises_invariant_error():
+    # the divided difference (1 - 0) / (2 - 0) and the leading quotient 1 / 2
+    # are not integers
+    with pytest.raises(InvariantError):
+        uinterpolate([(0, 0), (2, 1)])
+    with pytest.raises(InvariantError):
+        uinterpolate([(Fraction(t, 2), Fraction(t * t, 4)) for t in range(3)])
+    with pytest.raises(InvariantError):
+        udivexact([1, 0, 1], [1, 2])
 
 
 # -- resultants ---------------------------------------------------------------

@@ -6,7 +6,7 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galedual.duality import (
@@ -159,7 +159,7 @@ def test_real_count_is_the_number_of_real_roots(factors):
     roots, quadratics = factors
     coeffs = [1]
     for r in roots:
-        coeffs = umul(coeffs, [-r, 1])
+        coeffs = umul(coeffs, [-r.numerator, r.denominator])
     for a, b, c in quadratics:
         coeffs = umul(coeffs, [c, b, a])
     assert ureal_root_count(coeffs) == len(roots)
@@ -384,6 +384,29 @@ def test_refinement_is_independent_of_batch(monkeypatch):
     for pos, k in enumerate(order):
         expected = (together[0][:, k].tobytes(), together[1][k].tobytes(), bool(together[2][k]))
         assert (permuted[0][:, pos].tobytes(), permuted[1][pos].tobytes(), bool(permuted[2][pos])) == expected
+
+
+def bivariate_polys():
+    return st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4).filter(bool),
+        min_size=1, max_size=8,
+    ).map(lambda terms: Poly(2, terms))
+
+
+@settings(deadline=None, max_examples=100)
+@given(bivariate_polys(), bivariate_polys())
+@example(*cleared_polynomials(worked_sparse()))
+def test_compile_pair_divides_by_the_max_norm(f, g):
+    # each polynomial is divided by its largest absolute coefficient exactly,
+    # then rounded once, so it compiles bit for bit as the scaled pair does
+    scaled = [p.scale(1 / p.max_abs_coefficient()) for p in (f, g)]
+
+    def arrays(compiled):
+        xpow, ypow, groups = compiled
+        return [(a.shape, a.dtype, a.tobytes()) for a in (xpow, ypow, *(a for grp in groups for a in grp))]
+
+    assert arrays(compile_pair(f, g)) == arrays(compile_pair(*scaled))
 
 
 def test_overflowing_starts_count_as_diverged():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from galedual.errors import (
     DependentRowsError,
-    DependentWeightsError,
     NoPivotError,
     NoRationalScalingError,
 )
@@ -320,7 +319,7 @@ def test_is_essential():
 def test_master_system_validation():
     master = worked_master()
     assert master.shape == SystemShape(2, 0, 2)
-    with pytest.raises(DependentWeightsError):
+    with pytest.raises(DependentRowsError):
         MasterSystem(
             master.arrangement,
             WeightBasis(
@@ -406,7 +405,7 @@ def rational_masters(draw):
         arrangement = Arrangement(dim, [LinearForm(*f) for f in forms], master_variable_names(dim))
         return MasterSystem(arrangement, WeightBasis(SystemShape(2, dim - 2, 2),
                                                      IntMatrix.from_rows(weights)))
-    except (ValueError, DependentWeightsError):
+    except (ValueError, DependentRowsError):
         assume(False)
 
 
