@@ -356,7 +356,8 @@ def udivexact(a, b):
     """a / b for integer lists when b divides a, by long division.
 
     Each quotient of leading coefficients is exact when b is primitive
-    (Gauss's lemma); a remainder raises InvariantError.
+    (Gauss's lemma). An inexact quotient or a nonzero remainder raises
+    InvariantError.
     """
     r = utrim(a)
     db = len(b) - 1
@@ -366,6 +367,8 @@ def udivexact(a, b):
         if qk:
             for i in range(db):
                 r[k + i] -= qk * b[i]
+    if any(r[:db]):
+        raise InvariantError("the divisor leaves a remainder")
     return q
 
 

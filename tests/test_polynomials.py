@@ -259,13 +259,15 @@ def test_uinterpolate_round_trip():
 
 def test_inexact_data_raises_invariant_error():
     # the divided difference (1 - 0) / (2 - 0) and the leading quotient 1 / 2
-    # are not integers
+    # are not integers, and x + 1 leaves the remainder 3 on 2x^2 + 1
     with pytest.raises(InvariantError):
         uinterpolate([(0, 0), (2, 1)])
     with pytest.raises(InvariantError):
         uinterpolate([(Fraction(t, 2), Fraction(t * t, 4)) for t in range(3)])
     with pytest.raises(InvariantError):
         udivexact([1, 0, 1], [1, 2])
+    with pytest.raises(InvariantError):
+        udivexact([1, 0, 2], [1, 1])
 
 
 # -- resultants ---------------------------------------------------------------
