@@ -29,19 +29,29 @@ def compile_pair(f, g):
     f, f_x, f_y and one for g, g_x, g_y: row r of the (3, terms) arrays is
     the r-th polynomial of the group, term k being
     c[r, k] * x**i[r, k] * y**j[r, k], and the derivatives' shorter rows are
-    padded with zero terms. Each group is divided by the largest absolute
-    coefficient of its polynomial, exactly before the one rounding to a
-    float, so that the coefficients stay in range.
+    padded with zero terms. The derivatives' terms follow the polynomial's.
+    Each coefficient is divided by the largest absolute coefficient of its
+    polynomial, exactly before the one rounding to a float (an int true
+    division, which rounds correctly), so that the coefficients stay in
+    range.
     """
     groups = []
     for p in (f, g):
+        norm = p.max_abs_coefficient()
+        rows = ([], [], [])
+        for (a, b), coeff in p.terms.items():
+            num, den = coeff.numerator * norm.denominator, coeff.denominator * norm.numerator
+            rows[0].append((a, b, num / den))
+            if a:
+                rows[1].append((a - 1, b, num * a / den))
+            if b:
+                rows[2].append((a, b - 1, num * b / den))
         i = np.zeros((3, len(p.terms)), dtype=int)
         j = np.zeros((3, len(p.terms)), dtype=int)
         c = np.zeros((3, len(p.terms)))
-        norm = p.max_abs_coefficient()
-        for r, q in enumerate((p, p.derivative(0), p.derivative(1))):
-            for k, (mono, coeff) in enumerate(q.terms.items()):
-                i[r, k], j[r, k], c[r, k] = mono[0], mono[1], float(coeff / norm)
+        for r, terms in enumerate(rows):
+            if terms:
+                i[r, :len(terms)], j[r, :len(terms)], c[r, :len(terms)] = zip(*terms)
         groups.append((i, j, c[:, :, None]))
     xpow = np.arange(max(f.degree(0), g.degree(0)) + 1.0)[:, None]
     ypow = np.arange(max(f.degree(1), g.degree(1)) + 1.0)[:, None]

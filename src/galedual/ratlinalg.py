@@ -5,8 +5,8 @@ Matrices are plain list-of-lists of ints and Fractions. They are small here
 asymptotic cleverness. Ranks, determinants and reduced row echelon forms
 all come from one fraction-free elimination (_bareiss) on the rows scaled
 to integers; Fractions appear only in the results over Q. Resultants do not
-come through this module: ``polynomials`` computes them with an integer
-subresultant per interpolation node.
+come through this module: ``polynomials`` computes them with integer
+subresultant chains.
 """
 
 from __future__ import annotations

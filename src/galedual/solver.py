@@ -1,7 +1,8 @@
 """Numeric solving of bivariate instances and isomorphism verification.
 
 Elimination is exact and happens once per solve: one subresultant chain in
-integers gives the resultant in x and the first subresultant, which
+integers, at a power of two whose digits are the coefficients (Kronecker
+substitution), gives the resultant in x and the first subresultant, which
 recovers y from x. Excluded points (off the torus or on the arrangement)
 are divided out of the resultant, and separation is checked, before any
 root is found, so every root of the resultant gives one solution with an
@@ -88,8 +89,8 @@ def solve_bivariate(f, g, config=None, exclude=()):
 
     ``exclude`` lists lines (c, a, b), each the zero set of c + a*x + b*y;
     common zeros on them are not solutions. One integer subresultant chain
-    per interpolation node gives R(x) = Res_y(f, g) and the first
-    subresultant S1 = S11(x)*y + S10(x). From R's squarefree factors the
+    (polynomials.bivariate_subresultants) gives R(x) = Res_y(f, g) and the
+    first subresultant S1 = S11(x)*y + S10(x). From R's squarefree factors the
     roots under excluded zeros are divided out, and separation is checked
     exactly: each factor must be coprime to S11. Then every root x0 lies
     under exactly one common zero, (x0, -S10(x0)/S11(x0)), whose
@@ -264,19 +265,24 @@ def solve_sparse(system, config=None):
         )
     f, g = cleared_polynomials(system)
     raw = solve_bivariate(f, g, config, exclude=((0, 1, 0), (0, 0, 1)))
-    return _reverified(raw, "torus", lambda point: _sparse_residual(system, point))
+    return _reverified(raw, "torus", lambda points: _sparse_residuals(system, points))
 
 
-def _sparse_residual(system, point):
-    values = evaluate_phi(system.support, point)
-    worst = 0.0
-    for row in system.coefficients:
-        total = complex(row[0])
-        for j, v in enumerate(values):
-            if row[j + 1]:
-                total += complex(row[j + 1]) * v
-        worst = max(worst, abs(total))
-    return worst
+def _sparse_residuals(system, points):
+    """The largest |equation| at each point, with each coefficient made a
+    complex once for all the points."""
+    rows = [(complex(row[0]), [(j, complex(c)) for j, c in enumerate(row[1:]) if c])
+            for row in system.coefficients]
+    out = []
+    for point in points:
+        values = evaluate_phi(system.support, point)
+        worst = 0.0
+        for total, terms in rows:
+            for j, c in terms:
+                total += c * values[j]
+            worst = max(worst, abs(total))
+        out.append(worst)
+    return out
 
 
 def solve_master(master, config=None):
@@ -297,15 +303,15 @@ def solve_master(master, config=None):
     f, g = (cb.expand_difference(master.arrangement) for cb in cleared)
     lines = tuple((form.constant, *form.coeffs) for form in master.arrangement.forms)
     raw = solve_bivariate(f, g, config, exclude=lines)
-    return _reverified(raw, "complement", master.residual)
+    return _reverified(raw, "complement", master.residuals)
 
 
-def _reverified(raw, location, residual):
-    """Points of raw whose defining residual is below verify_tol, at that
-    residual; the others are excluded with the flag "defining-residual"."""
+def _reverified(raw, location, residuals):
+    """Points of raw whose defining residual (``residuals`` maps a list of
+    points to theirs) is below verify_tol, at that residual; the others are
+    excluded with the flag "defining-residual"."""
     solutions, excluded = [], []
-    for sol in raw.solutions:
-        r = residual(sol.point)
+    for sol, r in zip(raw.solutions, residuals([s.point for s in raw.solutions])):
         if r < raw.config.verify_tol:
             solutions.append(replace(sol, location=location, residual=r))
         else:

@@ -231,17 +231,29 @@ class MasterSystem:
     def shape(self):
         return self.weights.shape
 
-    def residual(self, point):
-        """max_j |product_i p_i(point)^{weight_ji} - 1| at a complement point."""
-        values = self.arrangement.evaluate(point)
-        worst = 0.0
-        for j in range(self.shape.num_weights):
-            prod = complex(1)
-            for v, e in zip(values, self.weights.weight(j)):
-                if e:
-                    prod *= complex(v) ** e
-            worst = max(worst, abs(prod - 1))
-        return worst
+    def residuals(self, points):
+        """max_j |product_i p_i(point)^{weight_ji} - 1| at each complement
+        point. Each coefficient of the forms is made a complex once: a
+        Fraction meets a complex as complex(float(c)) anyway, so every value
+        keeps its bits."""
+        forms = [(complex(f.constant), [complex(c) for c in f.coeffs]) for f in self.arrangement.forms]
+        weights = [self.weights.weight(j) for j in range(self.shape.num_weights)]
+        out = []
+        for point in points:
+            values = []
+            for total, coeffs in forms:
+                for c, x in zip(coeffs, point):
+                    total += c * x
+                values.append(total)
+            worst = 0.0
+            for weight in weights:
+                prod = complex(1)
+                for v, e in zip(values, weight):
+                    if e:
+                        prod *= v ** e
+                worst = max(worst, abs(prod - 1))
+            out.append(worst)
+        return out
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ from galedual.polynomials import (
     utrim,
 )
 from galedual.ratlinalg import det_bareiss_int, mat_det
+from galedual.serialize import parse_system
+from galedual.systems import clear_denominators
 
 
 def udivmod(a, b):
@@ -620,6 +622,102 @@ def test_bivariate_subresultants_interpolate_enough_nodes(f, g, eliminate):
     assume(min(len(frows), len(grows)) >= 3)
     res, s10, s11 = bivariate_subresultants(f, g, eliminate)
     for t in [*range(-6, 7), *range(40, 46), *range(-45, -39)]:
+        a = [ueval(row, t) for row in frows]
+        b = [ueval(row, t) for row in grows]
+        assert ueval(res, t) == det_bareiss_int(sylvester(a, b))
+        assert [ueval(s10, t), ueval(s11, t)] == first_subresultant(a, b)
+
+
+# -- one chain at 2**k (Kronecker substitution) against the node path ----------
+
+
+def both_paths(f, g, eliminate):
+    """bivariate_subresultants with every size sent to the nodes, and with
+    every size sent to one chain at 2**k."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "_KRONECKER_BITS", -1)
+        nodes = bivariate_subresultants(f, g, eliminate)
+        mp.setattr(polynomials, "_KRONECKER_BITS", math.inf)
+        packed = bivariate_subresultants(f, g, eliminate)
+    return nodes, packed
+
+
+def in_t(draw, max_deg, bound):
+    """A polynomial in the kept variable t alone, as a bivariate Poly."""
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=max_deg + 1))
+    return Poly(2, {(e, 0): c for e, c in enumerate(coeffs)})
+
+
+@st.composite
+def elimination_pairs(draw):
+    """(f, g), in the variable y eliminated against x: plain pairs, leading
+    rows that vanish at the small nodes, one side free of y against large
+    coefficients on the other, a side linear in y, and pairs with a common
+    factor in y (a zero resultant); f and g in either order."""
+    x, y = x_y()
+    kind = draw(st.sampled_from(["plain", "vanishing", "free", "linear", "common"]))
+    if kind == "plain":
+        f, g = draw(bivariate_polys()), draw(bivariate_polys())
+    elif kind == "vanishing":
+        r = draw(st.integers(0, 3))
+        lead = x * x - r * r if draw(st.booleans()) else x - r
+        f = lead * y ** draw(st.integers(1, 4)) + draw(bivariate_polys(max_exp=2))
+        g = lead * y ** draw(st.integers(1, 3)) + draw(bivariate_polys(max_exp=1))
+    elif kind == "free":
+        big = 10 ** draw(st.integers(1, 12))
+        f = sum((in_t(draw, 2, big) * y ** e for e in range(draw(st.integers(1, 3)) + 1)), Poly(2))
+        g = in_t(draw, 2, 9)
+    elif kind == "linear":
+        f = draw(bivariate_polys())
+        g = in_t(draw, 3, 50) * y + in_t(draw, 3, 50)
+    else:
+        common = y + in_t(draw, 2, 5)
+        f, g = common * draw(bivariate_polys(max_exp=2)), common * draw(bivariate_polys(max_exp=2))
+    assume(not f.is_zero() and not g.is_zero())
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@settings(deadline=None, max_examples=200)
+@given(elimination_pairs())
+@example((100 * x_y()[1] + 37, Poly.constant(2, 3)))  # |G|_1**d1 alone bounds S1 = F by 1
+@example((Poly.constant(2, 3), 100 * x_y()[1] + 37))  # and the swapped case, S1 = G
+@example(((x_y()[0] - 1) * x_y()[1] ** 2 + 5, (x_y()[0] - 1) * x_y()[1] + 2))  # lead vanishes at t = 1
+@example((x_y()[1] ** 2 - x_y()[0], x_y()[1] * (x_y()[1] ** 2 - x_y()[0])))  # zero resultant
+def test_one_chain_at_a_power_of_two_matches_the_nodes(pair):
+    f, g = pair
+    nodes, packed = both_paths(f, g, 1)
+    assert packed == nodes
+    assert all(type(c) is int for part in packed for c in part)
+
+
+# A planar master dual of a square system in 4 variables: its cleared pair has
+# degrees 6 and 11 in t, R of degree 66, and a packed size near 53k bits.
+PLANAR_DUAL = {
+    "variables": ["s", "t"],
+    "forms": [
+        {"constant": "24/19", "coeffs": ["-11/19", "6/19"]},
+        {"constant": "-135/19", "coeffs": ["283/57", "-106/57"]},
+        {"constant": "143/19", "coeffs": ["-332/57", "74/57"]},
+        {"constant": "15/19", "coeffs": ["-23/57", "35/57"]},
+        {"constant": "0", "coeffs": ["1", "0"]},
+        {"constant": "0", "coeffs": ["0", "1"]},
+    ],
+    "weights": [[1, 2, -4, -2, 2, 1], [3, 2, 0, 0, -4, 6]],
+}
+
+
+def test_large_pairs_take_the_nodes(monkeypatch):
+    master = parse_system(PLANAR_DUAL)
+    f, g = (clear_denominators(master, j).expand_difference(master.arrangement) for j in range(2))
+    chains = []
+    chain_values = polynomials._chain_values
+    monkeypatch.setattr(polynomials, "_chain_values", lambda *args: chains.append(1) or chain_values(*args))
+    res, s10, s11 = bivariate_subresultants(f, g, 1)
+    assert chains == [1]
+    assert len(res) - 1 == 66
+    _, frows = _primitive_rows(f, 1)
+    _, grows = _primitive_rows(g, 1)
+    for t in (-2, 1, 7):
         a = [ueval(row, t) for row in frows]
         b = [ueval(row, t) for row in grows]
         assert ueval(res, t) == det_bareiss_int(sylvester(a, b))

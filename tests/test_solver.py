@@ -24,7 +24,7 @@ from galedual.errors import (
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from galedual.newton import compile_pair, refine
-from galedual import polynomials
+from galedual import polynomials, solver
 from galedual.polynomials import Poly, umul
 from galedual.polytopes import kouchnirenko_bound
 from galedual.roots import ureal_root_count
@@ -399,14 +399,24 @@ def bivariate_polys():
 @example(*cleared_polynomials(worked_sparse()))
 def test_compile_pair_divides_by_the_max_norm(f, g):
     # each polynomial is divided by its largest absolute coefficient exactly,
-    # then rounded once, so it compiles bit for bit as the scaled pair does
+    # then rounded once, so it compiles bit for bit as the scaled pair does,
+    # and as the derivatives built as Polys and rounded from Fractions do
     scaled = [p.scale(1 / p.max_abs_coefficient()) for p in (f, g)]
 
     def arrays(compiled):
         xpow, ypow, groups = compiled
         return [(a.shape, a.dtype, a.tobytes()) for a in (xpow, ypow, *(a for grp in groups for a in grp))]
 
-    assert arrays(compile_pair(f, g)) == arrays(compile_pair(*scaled))
+    def reference(p):
+        i, j, c = (np.zeros((3, len(p.terms)), dtype=dtype) for dtype in (int, int, float))
+        for r, q in enumerate((p, p.derivative(0), p.derivative(1))):
+            for k, (mono, coeff) in enumerate(q.terms.items()):
+                i[r, k], j[r, k], c[r, k] = mono[0], mono[1], float(coeff / p.max_abs_coefficient())
+        return i, j, c[:, :, None]
+
+    compiled = compile_pair(f, g)
+    assert arrays(compiled) == arrays(compile_pair(*scaled))
+    assert arrays(compiled) == arrays((*compiled[:2], (reference(f), reference(g))))
 
 
 def test_overflowing_starts_count_as_diverged():
@@ -495,15 +505,20 @@ def test_master_fixtures_solve_without_determinants(monkeypatch, fixture):
 
 @pytest.mark.parametrize("fixture", ["example22_sparse.json", "example22_master.json", "example3_second.json"])
 def test_fixtures_eliminate_once_per_shear(monkeypatch, fixture):
-    # excluded lines are handled by substitution, never by another chain
-    calls = []
-    chain_values = polynomials._chain_values
-    monkeypatch.setattr(polynomials, "_chain_values", lambda *args: calls.append(1) or chain_values(*args))
+    # excluded lines are handled by substitution, never by another
+    # elimination, and each elimination runs one subresultant chain
+    eliminations, chains = [], []
+    eliminate = solver.bivariate_subresultants
+    chain = polynomials.usubresultants_int
+    monkeypatch.setattr(solver, "bivariate_subresultants", lambda *args: eliminations.append(1) or eliminate(*args))
+    # a call with deg a < deg b only swaps its operands and calls again
+    monkeypatch.setattr(polynomials, "usubresultants_int", lambda a, b: chains.append(len(a) >= len(b)) or chain(a, b))
     system = load_system(str(files("galedual") / "fixtures" / fixture))
     sols = (solve_sparse if isinstance(system, SparseSystem) else solve_master)(system)
     sheared = [int(d.split(" - ")[1].split("*")[0]) for d in sols.diagnostics if d.startswith("sheared")]
     assert sols.count == 17
-    assert len(calls) == 1 + sum(sheared)
+    assert len(eliminations) == 1 + sum(sheared)
+    assert sum(chains) == 1 + sum(sheared)
 
 
 def test_random_counts_within_bound():
