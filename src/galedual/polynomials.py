@@ -1,13 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Just enough arithmetic for this package: ring operations, exact evaluation,
-derivatives, and the univariate helpers (gcd, squarefree decomposition,
-interpolation, integer subresultant chains) behind the bivariate resultant
+derivatives, interpolation, and the univariate helpers (gcd, squarefree
+decomposition, integer subresultant chains) behind the bivariate resultant
 and first subresultant the solver eliminates with, and behind the
 restrictions to lines that it excludes zeros with. The elimination runs
 one integer chain at a power of two and reads the coefficients off its
-value as digits (Kronecker substitution); for large inputs it runs chains
-at small integer nodes and interpolates.
+value as digits (Kronecker substitution).
 General polynomial algebra (factoring, multivariate division) is out of scope.
 """
 
@@ -570,33 +569,24 @@ def bivariate_subresultants(f, g, eliminate):
     leading rows nonzero at 2**k, since their coefficients are below
     2**(k-1).
 
-    The one chain works on integers of about k * (degree bound + 1) bits,
-    and CPython's long division is quadratic, so above _KRONECKER_BITS the
-    chain runs at small integer nodes instead and Newton interpolation
-    recovers the three polynomials (_chain_values).
+    The one chain works on integers of about k * (deg R + 1) bits, and
+    CPython divides long ints by schoolbook long division, so on large
+    pairs it costs more than chains at deg R + 1 small integer nodes
+    followed by Newton interpolation. Measured once each with CPython 3.11
+    on x86-64, on the cleared pairs of planar master duals of random 3- and
+    4-variable systems, one chain against the nodes: 4.5k packed bits 0.3
+    against 1.0 ms, 11.8k bits 1.6 against 2.6 ms, 25.5k bits 5.5 against
+    5.2 ms, 35k bits 14.7 against 7.3 ms, 158k bits 463 against 51 ms. The
+    pairs of the verify benchmark workloads stay below 6.3k bits.
     """
     return _subresultants(*(_primitive_rows(p, eliminate)[1] for p in (f, g)))
-
-
-# Largest k * (degree bound + 1), in bits, at which bivariate_subresultants
-# runs one chain at 2**k. Measured once each with CPython 3.11 on x86-64, on
-# the cleared pairs of planar master duals of random 3- and 4-variable
-# systems, one chain against the nodes: 4.5k bits 0.3 against 1.0 ms, 11.8k
-# bits 1.6 against 2.6 ms, 25.5k bits 5.5 against 5.2 ms, 35k bits 14.7
-# against 7.3 ms, 158k bits 463 against 51 ms. The pairs of the verify
-# benchmark workloads stay below 6.3k bits.
-_KRONECKER_BITS = 1 << 14
 
 
 def _subresultants(frows, grows):
     """bivariate_subresultants on the primitive rows of f and g."""
     d1, d2 = len(frows) - 1, len(grows) - 1
-    bound = _degree_bound(frows, grows)
     fnorm, gnorm = (sum(abs(c) for row in rows for c in row) for rows in (frows, grows))
     k = max(fnorm ** d2 * gnorm ** d1, fnorm, gnorm).bit_length() + 1
-    if k * (bound + 1) > _KRONECKER_BITS:
-        values = _chain_values(frows, grows, bound)
-        return tuple(uinterpolate([(v[0], v[i]) for v in values]) for i in (1, 2, 3))
     res, s1 = usubresultants_int(*([ueval(row, 1 << k) for row in rows] for rows in (frows, grows)))
     return tuple(_balanced_digits(v, k) for v in (res, *s1, *[0] * (2 - len(s1))))
 
@@ -611,58 +601,6 @@ def _balanced_digits(n, k):
         digits.append(digit)
         n = (n - digit) >> k
     return digits
-
-
-def _chain_values(frows, grows, bound):
-    """(node, res, s10, s11) at bound + 1 integer nodes 0, 1, -1, 2, ...,
-    skipping nodes where a leading row vanishes. All the work is in Python
-    ints."""
-    values = []
-    for t in _integer_nodes():
-        fvals = [ueval(row, t) for row in frows]
-        gvals = [ueval(row, t) for row in grows]
-        if fvals[-1] and gvals[-1]:
-            res, s1 = usubresultants_int(fvals, gvals)
-            values.append((t, res, *s1, *[0] * (2 - len(s1))))
-            if len(values) > bound:
-                return values
-
-
-def _degree_bound(frows, grows):
-    """A bound on the degrees of the resultant and first subresultant of
-    the rows' polynomials, in the kept variable.
-
-    For a slope b, row i of f has degree at most c_f - b*i where
-    c_f = max(deg row_i + b*i), and likewise for g. A term of the Sylvester
-    determinant defining S_j takes d2 - j rows of f and d1 - j of g whose
-    indices add up to d1*d2 for j = 0, and to d1*d2 - 2 + t for the
-    coefficient of v**t in S_1; that bounds its degree. Over b each bound
-    is least at b = 0 or at the slope between two rows of f or of g. Where
-    f or g stands in for S_1 (one of them lacks v), its rows bound it.
-    """
-    d1, d2 = len(frows) - 1, len(grows) - 1
-    points = [[(i, len(r) - 1) for i, r in enumerate(rows) if r] for rows in (frows, grows)]
-    slopes = {(0, 1)} | {(k - l, j - i) for pts in points for i, k in pts for j, l in pts if j > i}
-
-    def at(p, q, j):
-        """The bound at slope b = p/q, in integers: q*c_f is max(q*deg + p*i)."""
-        cf, cg = (max(q * k + p * i for i, k in pts) for pts in points)
-        indices = d1 * d2 if j == 0 else d1 * d2 - 2 + (p < 0)
-        return ((d2 - j) * cf + (d1 - j) * cg - p * indices) // q
-
-    subresultants = (0, 1) if min(d1, d2) >= 1 else (0,)
-    return max(*(min(at(p, q, j) for p, q in slopes) for j in subresultants),
-               *(k for pts in points for _, k in pts))
-
-
-def _integer_nodes():
-    """0, 1, -1, 2, -2, ..."""
-    yield 0
-    v = 1
-    while True:
-        yield v
-        yield -v
-        v += 1
 
 
 def _primitive_rows(p, var):

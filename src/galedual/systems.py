@@ -50,12 +50,6 @@ class LinearForm:
         object.__setattr__(self, "constant", Fraction(self.constant))
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
-    def evaluate(self, point):
-        total = self.constant
-        for c, x in zip(self.coeffs, point):
-            total = total + c * x
-        return total
-
     def render(self, names):
         return term_sum([*zip(self.coeffs, names), (self.constant, "1")])
 
@@ -94,9 +88,6 @@ class Arrangement:
             b = (self.forms[j].constant, *self.forms[j].coeffs)
             if _proportional(a, b):
                 raise ValueError(f"forms {i} and {j} are proportional")
-
-    def evaluate(self, point):
-        return tuple(f.evaluate(point) for f in self.forms)
 
 
 def is_essential(arrangement):

@@ -576,8 +576,8 @@ def test_resultant_matches_sylvester_reference(f, g, eliminate):
        bivariate_polys(max_exp=2), bivariate_polys(max_exp=1), st.sampled_from([0, 1]))
 def test_resultant_leading_coefficient_vanishing_at_nodes(r, square, f_low, g_low, eliminate):
     # both leading coefficients are t^2 - r^2 or t - r, which vanish at small
-    # nodes: the integer path skips those, the reference takes the padded
-    # determinant there
+    # integers: the reference takes the padded determinant there, and the
+    # one chain at 2**k must keep them nonzero
     x, y = x_y()
     var, t = (x, y) if eliminate == 0 else (y, x)
     lead = t * t - r * r if square else t - r
@@ -595,8 +595,9 @@ def test_resultant_known_vanishing_leading_coefficients():
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from([0, 1, 2]), bivariate_polys(max_exp=2), bivariate_polys(max_exp=2))
 def test_bivariate_subresultants_match_determinants_at_every_x(r, f_low, g_low):
-    # leading coefficients in y vanish at x = r and x = -r: the interpolation
-    # skips those nodes, yet S1 must match its determinant there too
+    # leading coefficients in y vanish at x = r and x = -r, where the chain
+    # on the specialized rows would drop a degree, yet S1 must match its
+    # generic-size determinant there too
     x, y = x_y()
     f = (x * x - r * r) * y ** 4 + f_low * y
     g = (x - r) * y ** 3 + Fraction(2, 5) * g_low
@@ -614,9 +615,9 @@ def test_bivariate_subresultants_match_determinants_at_every_x(r, f_low, g_low):
 @settings(deadline=None, max_examples=80)
 @given(bivariate_polys(max_exp=4), bivariate_polys(max_exp=4), st.sampled_from([0, 1]))
 def test_bivariate_subresultants_interpolate_enough_nodes(f, g, eliminate):
-    # the node count comes from a degree bound over Newton-polygon slopes; a
-    # bound one too small still matches every node it interpolated, so the
-    # values are also checked at t = +-40..45, beyond the nodes 0, 1, -1, ...
+    # a digit read off too small a power of two spills into its neighbours;
+    # the values are checked at small t and at t = +-40..45, where every
+    # coefficient counts
     fscale, frows = _primitive_rows(f, eliminate)
     gscale, grows = _primitive_rows(g, eliminate)
     assume(min(len(frows), len(grows)) >= 3)
@@ -628,18 +629,28 @@ def test_bivariate_subresultants_interpolate_enough_nodes(f, g, eliminate):
         assert [ueval(s10, t), ueval(s11, t)] == first_subresultant(a, b)
 
 
-# -- one chain at 2**k (Kronecker substitution) against the node path ----------
+# -- one chain at 2**k (Kronecker substitution) against chains at small nodes --
 
 
-def both_paths(f, g, eliminate):
-    """bivariate_subresultants with every size sent to the nodes, and with
-    every size sent to one chain at 2**k."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polynomials, "_KRONECKER_BITS", -1)
-        nodes = bivariate_subresultants(f, g, eliminate)
-        mp.setattr(polynomials, "_KRONECKER_BITS", math.inf)
-        packed = bivariate_subresultants(f, g, eliminate)
-    return nodes, packed
+def chains_at_nodes(f, g, eliminate):
+    """(res, s10, s11) as Fraction lists from one usubresultants_int chain at
+    each small integer where neither leading row vanishes, interpolated over
+    as many nodes as any of the three can have coefficients."""
+    _, frows = _primitive_rows(f, eliminate)
+    _, grows = _primitive_rows(g, eliminate)
+    d1, d2 = len(frows) - 1, len(grows) - 1
+    ef, eg = (max(len(row) - 1 for row in rows) for rows in (frows, grows))
+    bound = max(d2 * ef + d1 * eg, ef, eg)
+    values = []
+    for t in range(-bound - ef - eg - 1, bound + ef + eg + 2):
+        a = [ueval(row, t) for row in frows]
+        b = [ueval(row, t) for row in grows]
+        if a[-1] and b[-1]:
+            res, s1 = usubresultants_int(a, b)
+            values.append((t, res, *s1, *[0] * (2 - len(s1))))
+    values = values[: bound + 1]
+    assert len(values) == bound + 1
+    return tuple(fraction_interpolate([(Fraction(v[0]), v[i]) for v in values]) for i in (1, 2, 3))
 
 
 def in_t(draw, max_deg, bound):
@@ -685,8 +696,8 @@ def elimination_pairs(draw):
 @example((x_y()[1] ** 2 - x_y()[0], x_y()[1] * (x_y()[1] ** 2 - x_y()[0])))  # zero resultant
 def test_one_chain_at_a_power_of_two_matches_the_nodes(pair):
     f, g = pair
-    nodes, packed = both_paths(f, g, 1)
-    assert packed == nodes
+    packed = bivariate_subresultants(f, g, 1)
+    assert packed == chains_at_nodes(f, g, 1)
     assert all(type(c) is int for part in packed for c in part)
 
 
@@ -706,14 +717,10 @@ PLANAR_DUAL = {
 }
 
 
-def test_large_pairs_take_the_nodes(monkeypatch):
+def test_large_pair_matches_the_determinants():
     master = parse_system(PLANAR_DUAL)
     f, g = (clear_denominators(master, j).expand_difference(master.arrangement) for j in range(2))
-    chains = []
-    chain_values = polynomials._chain_values
-    monkeypatch.setattr(polynomials, "_chain_values", lambda *args: chains.append(1) or chain_values(*args))
     res, s10, s11 = bivariate_subresultants(f, g, 1)
-    assert chains == [1]
     assert len(res) - 1 == 66
     _, frows = _primitive_rows(f, 1)
     _, grows = _primitive_rows(g, 1)

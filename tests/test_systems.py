@@ -293,9 +293,13 @@ def test_cleared_polynomials_plain_when_no_negatives():
 # -- arrangements -----------------------------------------------------------------
 
 
+def form_value(form, point):
+    return form.constant + sum(c * x for c, x in zip(form.coeffs, point))
+
+
 def test_linear_form_basics():
     f = LinearForm(Fraction(-1, 2), (1, -1))
-    assert f.evaluate((Fraction(2), Fraction(1))) == Fraction(1, 2)
+    assert form_value(f, (Fraction(2), Fraction(1))) == Fraction(1, 2)
     assert f.render(("s", "t")) == "s - t - 1/2"
 
 
@@ -365,7 +369,7 @@ def test_cleared_binomial_zero_iff_product_one():
     rows = [clear_denominators(master, j) for j in range(2)]
     for _ in range(60):
         p = rand_torus_point(rng, 2)
-        values = master.arrangement.evaluate(p)
+        values = [form_value(form, p) for form in master.arrangement.forms]
         if any(v == 0 for v in values):
             continue
         for j, cleared in enumerate(rows):
