@@ -295,8 +295,9 @@ def ugcd(a, b):
     """Monic gcd over Q, normalized so gcds are canonical.
 
     The work is _gcd_int's, on the primitive integer parts of a and b: a
-    coprimality test modulo a prime, then a primitive pseudo-remainder
-    sequence if that test does not settle it.
+    coprimality test modulo a prime, then the heuristic gcd if that test
+    does not settle it, then a primitive pseudo-remainder sequence if
+    neither does.
     """
     g = _gcd_int(_to_int_primitive(a), _to_int_primitive(b))
     return _monic(g) if g else []
@@ -316,6 +317,10 @@ def _monic(coeffs):
 _PRIMES = (2 ** 30 - 35, 2 ** 30 - 41, 2 ** 30 - 83, 2 ** 30 - 101)
 
 
+# evaluation points _gcd_heuristic tries before the pseudo-remainder sequence
+_HEURISTIC_TRIES = 6
+
+
 def _gcd_int(f, g):
     """The primitive gcd of two trimmed integer lists with a positive
     leading coefficient ([] when both are zero).
@@ -323,19 +328,48 @@ def _gcd_int(f, g):
     [1] when f and g are coprime modulo the first prime of _PRIMES that
     divides neither leading coefficient: their gcd's leading coefficient
     divides both, so its image keeps its degree and divides both images,
-    and gcd 1 mod p proves coprimality (Brown, JACM 18, 1971). Otherwise a
-    primitive pseudo-remainder sequence.
+    and gcd 1 mod p proves coprimality (Brown, JACM 18, 1971). Otherwise
+    the heuristic gcd (_gcd_heuristic), whose answer is proved by exact
+    division, and if that gives none, a primitive pseudo-remainder sequence.
     """
     if f and g:
         p = next((p for p in _PRIMES if f[-1] % p and g[-1] % p), 0)
         if p and _coprime_mod(f, g, p):
             return [1]
+        h = _gcd_heuristic(_primitive(f), _primitive(g))
+        if h:
+            return h
     f, g = _primitive(f), _primitive(g)
     if len(f) < len(g):
         f, g = g, f
     while g:
         f, g = g, _primitive(_prem(f, g))
     return f if not f or f[-1] > 0 else [-c for c in f]
+
+
+def _gcd_heuristic(f, g):
+    """gcd(f, g) for nonzero primitive integer lists by GCDHEU (Char, Geddes
+    and Gonnet, JSC 7, 1989), or None.
+
+    At an integer xi >= 2*min(|f|_inf, |g|_inf) + 2, the integer gcd of
+    f(xi) and g(xi), written in balanced base-xi digits, gives a candidate
+    G. If the primitive part of G divides both f and g, it is their gcd
+    (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, Thm 7.7):
+    the bound on xi is what makes that division a proof, so it is kept as
+    the starting point. A candidate that fails the division is discarded
+    and xi grows, _HEURISTIC_TRIES times in all.
+    """
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        h = _primitive(_balanced_digits(gcd(ueval(f, xi), ueval(g, xi)), xi))
+        if h[-1] < 0:
+            h = [-c for c in h]
+        try:
+            udivexact(f, h), udivexact(g, h)
+            return h
+        except InvariantError:
+            xi = xi * 73794 // 27011  # a growth factor near 1 + sqrt(3), as in the book
+    return None
 
 
 def _coprime_mod(f, g, p):
@@ -506,20 +540,22 @@ def usubresultants_int(a, b):
     return 0, s1
 
 
-def line_restriction(p, line):
-    """p on the line c + a*x + b*y = 0, as a primitive integer list.
+def line_restriction(rows, line):
+    """p on the line c + a*x + b*y = 0, as a primitive integer list, from
+    p's primitive integer rows (_primitive_rows) in the variable the line
+    substitutes: y when b != 0, x when b = 0. A caller splits p into rows
+    once for all the lines it restricts p to.
 
     For b != 0 it is b**d * p(x, -(c + a*x)/b), a list in x with d the
     degree of p in y: Res_y(p, line) up to a nonzero rational factor. For
     b = 0 it is a**d * p(-c/a, y), a list in y with d the degree of p in x:
     Res_x(p, line) up to such a factor. The line's denominators are cleared
-    first, and Horner's rule runs over the rows of p in the substituted
-    variable. The empty list means the line is a component of p.
+    first, and Horner's rule runs over the rows. The empty list means the
+    line is a component of p.
     """
     var = 1 if line[2] else 0
     den = lcm(*(v.denominator for v in line))
     c, k, m = (line[i].numerator * (den // line[i].denominator) for i in (0, 2 - var, 1 + var))
-    _, rows = _primitive_rows(p, var)
     out, scale = rows[-1], 1
     for row in reversed(rows[:-1]):
         scale *= m
@@ -588,18 +624,18 @@ def _subresultants(frows, grows):
     fnorm, gnorm = (sum(abs(c) for row in rows for c in row) for rows in (frows, grows))
     k = max(fnorm ** d2 * gnorm ** d1, fnorm, gnorm).bit_length() + 1
     res, s1 = usubresultants_int(*([ueval(row, 1 << k) for row in rows] for rows in (frows, grows)))
-    return tuple(_balanced_digits(v, k) for v in (res, *s1, *[0] * (2 - len(s1))))
+    return tuple(_balanced_digits(v, 1 << k) for v in (res, *s1, *[0] * (2 - len(s1))))
 
 
-def _balanced_digits(n, k):
-    """The ascending base-2**k digits of n, each in [-2**(k-1), 2**(k-1))."""
-    digits, mask, half = [], (1 << k) - 1, 1 << (k - 1)
+def _balanced_digits(n, base):
+    """The ascending base-``base`` digits of n, each in [-base/2, base/2)."""
+    digits, half = [], (base + 1) // 2
     while n:
-        digit = n & mask
+        n, digit = divmod(n, base)
         if digit >= half:
-            digit -= 1 << k
+            digit -= base
+            n += 1
         digits.append(digit)
-        n = (n - digit) >> k
     return digits
 
 

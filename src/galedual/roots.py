@@ -2,11 +2,14 @@
 
 Floating point does the work, in numpy. Where its rounding error bound
 leaves a root or a value uncertain, it is evaluated exactly in integers at
-the float's dyadic value instead. How many roots are real is counted
-exactly, in integers.
+the float's dyadic value instead. How many roots are real is proved from
+inclusion disks around the roots found (real_root_count); Sturm's theorem
+in integers (ureal_root_count) decides only where the disks overlap.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,9 +61,102 @@ def polynomial_roots(coeffs):
     return z
 
 
+def real_root_count(coeffs, z):
+    """The number of real roots of a squarefree trimmed ascending list of
+    integers p of degree n, given approximations z to all n roots
+    (polynomial_roots).
+
+    Around each z_i lies the inclusion disk of radius r_i = n*|p(z_i)| /
+    |a_n * prod_{j != i}(z_i - z_j)|: the disks cover the roots, and a
+    union of k disks disjoint from the others holds exactly k of them
+    (Neumaier, "Enclosing clusters of zeros of polynomials", JCAM 156,
+    2003). So when the disks are pairwise disjoint, each holds one root. If
+    disk i is moreover disjoint from the mirror image of every other disk,
+    the conjugate of its root, a root too, can lie in no other disk, so it
+    lies in disk i and is the root itself: the root is real. A disk that
+    misses the real axis holds a nonreal root. When every disk that meets
+    the axis is also apart from the others' mirror images, the count is the
+    number of disks that meet the axis; z need not be closed under
+    conjugation. Larger radii keep all of this true, so upper bounds on r_i
+    serve.
+
+    The first bounds come from floating-point Horner (_horner), with u =
+    _EPS/2 the unit of rounding and B the sum of |terms| it returns. Its
+    value is within 8*n*_EPS*B = 16*n*u*B of p(z_i) / (scale *
+    max(1, |z_i|)**n), which covers, to first order and with room for the
+    second: scaling the coefficients by 1/scale (u*B); beyond the unit
+    circle, the reciprocal w = 1/z_i, which numpy's Smith division rounds
+    within 6u, so every power of w that Horner forms is within 6*n*u
+    (6*n*u*B); and Horner's own complex steps ((sqrt(5) + 1)*n*u*B). The
+    factor 1 + 8*n*_EPS on r_i covers the rest: the product of differences,
+    kept as frexp mantissas and summed exponents so that nothing overflows,
+    at about 3u per factor for the difference, its modulus and the
+    product; max(1, |z_i|)**n, within about n*u; a few single roundings;
+    and 4u for comparing the disks' distances in floats. Where these bounds
+    leave disks in conflict, the disks involved get |p(z_i)| exactly
+    (_horner_exact) at the dyadic z_i; where they still conflict, or z is
+    not n finite points, Sturm's theorem (ureal_root_count) decides.
+    """
+    n = len(coeffs) - 1
+    if len(z) != n or not np.isfinite(z).all():
+        return ureal_root_count(coeffs)
+    asc = _floats(coeffs)
+    with np.errstate(all="ignore"):
+        p, _, bound = _horner(asc, z)
+        mantissa, exponent = np.frexp(np.maximum(1, np.abs(z)))
+        value = (np.abs(p) + 8 * n * _EPS * bound) * mantissa ** n
+        exponent = n * exponent.astype(np.int64)
+        radius = _disk_radii(asc[-1], z, value, exponent)
+        count, loose = _disk_count(z, radius)
+        if count is None:
+            scale = max(map(abs, coeffs))
+            for i in np.flatnonzero(loose):
+                value[i], exponent[i] = _exact_magnitude(coeffs, z[i], scale)
+            count, _ = _disk_count(z, _disk_radii(asc[-1], z, value, exponent))
+    return ureal_root_count(coeffs) if count is None else count
+
+
+def _disk_radii(lead, z, value, exponent):
+    """Upper bounds on the inclusion radii n*|p(z_i)| / |lead *
+    prod_{j != i}(z_i - z_j)|, where |p(z_i)| <= value_i * 2**exponent_i
+    and p and lead are scaled alike; see real_root_count."""
+    n = len(z)
+    gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, 1)
+    mantissa, shift = np.frexp(gaps)
+    radius = n * value * (1 + 8 * n * _EPS) / (abs(lead) * mantissa.prod(axis=1))
+    # a radius that underflows is raised to the least normal float, above it
+    return np.maximum(np.ldexp(radius, exponent - shift.sum(axis=1)), np.finfo(float).tiny)
+
+
+def _disk_count(z, radius):
+    """(count, None) when the disks settle how many roots are real (see
+    real_root_count), else (None, a mask of the disks in some conflict)."""
+    reach = radius[:, None] + radius[None, :]
+    apart = np.abs(z[:, None] - z[None, :]) > reach
+    unmirrored = np.abs(z[:, None] - z[None, :].conj()) > reach
+    np.fill_diagonal(apart, True)
+    np.fill_diagonal(unmirrored, True)
+    nonreal = np.abs(z.imag) > radius
+    conflict = ~apart | (~unmirrored & ~nonreal[:, None])
+    if not conflict.any():
+        return int((~nonreal).sum()), None
+    return None, conflict.any(axis=0) | conflict.any(axis=1)
+
+
+def _exact_magnitude(coeffs, z, scale):
+    """(value, exponent) with |p(z)| / scale = value * 2**exponent to within
+    a few rounding units, p(z) evaluated exactly at the dyadic z."""
+    (tr, ti), _ = _horner_exact(coeffs, z)
+    d = max(v.as_integer_ratio()[1] for v in (z.real, z.imag))
+    top, low = max(tr.bit_length(), ti.bit_length()), scale.bit_length()
+    value = math.hypot(tr / (1 << top), ti / (1 << top)) / (scale / (1 << low))
+    return value, top - low - (len(coeffs) - 1) * (d.bit_length() - 1)
+
+
 def ureal_root_count(coeffs):
     """The number of distinct real roots of a trimmed ascending list of
-    integers p.
+    integers p: real_root_count's fallback, and its reference in the tests.
 
     Sturm's theorem (Basu, Pollack and Roy, Algorithms in Real Algebraic
     Geometry, ch. 2): the sign changes of the Sturm sequence p, p', -rem,

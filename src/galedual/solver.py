@@ -27,6 +27,7 @@ from .newton import compile_pair, refine
 from .polynomials import (
     Poly,
     _gcd_int,
+    _primitive_rows,
     _to_int_primitive,
     bivariate_subresultants,
     line_restriction,
@@ -39,7 +40,7 @@ from .polynomials import (
 from .polynomials import bivariate_resultant, ugcd, usquarefree  # noqa: F401
 from .systems import cleared_polynomials, clear_denominators, evaluate_phi
 from .ratlinalg import frac_rows
-from .roots import polynomial_roots, rational_values, ureal_root_count
+from .roots import polynomial_roots, rational_values, real_root_count
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,10 @@ def solve_bivariate(f, g, config=None, exclude=()):
     roots.rational_values, and each point is then polished by Newton's
     method on the pair (newton.refine); a point whose backward error stays
     at or above verify_tol is dropped and counted as diverged. A factor with
-    r real roots (roots.ureal_root_count) marks its r roots nearest the real
-    axis real, and those lift to real points: S10, S11 and lam are integral.
+    r real roots marks its r roots nearest the real axis real, and those
+    lift to real points: S10, S11 and lam are integral. r is proved from
+    inclusion disks around the roots already found (roots.real_root_count),
+    and by Sturm's theorem only where the disks overlap.
 
     Raises CommonComponentError when the pair shares a curve, DegreeCapError
     above _DEGREE_CAP, and SeparationError when no shear up to
@@ -124,7 +127,7 @@ def solve_bivariate(f, g, config=None, exclude=()):
     if f.degree(1) == 0 and g.degree(1) == 0:
         # two polynomials in x alone, read on the line y = 0: a common root
         # would be a vertical line
-        if len(_gcd_int(*(line_restriction(p, (0, 0, 1)) for p in (f, g)))) > 1:
+        if len(_gcd_int(*(line_restriction(_primitive_rows(p, 1)[1], (0, 0, 1)) for p in (f, g)))) > 1:
             raise CommonComponentError("both equations vanish on a common vertical line")
         return SolutionSet((), (), (), config)
 
@@ -151,7 +154,7 @@ def solve_bivariate(f, g, config=None, exclude=()):
         y = -rational_values(s10, s11, u)
         starts.extend(zip(u - lam * y, y))
         mults.extend([mult] * len(u))
-        nearest = np.argsort(np.abs(u.imag), kind="stable")[:ureal_root_count(factor)]
+        nearest = np.argsort(np.abs(u.imag), kind="stable")[:real_root_count(factor, u)]
         real.extend(np.isin(np.arange(len(u)), nearest))
     points, residuals, converged = refine(
         compile_pair(f, g), np.array(starts, dtype=complex).reshape(-1, 2).T, config
@@ -198,9 +201,9 @@ def _separated_factors(res, s11, pair, lines):
     _only_excluded checks the other roots. The work is in primitive integer
     lists, and the factors have positive leading coefficients.
     """
-    excluded = []
+    excluded, rows = [], [_primitive_rows(p, 1)[1] for p in pair]
     for line in lines:
-        h = _gcd_int(*(line_restriction(p, line) for p in pair)) if line[2] else _to_int_primitive(line[:2])
+        h = _gcd_int(*(line_restriction(r, line) for r in rows)) if line[2] else _to_int_primitive(line[:2])
         if len(h) > 1:
             excluded.append(h)
     out = []
@@ -228,7 +231,7 @@ def _only_excluded(roots, pair, lines):
     fiber (a vertical line through x0 takes the whole fiber). Any other
     root is not certified.
     """
-    certified = set()
+    certified, rows = set(), [_primitive_rows(p, 0)[1] for p in pair]
     for i, (c1, a1, b1) in enumerate(lines):
         for c2, a2, b2 in lines[i + 1:]:
             det = a1 * b2 - a2 * b1
@@ -242,7 +245,7 @@ def _only_excluded(roots, pair, lines):
                 on_lines = umul(on_lines, [c + a * x0, b])
             if on_lines:  # otherwise a vertical line is the fiber
                 on_lines = _to_int_primitive(on_lines)
-                common = _gcd_int(*(line_restriction(p, (-x0, 1, 0)) for p in pair))
+                common = _gcd_int(*(line_restriction(r, (-x0, 1, 0)) for r in rows))
                 if any(len(_gcd_int(h, on_lines)) < len(h) for h, _ in usquarefree_int(common)):
                     return False
             certified.add(x0)

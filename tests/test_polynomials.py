@@ -13,6 +13,7 @@ from galedual.errors import InvariantError
 from galedual.polynomials import (
     Poly,
     _PRIMES,
+    _gcd_heuristic,
     _gcd_int,
     _prem,
     _primitive,
@@ -35,6 +36,7 @@ from galedual.polynomials import (
 )
 from galedual.ratlinalg import det_bareiss_int, mat_det
 from galedual.serialize import parse_system
+from galedual.solver import solve_master
 from galedual.systems import clear_denominators
 
 
@@ -731,6 +733,23 @@ def test_large_pair_matches_the_determinants():
         assert [ueval(s10, t), ueval(s11, t)] == first_subresultant(a, b)
 
 
+def test_large_pair_squarefree_split():
+    # R times a sextic power: the gcds of Yun's steps are decided by GCDHEU
+    master = parse_system(PLANAR_DUAL)
+    f, g = (clear_denominators(master, j).expand_difference(master.arrangement) for j in range(2))
+    res = bivariate_subresultants(f, g, 1)[0]
+    target = res
+    for _ in range(6):
+        target = umul(target, [7, -3, 5])
+    primitive = _primitive(res) if res[-1] > 0 else [-c for c in _primitive(res)]
+    assert usquarefree_int(target) == [(primitive, 1), ([7, -3, 5], 6)]
+
+
+def test_large_pair_solves_with_every_root():
+    sols = solve_master(parse_system(PLANAR_DUAL))
+    assert (sols.count, sols.total_multiplicity, sols.real_count) == (66, 66, 2)
+
+
 # -- integer squarefree decomposition ---------------------------------------------
 
 
@@ -867,6 +886,55 @@ def test_unlucky_prime_falls_back_to_prs():
     assert _gcd_int([1, 1], [1 + p, 1]) == [1]
 
 
+# -- integer gcd: the heuristic gcd (GCDHEU) ---------------------------------------
+
+big = st.integers(-2 ** 200, 2 ** 200)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(big, min_size=2, max_size=4).filter(lambda c: c[-1]),
+       st.lists(big, min_size=1, max_size=4).filter(lambda c: c[-1]),
+       st.lists(big, min_size=1, max_size=4).filter(lambda c: c[-1]))
+def test_gcd_int_matches_prs_on_planted_factors_with_large_coefficients(common, u, v):
+    f, g = umul(common, u), umul(common, v)
+    f, g = (p if p[-1] > 0 else [-c for c in p] for p in (f, g))
+    d = _gcd_int(f, g)
+    assert d == prs_gcd(f, g)
+    assert not utrim(udivmod(d, common)[1])
+
+
+def test_heuristic_gcd_exhausts_its_tries_and_prs_decides(monkeypatch):
+    # g = (x + 1)(x**2 + 1) has norm 1, so the evaluation points are 4, 10,
+    # 27, ...; f = (x + 1) times x - xi for each of them vanishes at every
+    # one, and each candidate is g itself, which does not divide f
+    xis = [4]
+    while len(xis) < polynomials._HEURISTIC_TRIES:
+        xis.append(xis[-1] * 73794 // 27011)
+    f, g = [1, 1], umul([1, 1], [1, 0, 1])
+    for xi in xis:
+        f = umul(f, [-xi, 1])
+    bases = []
+    digits = polynomials._balanced_digits
+    monkeypatch.setattr(polynomials, "_balanced_digits", lambda n, base: bases.append(base) or digits(n, base))
+    assert _gcd_heuristic(f, g) is None
+    assert bases == xis
+    assert _gcd_int(f, g) == prs_gcd(f, g) == [1, 1]
+
+
+def test_heuristic_gcd_rejects_a_wrong_candidate(monkeypatch):
+    # the cofactors x + 1 and 2 - x share the factor 3 at the first point
+    # xi = 2**71 + 12, and 3 times the middle coefficient 2**70 is past
+    # xi/2, so the first candidate's digits are wrong: division rejects it
+    # and a later point gives the gcd
+    common = [3, 2 ** 70, 5]
+    f, g = umul(common, [1, 1]), umul(common, [2, -1])
+    bases = []
+    digits = polynomials._balanced_digits
+    monkeypatch.setattr(polynomials, "_balanced_digits", lambda n, base: bases.append(base) or digits(n, base))
+    assert _gcd_heuristic(f, g) == common == prs_gcd(f, g)
+    assert bases[0] == 2 ** 71 + 12 and len(bases) > 1
+
+
 # -- restriction to a line ----------------------------------------------------------
 
 
@@ -897,7 +965,7 @@ def test_line_restriction_is_the_resultant_against_the_line(p, line, component):
     if component:
         p = p * form
     eliminate = 1 if b else 0
-    got = line_restriction(p, line)
+    got = line_restriction(_primitive_rows(p, eliminate)[1], line)
     assert all(type(v) is int for v in got)
     assert got == _primitive(got)
     assert proportional(got, bivariate_resultant(p, form, eliminate))

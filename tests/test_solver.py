@@ -24,10 +24,10 @@ from galedual.errors import (
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from galedual.newton import compile_pair, refine
-from galedual import polynomials, solver
-from galedual.polynomials import Poly, umul
+from galedual import polynomials, roots, solver
+from galedual.polynomials import Poly, umul, usquarefree_int
 from galedual.polytopes import kouchnirenko_bound
-from galedual.roots import ureal_root_count
+from galedual.roots import polynomial_roots, real_root_count, ureal_root_count
 from galedual.serialize import load_system
 from galedual.solver import (
     SolverConfig,
@@ -167,6 +167,71 @@ def test_real_count_is_the_number_of_real_roots(factors):
     f = Poly(2, {(i, 0): c for i, c in enumerate(coeffs)})
     if f.degree() > 0:
         assert solve_bivariate(f, 7 * y - x).real_count == len(roots)
+
+
+# -- real counts from inclusion disks, Sturm as the reference -------------------
+
+
+def tiers(monkeypatch):
+    """Record which of real_root_count's exact tier and Sturm fallback run."""
+    used = []
+    exact, sturm = roots._exact_magnitude, roots.ureal_root_count
+    monkeypatch.setattr(roots, "_exact_magnitude", lambda *args: used.append("exact") or exact(*args))
+    monkeypatch.setattr(roots, "ureal_root_count", lambda coeffs: used.append("sturm") or sturm(coeffs))
+    return used
+
+
+def disk_count(coeffs):
+    return real_root_count(coeffs, polynomial_roots(coeffs))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.lists(st.integers(-60, 60), min_size=2, max_size=14).filter(lambda c: c[-1]))
+def test_disk_count_matches_sturm_on_squarefree_parts(coeffs):
+    squarefree = [1]
+    for factor, _ in usquarefree_int(coeffs):
+        squarefree = umul(squarefree, factor)
+    assert disk_count(squarefree) == ureal_root_count(squarefree)
+
+
+@pytest.mark.parametrize("k", range(2, 23, 2))
+def test_disk_count_near_the_real_axis(k):
+    # 3 +- 10**(-k/2)*i and 3 +- 10**(-k/2)/2, as in the solver test above,
+    # next to a real root and a conjugate pair far from them
+    near = umul([9 * 10 ** k + 1, -6 * 10 ** k, 10 ** k], [5, 1, 1])
+    close = umul([36 * 10 ** k - 1, -24 * 10 ** k, 4 * 10 ** k], [7, 2])
+    assert disk_count(near) == ureal_root_count(near) == 0
+    assert disk_count(close) == ureal_root_count(close) == 3
+
+
+def test_large_coefficients_take_the_exact_tier(monkeypatch):
+    # Wilkinson's roots moved to j + 1/b: floating-point Horner cancels far
+    # beyond its rounding bound at 1264-bit coefficients, exact values do not
+    b = 2 ** 60 + 1
+    coeffs = [1]
+    for j in range(1, 21):
+        coeffs = umul(coeffs, [-(b * j + 1), b])
+    used = tiers(monkeypatch)
+    assert disk_count(coeffs) == 20
+    assert "exact" in used and "sturm" not in used
+
+
+def test_tight_real_cluster_falls_back_to_sturm(monkeypatch):
+    # roots 1 and 1 + 10**-15, a few floats apart: their disks overlap
+    scale = 10 ** 15
+    coeffs = umul([-scale, scale], [-scale - 1, scale])
+    used = tiers(monkeypatch)
+    assert disk_count(coeffs) == 2
+    assert used[-1] == "sturm"
+
+
+@pytest.mark.parametrize("fixture", ["example22_sparse.json", "example22_master.json", "example3_second.json"])
+def test_fixtures_never_reach_the_sturm_fallback(monkeypatch, fixture):
+    used = tiers(monkeypatch)
+    system = load_system(str(files("galedual") / "fixtures" / fixture))
+    sols = (solve_sparse if isinstance(system, SparseSystem) else solve_master)(system)
+    assert sols.count == 17
+    assert "sturm" not in used
 
 
 def test_constant_equation_has_no_roots():
