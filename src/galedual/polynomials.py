@@ -575,15 +575,17 @@ def bivariate_resultant(f, g, eliminate):
     """
     (fscale, frows), (gscale, grows) = (_primitive_rows(p, eliminate) for p in (f, g))
     scale = fscale ** (len(grows) - 1) * gscale ** (len(frows) - 1)
-    return [scale * c for c in _subresultants(frows, grows)[0]]
+    return [scale * c for c in bivariate_subresultants(frows, grows)[0]]
 
 
-def bivariate_subresultants(f, g, eliminate):
+def bivariate_subresultants(frows, grows):
     """(res, s10, s11): the resultant and the first subresultant s11*v + s10
     of f and g in the eliminated variable v (see usubresultants_int), up to
-    positive rational factors, as dense ascending integer lists.
+    positive rational factors, as dense ascending integer lists, from the
+    primitive integer rows of f and g in v (_primitive_rows), which a
+    caller also restricting f and g to lines (line_restriction) splits once.
 
-    The chain runs on the primitive integer rows F and G of f and g, of
+    The chain runs on the polynomials F and G with those rows, of
     degrees d1 and d2 in v, specialized at an integer t: while neither
     leading row vanishes at t, the chain's determinants are those of the
     generic-size Sylvester matrices, so its values are the three
@@ -615,11 +617,6 @@ def bivariate_subresultants(f, g, eliminate):
     5.2 ms, 35k bits 14.7 against 7.3 ms, 158k bits 463 against 51 ms. The
     pairs of the verify benchmark workloads stay below 6.3k bits.
     """
-    return _subresultants(*(_primitive_rows(p, eliminate)[1] for p in (f, g)))
-
-
-def _subresultants(frows, grows):
-    """bivariate_subresultants on the primitive rows of f and g."""
     d1, d2 = len(frows) - 1, len(grows) - 1
     fnorm, gnorm = (sum(abs(c) for row in rows for c in row) for rows in (frows, grows))
     k = max(fnorm ** d2 * gnorm ** d1, fnorm, gnorm).bit_length() + 1

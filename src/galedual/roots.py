@@ -94,12 +94,10 @@ def real_root_count(coeffs, z):
     product; max(1, |z_i|)**n, within about n*u; a few single roundings;
     and 4u for comparing the disks' distances in floats. Where these bounds
     leave disks in conflict, the disks involved get |p(z_i)| exactly
-    (_horner_exact) at the dyadic z_i; where they still conflict, or z is
-    not n finite points, Sturm's theorem (ureal_root_count) decides.
+    (_horner_exact) at the dyadic z_i; where they still conflict, Sturm's
+    theorem (ureal_root_count) decides.
     """
     n = len(coeffs) - 1
-    if len(z) != n or not np.isfinite(z).all():
-        return ureal_root_count(coeffs)
     asc = _floats(coeffs)
     with np.errstate(all="ignore"):
         p, _, bound = _horner(asc, z)

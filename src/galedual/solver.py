@@ -134,11 +134,12 @@ def solve_bivariate(f, g, config=None, exclude=()):
     diagnostics = []
     for lam in range(_MAX_SHEAR + 1):
         pair = (_shear(f, lam), _shear(g, lam))
-        res, s10, s11 = bivariate_subresultants(*pair, 1)
+        rows = [_primitive_rows(p, 1)[1] for p in pair]
+        res, s10, s11 = bivariate_subresultants(*rows)
         if not res:
             raise CommonComponentError("resultant vanishes identically; common curve")
         lines = [(c, a, b - a * lam) for c, a, b in exclude]
-        factors = _separated_factors(res, s11, pair, lines)
+        factors = _separated_factors(res, s11, pair, rows, lines)
         if factors is not None:
             break
     else:
@@ -188,7 +189,7 @@ def _shear(p, lam):
     return sum((((x - lam * y) ** i * y ** j).scale(c) for (i, j), c in p.terms.items()), Poly(2))
 
 
-def _separated_factors(res, s11, pair, lines):
+def _separated_factors(res, s11, pair, rows, lines):
     """Squarefree factors of res with their multiplicities, less the roots
     under common zeros on the lines; None unless each factor left is coprime
     to s11 and each root taken out is certified.
@@ -199,9 +200,10 @@ def _separated_factors(res, s11, pair, lines):
     skipped. Taking out a root is safe when its fiber holds excluded zeros
     only: so when the fiber is separated there (one common zero), and
     _only_excluded checks the other roots. The work is in primitive integer
-    lists, and the factors have positive leading coefficients.
+    lists, and the factors have positive leading coefficients; rows are the
+    pair's primitive integer rows in y, as the elimination read them.
     """
-    excluded, rows = [], [_primitive_rows(p, 1)[1] for p in pair]
+    excluded = []
     for line in lines:
         h = _gcd_int(*(line_restriction(r, line) for r in rows)) if line[2] else _to_int_primitive(line[:2])
         if len(h) > 1:
@@ -231,7 +233,7 @@ def _only_excluded(roots, pair, lines):
     fiber (a vertical line through x0 takes the whole fiber). Any other
     root is not certified.
     """
-    certified, rows = set(), [_primitive_rows(p, 0)[1] for p in pair]
+    certified, rows = set(), None
     for i, (c1, a1, b1) in enumerate(lines):
         for c2, a2, b2 in lines[i + 1:]:
             det = a1 * b2 - a2 * b1
@@ -245,6 +247,7 @@ def _only_excluded(roots, pair, lines):
                 on_lines = umul(on_lines, [c + a * x0, b])
             if on_lines:  # otherwise a vertical line is the fiber
                 on_lines = _to_int_primitive(on_lines)
+                rows = rows or [_primitive_rows(p, 0)[1] for p in pair]  # in x, for vertical lines
                 common = _gcd_int(*(line_restriction(r, (-x0, 1, 0)) for r in rows))
                 if any(len(_gcd_int(h, on_lines)) < len(h) for h, _ in usquarefree_int(common)):
                     return False

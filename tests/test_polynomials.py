@@ -603,9 +603,9 @@ def test_bivariate_subresultants_match_determinants_at_every_x(r, f_low, g_low):
     x, y = x_y()
     f = (x * x - r * r) * y ** 4 + f_low * y
     g = (x - r) * y ** 3 + Fraction(2, 5) * g_low
-    res, s10, s11 = bivariate_subresultants(f, g, 1)
     fscale, frows = _primitive_rows(f, 1)
     gscale, grows = _primitive_rows(g, 1)
+    res, s10, s11 = bivariate_subresultants(frows, grows)
     for t in range(-3, 4):
         a = [ueval(row, t) for row in frows]
         b = [ueval(row, t) for row in grows]
@@ -623,7 +623,7 @@ def test_bivariate_subresultants_interpolate_enough_nodes(f, g, eliminate):
     fscale, frows = _primitive_rows(f, eliminate)
     gscale, grows = _primitive_rows(g, eliminate)
     assume(min(len(frows), len(grows)) >= 3)
-    res, s10, s11 = bivariate_subresultants(f, g, eliminate)
+    res, s10, s11 = bivariate_subresultants(frows, grows)
     for t in [*range(-6, 7), *range(40, 46), *range(-45, -39)]:
         a = [ueval(row, t) for row in frows]
         b = [ueval(row, t) for row in grows]
@@ -698,7 +698,7 @@ def elimination_pairs(draw):
 @example((x_y()[1] ** 2 - x_y()[0], x_y()[1] * (x_y()[1] ** 2 - x_y()[0])))  # zero resultant
 def test_one_chain_at_a_power_of_two_matches_the_nodes(pair):
     f, g = pair
-    packed = bivariate_subresultants(f, g, 1)
+    packed = bivariate_subresultants(_primitive_rows(f, 1)[1], _primitive_rows(g, 1)[1])
     assert packed == chains_at_nodes(f, g, 1)
     assert all(type(c) is int for part in packed for c in part)
 
@@ -722,10 +722,10 @@ PLANAR_DUAL = {
 def test_large_pair_matches_the_determinants():
     master = parse_system(PLANAR_DUAL)
     f, g = (clear_denominators(master, j).expand_difference(master.arrangement) for j in range(2))
-    res, s10, s11 = bivariate_subresultants(f, g, 1)
-    assert len(res) - 1 == 66
     _, frows = _primitive_rows(f, 1)
     _, grows = _primitive_rows(g, 1)
+    res, s10, s11 = bivariate_subresultants(frows, grows)
+    assert len(res) - 1 == 66
     for t in (-2, 1, 7):
         a = [ueval(row, t) for row in frows]
         b = [ueval(row, t) for row in grows]
@@ -737,7 +737,7 @@ def test_large_pair_squarefree_split():
     # R times a sextic power: the gcds of Yun's steps are decided by GCDHEU
     master = parse_system(PLANAR_DUAL)
     f, g = (clear_denominators(master, j).expand_difference(master.arrangement) for j in range(2))
-    res = bivariate_subresultants(f, g, 1)[0]
+    res = bivariate_subresultants(_primitive_rows(f, 1)[1], _primitive_rows(g, 1)[1])[0]
     target = res
     for _ in range(6):
         target = umul(target, [7, -3, 5])
