@@ -368,7 +368,7 @@ def _gcd_heuristic(f, g):
             udivexact(f, h), udivexact(g, h)
             return h
         except InvariantError:
-            xi = xi * 73794 // 27011  # a growth factor near 1 + sqrt(3), as in the book
+            xi = xi * 73794 // 27011  # growth near 1 + sqrt(3), as in Geddes, Czapor and Labahn
     return None
 
 
