@@ -6,7 +6,9 @@ stdout, stderr and exit code do not depend on the platform. solve and
 verify print floats too, so only the fields that exact arithmetic decides
 are pinned: counts, multiplicities, realness, locations, flags,
 diagnostics, the matching and the bound. A change that keeps results must
-keep all of these. After a change meant to alter them, rewrite the pinned
+keep all of these. Three random sparse systems of the benchmark corpus
+(tests/inputs), whose resultants have tight root clusters, have their
+verify pinned the same way. After a change meant to alter them, rewrite the pinned
 file with ``PYTHONPATH=src python tests/test_golden.py`` and review its
 diff.
 """
@@ -24,11 +26,16 @@ from galedual.cli import main
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 FIXTURES = ("example22_sparse", "example22_master", "example3_second")
 CALLS = [(command, fixture, fmt) for command in ("dualize", "bound") for fixture in FIXTURES for fmt in ("json", "text")]
+CLUSTERED = ("sparse-b19-1", "sparse-b19-2", "sparse-b13-9")
 EXACT_CALLS = [(command, fixture) for command in ("solve", "verify") for fixture in FIXTURES]
+EXACT_CALLS += [("verify", name) for name in CLUSTERED]
 
 
 def run(command, fixture, fmt):
-    path = str(files("galedual") / "fixtures" / f"{fixture}.json")
+    if fixture in FIXTURES:
+        path = str(files("galedual") / "fixtures" / f"{fixture}.json")
+    else:
+        path = str(Path(__file__).with_name("inputs") / f"{fixture}.json")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--input", path, "--format", fmt])
