@@ -21,6 +21,7 @@ from .duality import (
 )
 from .errors import (
     CommonComponentError,
+    ConvergenceError,
     DegreeCapError,
     DependentRowsError,
     DimensionCapError,
@@ -233,7 +234,8 @@ def main(argv=None):
         return _fail(str(exc), EXIT_PARSE)
     except (NoPivotError, NotPrimitiveError, NotEssentialError) as exc:
         return _fail(str(exc), EXIT_DIAGNOSTIC)
-    except (CommonComponentError, DegreeCapError, DimensionCapError, SeparationError) as exc:
+    except (CommonComponentError, ConvergenceError, DegreeCapError, DimensionCapError,
+            SeparationError) as exc:
         return _fail(str(exc), EXIT_SOLVER)
 
 

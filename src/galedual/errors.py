@@ -69,3 +69,7 @@ class DimensionCapError(GaleDualError):
 
 class SeparationError(GaleDualError):
     """No tried projection separates the common zeros of a bivariate pair."""
+
+
+class ConvergenceError(GaleDualError):
+    """An iteration ran out of passes before every root settled."""

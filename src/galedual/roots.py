@@ -2,7 +2,11 @@
 
 Floating point does the work, in numpy. Where its rounding error bound
 leaves a root or a value uncertain, it is evaluated exactly in integers at
-the float's dyadic value instead. How many roots are real is proved from
+the float's dyadic value instead. A cluster of uncertain roots is first
+recentred: the polynomial is shifted exactly to a dyadic point at the
+cluster and scaled to its size (a Taylor shift in Gaussian integers), and
+its roots are found there in floating point again (Bini and Robol, JCAM
+272, 2014, restart at clusters). How many roots are real is proved from
 inclusion disks around the roots found (real_root_count); Sturm's theorem
 in integers (ureal_root_count) decides only where the disks overlap.
 """
@@ -13,12 +17,13 @@ import math
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .polynomials import _prem, _primitive, uderiv
 
 
-# Aberth passes at most (they converge cubically once the roots separate),
-# and the relative uncertainty at which a root or value is final: Newton's
-# method on the pair takes it from there
+# Aberth passes at most (they converge cubically once the roots separate;
+# polynomial_roots raises beyond), and the relative uncertainty at which a
+# root or value is final: Newton's method on the pair takes it from there
 _ABERTH_STEPS = 60
 _RTOL = 2.0 ** -30
 _EPS = 2.0 ** -52  # the spacing of floats at 1
@@ -35,30 +40,144 @@ def polynomial_roots(coeffs):
     bound) until it stops moving. If the bound then leaves it uncertain to
     more than _RTOL relative, it goes on with Newton ratios evaluated
     exactly, in integers at the iterate's dyadic value.
+
+    Uncertain roots whose rounding disks overlap form a group; a group well
+    apart from the other roots is a cluster, and iterating its roots from a
+    symmetric start stalls. Such a group restarts on the polynomial
+    recentred at it by an exact Taylor shift (_recentre), and only the roots
+    that stay uncertain there go on with exact ratios.
+
+    Raises ConvergenceError when roots still move after _ABERTH_STEPS passes.
     """
     n = len(coeffs) - 1
     asc = _floats(coeffs)
     z = np.roots(asc[::-1]).astype(complex)
     state = np.zeros(n, dtype=int)  # 0 floating point, 1 exact, 2 final
+    spread = np.zeros(n)  # rounding radius of an uncertain root not yet grouped
     with np.errstate(all="ignore"):
         for _ in range(_ABERTH_STEPS):
             active = np.flatnonzero(state < 2)
             if not len(active):
-                break
-            p, dp, bound = _horner(asc, z[active])
-            ratio, radius = p / dp, 4 * n * _EPS * bound / np.abs(dp)
+                return z
+            ratio, radius = _ratios(asc, z[active])
             exact = state[active] == 1
             radius[exact] = 0
             ratio[exact] = [_quotient(*_horner_exact(coeffs, v)) for v in z[active[exact]]]
-            gaps = z[active, None] - z[None, :]
-            gaps[np.arange(len(active)), active] = np.inf
-            step = ratio / (1 - ratio * (1 / gaps).sum(axis=1))
-            step[~np.isfinite(step)] = 0
-            z[active] -= step
-            tol = _RTOL * np.maximum(1, np.abs(z[active]))
-            stopped = np.abs(step) <= np.maximum(radius, tol)
-            state[active[stopped]] = np.where(radius <= tol, 2, 1)[stopped]
+            stopped = _aberth_step(z, active, ratio, radius, 1)
+            state[active[stopped]] = np.where(radius <= _tolerance(z[active], 1), 2, 1)[stopped]
+            uncertain = stopped & ~exact & (state[active] == 1)
+            if uncertain.any():
+                spread[active[uncertain]] = radius[uncertain]
+                spread[state == 2] = 0
+                for group in _groups(z, spread):
+                    spread[group] = 0  # tried once
+                    _recentre(coeffs, z, state, group)
+    if (state < 2).any():
+        raise ConvergenceError(f"roots still move after {_ABERTH_STEPS} Aberth passes")
     return z
+
+
+def _ratios(asc, z):
+    """Newton ratios p/p' of float coefficients at the points (_horner), and
+    the radius about each that Horner's rounding error leaves uncertain."""
+    p, dp, bound = _horner(asc, z)
+    return p / dp, 4 * (len(asc) - 1) * _EPS * bound / np.abs(dp)
+
+
+def _tolerance(z, scale):
+    """The relative uncertainty _RTOL at which a root z is final, in units of
+    scale."""
+    return _RTOL * np.maximum(1, np.abs(z)) / scale
+
+
+def _aberth_step(z, active, ratio, radius, scale, origin=0):
+    """Move the roots z[active] by their Aberth-Ehrlich steps from their
+    Newton ratios against all of z, and return which stopped: moved no more
+    than the ratio's uncertainty radius or the final tolerance. z is in
+    units of scale around origin."""
+    gaps = z[active, None] - z[None, :]
+    gaps[np.arange(len(active)), active] = np.inf
+    step = ratio / (1 - ratio * (1 / gaps).sum(axis=1))
+    step[~np.isfinite(step)] = 0
+    z[active] -= step
+    return np.abs(step) <= np.maximum(radius, _tolerance(origin + scale * z[active], scale))
+
+
+def _groups(z, spread):
+    """Index arrays of the clusters among the roots with a spread: two or
+    more whose disks of that radius overlap in a chain, of diameter below a
+    quarter of the distance from their mean to the nearest other root."""
+    idx = np.flatnonzero(spread)
+    reach = np.abs(z[idx, None] - z[None, idx]) <= spread[idx, None] + spread[idx, None].T
+    for _ in range(len(idx).bit_length()):  # transitive closure by squaring
+        reach = (reach.astype(int) @ reach) > 0
+    first = reach.argmax(axis=1)  # the component's first member
+    for label in np.unique(first):
+        group = idx[first == label]
+        centre = z[group].mean()
+        extent = np.abs(z[group] - centre).max()
+        others = np.delete(np.abs(z - centre), group)
+        if len(group) > 1 and (not len(others) or 8 * extent < others.min()):
+            yield group
+
+
+def _recentre(coeffs, z, state, group):
+    """Restart the cluster z[group] on p(c + h*s), and finalise the roots
+    that floating point settles there.
+
+    The centre c is the group's mean rounded to a sixteenth of the scale h,
+    the power of two at or above its diameter, so that the Taylor shift's
+    integers stay short (_shifted). The k roots restart from the k
+    eigenvalues of the shifted polynomial nearest 0 and iterate against
+    the other roots, held fixed, with the same rounding bound and the same
+    stop test in z's units. A Newton step underestimates the distance to
+    a root of a k-cluster up to k-fold, so the roots left uncertain, or
+    whose disks of k times that bound still overlap, are recentred again at
+    their own mean and diameter, as long as the diameter halves.
+    """
+    n, diameter = len(coeffs) - 1, math.inf
+    settled = np.zeros(n, dtype=bool)
+    while len(group) > 1:
+        centre = z[group].mean()
+        width = 2 * np.abs(z[group] - centre).max()
+        if not width < diameter / 2:
+            break
+        diameter, m = width, math.frexp(width)[1]
+        a = (round(math.ldexp(centre.real, 4 - m)), round(math.ldexp(centre.imag, 4 - m)))
+        c, h = complex(math.ldexp(a[0], m - 4), math.ldexp(a[1], m - 4)), math.ldexp(1.0, m)
+        asc = _floats(*_shifted(coeffs, a, 4 - m, 4))
+        s = (z - c) / h
+        eigenvalues = np.roots(asc[::-1])
+        s[group] = eigenvalues[np.argsort(np.abs(eigenvalues))[:len(group)]]
+        moving, radii = group, np.full(n, np.inf)  # radii in z's units
+        for _ in range(_ABERTH_STEPS):
+            ratio, radius = _ratios(asc, s[moving])
+            stopped = _aberth_step(s, moving, ratio, radius, h, c)
+            radii[moving[stopped]] = h * radius[stopped]
+            moving = moving[~stopped]
+            if not len(moving):
+                break
+        z[group] = c + h * s[group]
+        settled[group] = radii[group] <= _tolerance(z[group], 1)
+        reach = len(group) * (radii[group, None] + radii[None, group])
+        overlap = np.abs(z[group, None] - z[None, group]) <= reach
+        group = group[~settled[group] | (overlap.sum(axis=1) > 1)]
+    state[settled] = 2
+
+
+def _shifted(coeffs, a, e, g):
+    """Real and imaginary integer lists proportional to the coefficients of
+    p(2**-e * (a + 2**g * s)), for a Gaussian integer a = (real, imaginary):
+    p's coefficients scaled to those of a multiple of p(2**-e * t), then
+    Horner's Taylor shift t -> t + a in O(n**2) additions and products."""
+    n = len(coeffs) - 1
+    re = [c << e * (n - k) if e >= 0 else c << -e * k for k, c in enumerate(coeffs)]
+    im = [0] * (n + 1)
+    ar, ai = a
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            re[k], im[k] = re[k] + ar * re[k + 1] - ai * im[k + 1], im[k] + ar * im[k + 1] + ai * re[k + 1]
+    return [v << g * k for k, v in enumerate(re)], [v << g * k for k, v in enumerate(im)]
 
 
 def real_root_count(coeffs, z):
@@ -192,9 +311,14 @@ def rational_values(num, den, z):
     return values
 
 
-def _floats(ints):
-    scale = max(abs(v) for v in ints) or 1
-    return np.array([v / scale for v in ints])
+def _floats(ints, imag=None):
+    """Integers divided by the largest magnitude among them, as floats;
+    complex floats with a list of imaginary parts."""
+    if imag is None:
+        scale = max(abs(v) for v in ints) or 1
+        return np.array([v / scale for v in ints])
+    scale = max(max(map(abs, ints)), max(map(abs, imag))) or 1
+    return np.array([complex(u / scale, v / scale) for u, v in zip(ints, imag)])
 
 
 def _horner(asc, z):

@@ -64,6 +64,8 @@ class SolutionSet:
     excluded: tuple
     diagnostics: tuple
     config: SolverConfig
+    # solve_sparse: the monomial-map values at each solution, for the match
+    monomials: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def count(self):
@@ -271,17 +273,17 @@ def solve_sparse(system, config=None):
         )
     f, g = cleared_polynomials(system)
     raw = solve_bivariate(f, g, config, exclude=((0, 1, 0), (0, 0, 1)))
-    return _reverified(raw, "torus", lambda points: _sparse_residuals(system, points))
+    monomials = [evaluate_phi(system.support, s.point) for s in raw.solutions]
+    return _reverified(raw, "torus", _sparse_residuals(system, monomials), monomials)
 
 
-def _sparse_residuals(system, points):
-    """The largest |equation| at each point, with each coefficient made a
-    complex once for all the points."""
+def _sparse_residuals(system, monomials):
+    """The largest |equation| at each point, from its monomial-map values,
+    with each coefficient made a complex once for all the points."""
     rows = [(complex(row[0]), [(j, complex(c)) for j, c in enumerate(row[1:]) if c])
             for row in system.coefficients]
     out = []
-    for point in points:
-        values = evaluate_phi(system.support, point)
+    for values in monomials:
         worst = 0.0
         for total, terms in rows:
             for j, c in terms:
@@ -309,21 +311,23 @@ def solve_master(master, config=None):
     f, g = (cb.expand_difference(master.arrangement) for cb in cleared)
     lines = tuple((form.constant, *form.coeffs) for form in master.arrangement.forms)
     raw = solve_bivariate(f, g, config, exclude=lines)
-    return _reverified(raw, "complement", master.residuals)
+    return _reverified(raw, "complement", master.residuals([s.point for s in raw.solutions]))
 
 
-def _reverified(raw, location, residuals):
-    """Points of raw whose defining residual (``residuals`` maps a list of
-    points to theirs) is below verify_tol, at that residual; the others are
+def _reverified(raw, location, residuals, monomials=()):
+    """Points of raw whose defining residual is below verify_tol, at that
+    residual, with their monomial-map values if given; the others are
     excluded with the flag "defining-residual"."""
-    solutions, excluded = [], []
-    for sol, r in zip(raw.solutions, residuals([s.point for s in raw.solutions])):
+    solutions, excluded, kept = [], [], []
+    for k, (sol, r) in enumerate(zip(raw.solutions, residuals)):
         if r < raw.config.verify_tol:
             solutions.append(replace(sol, location=location, residual=r))
+            kept.append(k)
         else:
             flags = sol.flags + ("defining-residual",)
             excluded.append(replace(sol, location="excluded", residual=r, flags=flags))
-    return SolutionSet(tuple(solutions), tuple(excluded), raw.diagnostics, raw.config)
+    monomials = tuple(monomials[k] for k in kept) if monomials else ()
+    return SolutionSet(tuple(solutions), tuple(excluded), raw.diagnostics, raw.config, monomials)
 
 
 # largest distance between a torus solution's image and its complement partner
@@ -364,11 +368,11 @@ class IsomorphismReport:
 def verify_isomorphism(pair, config=None):
     """Solve both sides of a pair and match solutions through the monomial map.
 
-    Every torus solution x is pushed to z = x^support (in witness z-order) and
-    the master point y is recovered by least squares from the degree-one
-    system forms(y) = z; the nearest unused complement solution within
-    _MATCH_TOL is its partner. Count or realness mismatches are reported, not
-    raised.
+    Every torus solution x is pushed to z = x^support (in witness z-order,
+    from the values solve_sparse kept) and the master point y is recovered
+    by least squares from the degree-one system forms(y) = z, all points in
+    one solve; the nearest unused complement solution within _MATCH_TOL is
+    its partner. Count or realness mismatches are reported, not raised.
     """
     config = config or SolverConfig()
     poly_sol = solve_sparse(pair.poly, config)
@@ -379,21 +383,15 @@ def verify_isomorphism(pair, config=None):
     constants = np.array([float(f.constant) for f in forms], dtype=float)
 
     z_cols = pair.witness.z_support_columns
-    projected = []
-    for sol in poly_sol.solutions:
-        z = evaluate_phi(pair.poly.support, sol.point)
-        z_ordered = np.array([complex(z[c]) for c in z_cols])
-        target = z_ordered - constants
-        y, *_ = np.linalg.lstsq(gradient.astype(complex), target, rcond=None)
-        projected.append(tuple(complex(v) for v in y))
-
-    edges = []
-    for i, y in enumerate(projected):
-        for j, msol in enumerate(master_sol.solutions):
-            d = max(abs(a - b) for a, b in zip(y, msol.point))
-            if d < _MATCH_TOL:
-                edges.append((d, i, j))
-    edges.sort()
+    targets = np.array([[complex(z[c]) for c in z_cols] for z in poly_sol.monomials],
+                       dtype=complex).reshape(-1, len(z_cols)) - constants
+    projected = np.linalg.lstsq(gradient.astype(complex), targets.T, rcond=None)[0].T
+    points = np.array([s.point for s in master_sol.solutions], dtype=complex).reshape(-1, 2)
+    gaps = projected[:, None, :] - points[None, :, :]
+    # np.hypot, as CPython's abs of a complex: np.abs may differ in the last bit
+    distance = np.hypot(gaps.real, gaps.imag).max(axis=2)
+    edges = sorted((float(distance[i, j]), int(i), int(j))
+                   for i, j in zip(*np.nonzero(distance < _MATCH_TOL)))
     used_poly = set()
     used_master = set()
     pairs = []
@@ -404,7 +402,7 @@ def verify_isomorphism(pair, config=None):
         used_master.add(j)
         both_real = poly_sol.solutions[i].is_real and master_sol.solutions[j].is_real
         pairs.append(MatchedPair(i, j, d, both_real))
-    unmatched_poly = tuple(i for i in range(len(projected)) if i not in used_poly)
+    unmatched_poly = tuple(i for i in range(poly_sol.count) if i not in used_poly)
     unmatched_master = tuple(
         j for j in range(len(master_sol.solutions)) if j not in used_master
     )

@@ -5,6 +5,7 @@ from importlib.resources import files
 
 import pytest
 
+from galedual import roots
 from galedual.cli import main
 
 FIXTURES = files("galedual") / "fixtures"
@@ -429,6 +430,15 @@ def test_degree_cap_is_solver_error(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--input", path)
     assert code == 3
     assert "cap" in err
+
+
+def test_unconverged_roots_are_solver_error(capsys, monkeypatch):
+    # the fixture's resultant factors need more than one Aberth pass
+    monkeypatch.setattr(roots, "_ABERTH_STEPS", 1)
+    code, out, err = run(capsys, "verify", "--input", SPARSE)
+    assert code == 3
+    assert out == ""
+    assert err == "error: roots still move after 1 Aberth passes\n"
 
 
 def test_bound_above_hull_dimension_cap_is_solver_error(capsys, tmp_path):

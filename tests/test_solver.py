@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from importlib.resources import files
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from galedual.duality import (
 )
 from galedual.errors import (
     CommonComponentError,
+    ConvergenceError,
     DegreeCapError,
     DependentRowsError,
     DimensionCapError,
@@ -204,25 +206,100 @@ def test_disk_count_near_the_real_axis(k):
     assert disk_count(close) == ureal_root_count(close) == 3
 
 
-def test_large_coefficients_take_the_exact_tier(monkeypatch):
-    # Wilkinson's roots moved to j + 1/b: floating-point Horner cancels far
-    # beyond its rounding bound at 1264-bit coefficients, exact values do not
+def moved_wilkinson():
+    """Wilkinson's roots moved to j + 1/b, j = 1, ..., 20, b = 2**60 + 1."""
     b = 2 ** 60 + 1
     coeffs = [1]
     for j in range(1, 21):
         coeffs = umul(coeffs, [-(b * j + 1), b])
+    return coeffs
+
+
+def test_large_coefficients_take_the_exact_tier(monkeypatch):
+    # floating-point Horner cancels far beyond its rounding bound at
+    # 1264-bit coefficients, exact values do not
+    coeffs = moved_wilkinson()
     used = tiers(monkeypatch)
     assert disk_count(coeffs) == 20
     assert "exact" in used and "sturm" not in used
 
 
 def test_tight_real_cluster_falls_back_to_sturm(monkeypatch):
-    # roots 1 and 1 + 10**-15, a few floats apart: their disks overlap
+    # roots 1 and 1 + 10**-15, a few floats apart, are resolved on the
+    # polynomial recentred at them; 1 and 1 + 10**-17 round to the same
+    # float, so their disks coincide and Sturm decides
     scale = 10 ** 15
+    coeffs = umul([-scale, scale], [-scale - 1, scale])
+    assert disk_count(coeffs) == 2
+    scale = 10 ** 17
     coeffs = umul([-scale, scale], [-scale - 1, scale])
     used = tiers(monkeypatch)
     assert disk_count(coeffs) == 2
     assert used[-1] == "sturm"
+
+
+# a degree-22 resultant factor of the benchmark's sparse system sparse-b19-2
+# (tests/inputs): 103-bit coefficients, and four roots 1e-4 apart around 8
+CLUSTER_FACTOR = [
+    5070602400912917605986812821504, 6021398646168166236791070785536,
+    3014522848994858971697291814289, 757781066233194384134612189184,
+    89045938791923870245915066368, 52480315805508793518134525952,
+    -99293140688633151661955678208, -353461623592767822922048162816,
+    24946637240882276009246745088, 715007851394052742796884448576,
+    442862646631308674535609370848, -409301299553520927769079126452,
+    -560086965599791727503569349746, -170847100856308677469130494753,
+    29723516981610018959528379484, 17676633665122286233539321270,
+    -1505977909758627764240402866, -654166572487270223720053841,
+    107261814120045355183208306, -4528451689077322803995473, 4512673855872,
+    61987278240, 387420489,
+]
+
+
+def test_cluster_restarts_on_the_recentred_polynomial(monkeypatch):
+    # from the companion eigenvalues, the cluster is a square turned by 45
+    # degrees; exact Newton ratios took 58 passes and 188 evaluations there
+    calls = {"float": 0, "exact": 0}
+    horner, exact = roots._horner, roots._horner_exact
+
+    def count(kind, fn):
+        return lambda *args: calls.__setitem__(kind, calls[kind] + 1) or fn(*args)
+
+    monkeypatch.setattr(roots, "_horner", count("float", horner))
+    monkeypatch.setattr(roots, "_horner_exact", count("exact", exact))
+    z = polynomial_roots(CLUSTER_FACTOR)
+    assert calls["float"] <= 10 and calls["exact"] <= 10
+    reference = mpmath.polyroots(CLUSTER_FACTOR[::-1], maxsteps=200, extraprec=600)
+    assert len(z) == len(reference) == 22
+    for r in map(complex, reference):
+        assert np.abs(z - r).min() <= 1e-12 * abs(r)
+    assert sum(abs(v - 8) < 1e-3 for v in z) == 4
+    assert real_root_count(CLUSTER_FACTOR, z) == ureal_root_count(CLUSTER_FACTOR)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(2, 5), st.integers(8, 40), st.fractions(16, 64, max_denominator=8), st.booleans(),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=7).filter(lambda c: c[-1]))
+def test_planted_clusters_are_found(k, j, centre, negative, factor):
+    # k roots 2**-j apart, times a factor whose roots lie within 10 of 0
+    centre = -centre if negative else centre
+    planted = [centre + Fraction(i, 2 ** j) for i in range(k)]
+    coeffs = factor
+    for r in planted:
+        coeffs = umul(coeffs, [-r.numerator, r.denominator])
+    squarefree = [1]
+    for part, _ in usquarefree_int(coeffs):
+        squarefree = umul(squarefree, part)
+    z = polynomial_roots(squarefree)
+    for r in planted:
+        assert np.abs(z - float(r)).min() <= 2.0 ** -30 * abs(r)
+    assert real_root_count(squarefree, z) == ureal_root_count(squarefree)
+
+
+def test_roots_that_never_settle_raise(monkeypatch):
+    # the moved Wilkinson roots need a few passes with exact ratios
+    monkeypatch.setattr(roots, "_ABERTH_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="after 1 Aberth passes"):
+        polynomial_roots(moved_wilkinson())
 
 
 @pytest.mark.parametrize("fixture", ["example22_sparse.json", "example22_master.json", "example3_second.json"])
