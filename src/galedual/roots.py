@@ -108,12 +108,15 @@ def _groups(z, spread):
     more whose disks of that radius overlap in a chain, of diameter below a
     quarter of the distance from their mean to the nearest other root."""
     idx = np.flatnonzero(spread)
-    reach = np.abs(z[idx, None] - z[None, idx]) <= spread[idx, None] + spread[idx, None].T
-    for _ in range(len(idx).bit_length()):  # transitive closure by squaring
-        reach = (reach.astype(int) @ reach) > 0
-    first = reach.argmax(axis=1)  # the component's first member
-    for label in np.unique(first):
-        group = idx[first == label]
+    near = np.abs(z[idx, None] - z[idx]) <= spread[idx, None] + spread[idx]
+    label = np.arange(len(idx))
+    for _ in idx:  # each takes the least label it overlaps, until none moves
+        least = np.where(near, label, len(idx)).min(axis=1)
+        if (least == label).all():
+            break
+        label = least
+    for first in np.flatnonzero(label == np.arange(len(idx))):
+        group = idx[label == first]
         centre = z[group].mean()
         extent = np.abs(z[group] - centre).max()
         others = np.delete(np.abs(z - centre), group)
@@ -143,9 +146,10 @@ def _recentre(coeffs, z, state, group):
         if not width < diameter / 2:
             break
         diameter, m = width, math.frexp(width)[1]
-        a = (round(math.ldexp(centre.real, 4 - m)), round(math.ldexp(centre.imag, 4 - m)))
-        c, h = complex(math.ldexp(a[0], m - 4), math.ldexp(a[1], m - 4)), math.ldexp(1.0, m)
-        asc = _floats(*_shifted(coeffs, a, 4 - m, 4))
+        e = 4 - m  # c on the grid of h/16
+        a = (round(math.ldexp(centre.real, e)), round(math.ldexp(centre.imag, e)))
+        c, h = complex(math.ldexp(a[0], -e), math.ldexp(a[1], -e)), math.ldexp(1.0, m)
+        asc = _floats(*_shifted(coeffs, a, e, 4))
         s = (z - c) / h
         eigenvalues = np.roots(asc[::-1])
         s[group] = eigenvalues[np.argsort(np.abs(eigenvalues))[:len(group)]]
@@ -311,13 +315,12 @@ def rational_values(num, den, z):
     return values
 
 
-def _floats(ints, imag=None):
+def _floats(ints, imag=()):
     """Integers divided by the largest magnitude among them, as floats;
-    complex floats with a list of imaginary parts."""
-    if imag is None:
-        scale = max(abs(v) for v in ints) or 1
+    complex floats when imaginary parts, not all zero, come too."""
+    scale = max(abs(v) for v in [*ints, *imag]) or 1
+    if not any(imag):
         return np.array([v / scale for v in ints])
-    scale = max(max(map(abs, ints)), max(map(abs, imag))) or 1
     return np.array([complex(u / scale, v / scale) for u, v in zip(ints, imag)])
 
 
