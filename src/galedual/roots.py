@@ -115,12 +115,11 @@ def _groups(z, spread):
         if (least == label).all():
             break
         label = least
-    for first in np.flatnonzero(label == np.arange(len(idx))):
+    for first in np.flatnonzero(np.bincount(label) > 1):
         group = idx[label == first]
-        centre = z[group].mean()
-        extent = np.abs(z[group] - centre).max()
-        others = np.delete(np.abs(z - centre), group)
-        if len(group) > 1 and (not len(others) or 8 * extent < others.min()):
+        distance = np.abs(z - z[group].mean())
+        extent, distance[group] = distance[group].max(), np.inf
+        if 8 * extent < distance.min():
             yield group
 
 
