@@ -8,9 +8,9 @@ are pinned: counts, multiplicities, realness, locations, flags,
 diagnostics, the matching and the bound. A change that keeps results must
 keep all of these. Three random sparse systems of the benchmark corpus
 (tests/inputs), whose resultants have tight root clusters, have their
-verify pinned the same way. After a change meant to alter them, rewrite the pinned
-file with ``PYTHONPATH=src python tests/test_golden.py`` and review its
-diff.
+verify pinned the same way. After a change meant to alter them, rewrite
+the pinned file with ``PYTHONPATH=src python tests/test_golden.py`` and
+review its diff.
 """
 
 import contextlib
