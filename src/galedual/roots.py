@@ -142,7 +142,7 @@ def _recentre(coeffs, z, state, group):
     while len(group) > 1:
         centre = z[group].mean()
         width = 2 * np.abs(z[group] - centre).max()
-        if not width < diameter / 2:
+        if not 0 < width < diameter / 2:
             break
         diameter, m = width, math.frexp(width)[1]
         e = 4 - m  # c on the grid of h/16
