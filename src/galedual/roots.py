@@ -104,23 +104,27 @@ def _aberth_step(z, active, ratio, radius, scale, origin=0):
 
 
 def _groups(z, spread):
-    """Index arrays of the clusters among the roots with a spread: two or
-    more whose disks of that radius overlap in a chain, of diameter below a
+    """Index arrays of the clusters among the roots with a spread: chains of
+    two or more disks of that radius that overlap, of diameter below a
     quarter of the distance from their mean to the nearest other root."""
-    idx = np.flatnonzero(spread)
-    near = np.abs(z[idx, None] - z[idx]) <= spread[idx, None] + spread[idx]
+    for group in _chains(z, spread, np.flatnonzero(spread)):
+        distance = np.abs(z - z[group].mean())
+        extent, distance[group] = distance[group].max(), np.inf
+        if 8 * extent < distance.min():
+            yield group
+
+
+def _chains(z, radius, idx):
+    """Index arrays, out of idx, of the chains of two or more overlapping
+    disks of the radii about z."""
+    near = np.abs(z[idx, None] - z[idx]) <= radius[idx, None] + radius[idx]
     label = np.arange(len(idx))
     for _ in idx:  # each takes the least label it overlaps, until none moves
         least = np.where(near, label, len(idx)).min(axis=1)
         if (least == label).all():
             break
         label = least
-    for first in np.flatnonzero(np.bincount(label) > 1):
-        group = idx[label == first]
-        distance = np.abs(z - z[group].mean())
-        extent, distance[group] = distance[group].max(), np.inf
-        if 8 * extent < distance.min():
-            yield group
+    return [idx[label == first] for first in np.flatnonzero(np.bincount(label) > 1)]
 
 
 def _recentre(coeffs, z, state, group):
@@ -133,18 +137,21 @@ def _recentre(coeffs, z, state, group):
     eigenvalues of the shifted polynomial nearest 0 and iterate against
     the other roots, held fixed, with the same rounding bound and the same
     stop test in z's units. A Newton step underestimates the distance to
-    a root of a k-cluster up to k-fold, so the roots left uncertain, or
-    whose disks of k times that bound still overlap, are recentred again at
-    their own mean and diameter, as long as the diameter halves.
+    a root of a k-cluster up to k-fold, so each chain of roots whose disks
+    of k times that bound still overlap is recentred again at its own mean
+    and diameter, as long as the diameter halves. Where the roots coincide,
+    the spacing of floats there stands for the diameter.
     """
-    n, diameter = len(coeffs) - 1, math.inf
-    settled = np.zeros(n, dtype=bool)
-    while len(group) > 1:
+    n = len(coeffs) - 1
+    settled, radii = np.zeros(n, dtype=bool), np.zeros(n)  # radii in z's units
+    todo = [(group, math.inf)]
+    while todo:
+        group, diameter = todo.pop()
         centre = z[group].mean()
-        width = 2 * np.abs(z[group] - centre).max()
-        if not 0 < width < diameter / 2:
-            break
-        diameter, m = width, math.frexp(width)[1]
+        width = 2 * np.abs(z[group] - centre).max() or _EPS * max(1, abs(centre))
+        if not width < diameter / 2:
+            continue
+        m = math.frexp(width)[1]
         e = 4 - m  # c on the grid of h/16
         a = (round(math.ldexp(centre.real, e)), round(math.ldexp(centre.imag, e)))
         c, h = complex(math.ldexp(a[0], -e), math.ldexp(a[1], -e)), math.ldexp(1.0, m)
@@ -152,7 +159,7 @@ def _recentre(coeffs, z, state, group):
         s = (z - c) / h
         eigenvalues = np.roots(asc[::-1])
         s[group] = eigenvalues[np.argsort(np.abs(eigenvalues))[:len(group)]]
-        moving, radii = group, np.full(n, np.inf)  # radii in z's units
+        moving, radii[group] = group, np.inf
         for _ in range(_ABERTH_STEPS):
             ratio, radius = _ratios(asc, s[moving])
             stopped = _aberth_step(s, moving, ratio, radius, h, c)
@@ -162,9 +169,7 @@ def _recentre(coeffs, z, state, group):
                 break
         z[group] = c + h * s[group]
         settled[group] = radii[group] <= _tolerance(z[group], 1)
-        reach = len(group) * (radii[group, None] + radii[None, group])
-        overlap = np.abs(z[group, None] - z[None, group]) <= reach
-        group = group[~settled[group] | (overlap.sum(axis=1) > 1)]
+        todo += [(chain, width) for chain in _chains(z, len(group) * radii, group)]
     state[settled] = 2
 
 
