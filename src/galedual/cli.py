@@ -22,6 +22,7 @@ from .duality import (
 from .errors import (
     CommonComponentError,
     ConvergenceError,
+    DegenerateDualError,
     DegreeCapError,
     DependentRowsError,
     DimensionCapError,
@@ -232,7 +233,7 @@ def main(argv=None):
         return _fail(f"invalid input: {exc}", EXIT_PARSE)
     except (DependentRowsError, OutputError) as exc:
         return _fail(str(exc), EXIT_PARSE)
-    except (NoPivotError, NotPrimitiveError, NotEssentialError) as exc:
+    except (DegenerateDualError, NoPivotError, NotPrimitiveError, NotEssentialError) as exc:
         return _fail(str(exc), EXIT_DIAGNOSTIC)
     except (CommonComponentError, ConvergenceError, DegreeCapError, DimensionCapError,
             SeparationError) as exc:

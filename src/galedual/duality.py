@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
-from .errors import DependentRowsError, InvariantError, NotEssentialError, NotPrimitiveError
+from .errors import (
+    DegenerateDualError,
+    DependentRowsError,
+    InvariantError,
+    NotEssentialError,
+    NotPrimitiveError,
+)
 from .lattice import (
     ExponentMatrix,
     WeightBasis,
@@ -127,7 +133,8 @@ def dualize_poly_to_master(system):
     degree-one forms in new variables (one per non-pivot monomial), appends
     the coordinate forms, and takes the lll_reduce basis of the support's
     relation lattice as the weights. The z-coordinate order is pivots then
-    non-pivots, each in stored support order.
+    non-pivots, each in stored support order. Raises DegenerateDualError
+    when a pivot monomial equals a constant or a multiple of another's form.
     """
     require_support_primitive(system.support)
     diag = diagonalize(system)
@@ -140,7 +147,10 @@ def dualize_poly_to_master(system):
         forms.append(
             LinearForm(0, tuple(1 if j == t else 0 for j in range(shape.master_dim)))
         )
-    arrangement = Arrangement(shape.master_dim, tuple(forms), names)
+    try:
+        arrangement = Arrangement(shape.master_dim, tuple(forms), names)
+    except ValueError as exc:
+        raise DegenerateDualError(f"the dual forms are no hyperplane arrangement: {exc}") from None
 
     z_support = system.support.matrix.submatrix_columns(z_cols)
     weights = WeightBasis(shape, lll_reduce(kernel_basis(z_support)))

@@ -47,6 +47,11 @@ class NoPivotError(GaleDualError):
     are inconsistent."""
 
 
+class DegenerateDualError(GaleDualError):
+    """The pivot equations of a sparse system give no hyperplane
+    arrangement: a form with zero gradient, or two proportional forms."""
+
+
 class NotEssentialError(GaleDualError):
     """Arrangement forms together with 1 do not span the degree-one space."""
 

@@ -1,11 +1,12 @@
 """Newton refinement of many starts on a bivariate pair at once, in numpy.
 
-compile_pair turns f, g and their partial derivatives into exponent and
-coefficient arrays; refine runs Newton's method from every start in
-lockstep over a window of active starts, so the Python overhead of a step is
-paid once per pass instead of once per start. Values are summed term by
-term and complex arithmetic is rounded as in CPython, so each start gets
-the point that a one-at-a-time loop over Python complex numbers gives.
+compile_pair turns two integer polynomials (polynomials.IntPoly) and their
+partial derivatives into exponent and coefficient arrays; refine runs
+Newton's method from every start in lockstep over a window of active
+starts, so the Python overhead of a step is paid once per pass instead of
+once per start. Values are summed term by term and complex arithmetic is
+rounded as in CPython, so each start gets the point that a one-at-a-time
+loop over Python complex numbers gives.
 """
 
 from __future__ import annotations
@@ -22,30 +23,29 @@ _MAX_ITER = 50
 
 
 def compile_pair(f, g):
-    """f, g and their partial derivatives as numpy term arrays.
+    """IntPolys f, g and their partial derivatives as numpy term arrays.
 
     Returns (xpow, ypow, groups). xpow and ypow hold the exponents 0..max as
     float columns for the power tables. groups holds an (i, j, c) triple for
     f, f_x, f_y and one for g, g_x, g_y: row r of the (3, terms) arrays is
     the r-th polynomial of the group, term k being
     c[r, k] * x**i[r, k] * y**j[r, k], and the derivatives' shorter rows are
-    padded with zero terms. The derivatives' terms follow the polynomial's.
-    Each coefficient is divided by the largest absolute coefficient of its
-    polynomial, exactly before the one rounding to a float (an int true
-    division, which rounds correctly), so that the coefficients stay in
-    range.
+    padded with zero terms. The terms are in IntPoly.terms order, and the
+    derivatives' terms follow the polynomial's. Each coefficient is divided
+    by the largest absolute coefficient of its polynomial by an int true
+    division, which rounds the exact quotient once, so that the
+    coefficients stay in range.
     """
     groups = []
     for p in (f, g):
-        norm = p.max_abs_coefficient()
+        norm = max(map(abs, p.terms.values()))
         rows = ([], [], [])
         for (a, b), coeff in p.terms.items():
-            num, den = coeff.numerator * norm.denominator, coeff.denominator * norm.numerator
-            rows[0].append((a, b, num / den))
+            rows[0].append((a, b, coeff / norm))
             if a:
-                rows[1].append((a - 1, b, num * a / den))
+                rows[1].append((a - 1, b, coeff * a / norm))
             if b:
-                rows[2].append((a, b - 1, num * b / den))
+                rows[2].append((a, b - 1, coeff * b / norm))
         i = np.zeros((3, len(p.terms)), dtype=int)
         j = np.zeros((3, len(p.terms)), dtype=int)
         c = np.zeros((3, len(p.terms)))
@@ -53,8 +53,8 @@ def compile_pair(f, g):
             if terms:
                 i[r, :len(terms)], j[r, :len(terms)], c[r, :len(terms)] = zip(*terms)
         groups.append((i, j, c[:, :, None]))
-    xpow = np.arange(max(f.degree(0), g.degree(0)) + 1.0)[:, None]
-    ypow = np.arange(max(f.degree(1), g.degree(1)) + 1.0)[:, None]
+    xpow = np.arange(max(len(row) for p in (f, g) for row in p.rows), dtype=float)[:, None]
+    ypow = np.arange(max(len(f.rows), len(g.rows)), dtype=float)[:, None]
     return xpow, ypow, tuple(groups)
 
 

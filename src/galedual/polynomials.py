@@ -1,7 +1,8 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Integer polynomials: the bivariate form the solver works on, and
+univariate helpers on integer lists.
 
-Just enough arithmetic for this package: ring operations, exact evaluation,
-derivatives, interpolation, and the univariate helpers (gcd, squarefree
+IntPoly holds a bivariate polynomial with integer coefficients, both as
+terms and as rows in y. Below it: the univariate helpers (gcd, squarefree
 decomposition, integer subresultant chains) behind the bivariate resultant
 and first subresultant the solver eliminates with, and behind the
 restrictions to lines that it excludes zeros with. The elimination runs
@@ -20,163 +21,40 @@ from .errors import InvariantError
 from .ratlinalg import det_bareiss_int, mat_det  # noqa: F401
 
 
-class Poly:
-    """Immutable sparse polynomial with Fraction coefficients.
+class IntPoly:
+    """A bivariate polynomial with integer coefficients whose gcd is 1.
 
-    Terms map exponent tuples (nonnegative ints, one per variable) to nonzero
-    Fraction coefficients. Laurent exponents are not allowed here; callers
-    clear denominators first.
+    ``terms`` maps the exponents (i, j) of each monomial x**i * y**j that
+    occurs to its coefficient, in the order the terms were given:
+    newton.compile_pair sums them in that order. ``rows`` holds the same
+    coefficients by powers of y: rows[j] is the dense ascending list in x of
+    the coefficient of y**j, trimmed (empty when y**j does not occur), and
+    the last row is nonzero. The zero polynomial has no terms and no rows.
+    The given coefficients are divided by their gcd, so the polynomial is
+    theirs up to a positive factor.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("terms", "rows")
 
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            mono = tuple(int(e) for e in mono)
-            if len(mono) != nvars:
-                raise ValueError(f"monomial {mono} has wrong arity for {nvars} variables")
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono}; clear denominators first")
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
-                if clean[mono] == 0:
-                    del clean[mono]
-        self.terms = clean
+    def __init__(self, terms):
+        content = gcd(*terms.values()) or 1
+        self.terms = {mono: c // content for mono, c in terms.items() if c}
+        self.rows = [[] for _ in range(max((j + 1 for _, j in self.terms), default=0))]
+        for (i, j), c in self.terms.items():
+            row = self.rows[j]
+            row.extend([0] * (i + 1 - len(row)))
+            row[i] = c
 
-    @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+    def degree(self):
+        """Total degree; the zero polynomial gives -1."""
+        return max((i + j for i, j in self.terms), default=-1)
 
-    @classmethod
-    def variable(cls, index, nvars):
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
 
-    @classmethod
-    def linear(cls, constant, coeffs):
-        """Degree-one polynomial constant + sum(coeffs[i] * x_i)."""
-        n = len(coeffs)
-        terms = {(0,) * n: Fraction(constant)}
-        for i, c in enumerate(coeffs):
-            mono = tuple(1 if j == i else 0 for j in range(n))
-            terms[mono] = Fraction(c)
-        return cls(n, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return Poly(self.nvars, out)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.constant(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise ValueError("mixed variable counts")
-            return other
-        return Poly.constant(self.nvars, other)
-
-    def scale(self, factor):
-        factor = Fraction(factor)
-        return Poly(self.nvars, {m: c * factor for m, c in self.terms.items()})
-
-    def degree(self, var=None):
-        """Total degree, or degree in one variable. Zero polynomial gives -1."""
-        if not self.terms:
-            return -1
-        if var is None:
-            return max(sum(m) for m in self.terms)
-        return max(m[var] for m in self.terms)
-
-    def derivative(self, var):
-        out = {}
-        for mono, c in self.terms.items():
-            e = mono[var]
-            if e:
-                lowered = tuple(x - 1 if i == var else x for i, x in enumerate(mono))
-                out[lowered] = out.get(lowered, Fraction(0)) + c * e
-        return Poly(self.nvars, out)
-
-    def eval_exact(self, point):
-        """Evaluate at a tuple of Fractions."""
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for x, e in zip(point, mono):
-                if e:
-                    v *= Fraction(x) ** e
-            total += v
-        return total
-
-    def coefficients_in(self, var):
-        """Coefficients as polynomials in the remaining variables.
-
-        Returns a dict exponent -> Poly where the returned polynomials have the
-        same arity with the chosen variable's exponent zeroed out.
-        """
-        buckets = {}
-        for mono, c in self.terms.items():
-            e = mono[var]
-            rest = tuple(0 if i == var else x for i, x in enumerate(mono))
-            buckets.setdefault(e, {})[rest] = c
-        return {e: Poly(self.nvars, terms) for e, terms in buckets.items()}
-
-    def max_abs_coefficient(self):
-        if not self.terms:
-            return Fraction(0)
-        return max(abs(c) for c in self.terms.values())
-
-    def to_string(self, names):
-        """Deterministic human-readable rendering."""
-        monos = sorted(self.terms, key=lambda m: (-sum(m), tuple(-e for e in m)))
-        return term_sum((self.terms[m], monomial_string(m, names)) for m in monos)
-
-    def __repr__(self):
-        names = [f"x{i}" for i in range(self.nvars)]
-        return f"Poly({self.to_string(names)})"
+def transposed(rows):
+    """The rows of the same polynomial in the other variable: from rows in
+    y (IntPoly.rows) the rows in x, each a list in y, and back."""
+    width = max(map(len, rows), default=0)
+    return [utrim([row[i] if i < len(row) else 0 for row in rows]) for i in range(width)]
 
 
 def monomial_string(exponents, names):
@@ -202,17 +80,6 @@ def term_sum(terms):
             sign = "-" if c < 0 else "+"
             out += f" {sign} {body}" if out else body if c > 0 else f"-{body}"
     return out or "0"
-
-
-def poly_equal_up_to_scale(a, b):
-    """Whether a == r * b for a single nonzero rational r. Zero matches zero."""
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    if set(a.terms) != set(b.terms):
-        return False
-    mono = next(iter(a.terms))
-    ratio = a.terms[mono] / b.terms[mono]
-    return all(c == ratio * b.terms[m] for m, c in a.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +408,19 @@ def usubresultants_int(a, b):
 
 
 def line_restriction(rows, line):
-    """p on the line c + a*x + b*y = 0, as a primitive integer list, from
-    p's primitive integer rows (_primitive_rows) in the variable the line
-    substitutes: y when b != 0, x when b = 0. A caller splits p into rows
-    once for all the lines it restricts p to.
+    """p on the line c + a*x + b*y = 0, for integers (c, a, b), as a
+    primitive integer list, from p's rows (IntPoly.rows, or transposed) in
+    the variable the line substitutes: y when b != 0, x when b = 0. A
+    caller splits p into rows once for all the lines it restricts p to.
 
     For b != 0 it is b**d * p(x, -(c + a*x)/b), a list in x with d the
     degree of p in y: Res_y(p, line) up to a nonzero rational factor. For
     b = 0 it is a**d * p(-c/a, y), a list in y with d the degree of p in x:
-    Res_x(p, line) up to such a factor. The line's denominators are cleared
-    first, and Horner's rule runs over the rows. The empty list means the
-    line is a component of p.
+    Res_x(p, line) up to such a factor. Horner's rule runs over the rows.
+    The empty list means the line is a component of p.
     """
     var = 1 if line[2] else 0
-    den = lcm(*(v.denominator for v in line))
-    c, k, m = (line[i].numerator * (den // line[i].denominator) for i in (0, 2 - var, 1 + var))
+    c, k, m = line[0], line[2 - var], line[1 + var]
     out, scale = rows[-1], 1
     for row in reversed(rows[:-1]):
         scale *= m
@@ -564,25 +429,23 @@ def line_restriction(rows, line):
 
 
 def bivariate_resultant(f, g, eliminate):
-    """Sylvester resultant of two bivariate polynomials, exactly.
+    """Sylvester resultant of two IntPolys, exactly.
 
     Eliminates variable ``eliminate`` (0 or 1) and returns the resultant as a
-    dense ascending list of Fraction coefficients in the other variable: the
-    determinant of the Sylvester matrix of f and g sized by their generic
-    degrees d1, d2 in the eliminated variable. Writing f = a*F and g = b*G
-    with positive rationals a, b and primitive integer F, G, it is
-    a**d2 * b**d1 * Res(F, G).
+    dense ascending int list in the other variable: the determinant of the
+    Sylvester matrix of f and g sized by their degrees in the eliminated
+    variable.
     """
-    (fscale, frows), (gscale, grows) = (_primitive_rows(p, eliminate) for p in (f, g))
-    scale = fscale ** (len(grows) - 1) * gscale ** (len(frows) - 1)
-    return [scale * c for c in bivariate_subresultants(frows, grows)[0]]
+    if not f.terms or not g.terms:
+        raise ValueError("resultant of a zero polynomial")
+    return bivariate_subresultants(*(p.rows if eliminate else transposed(p.rows) for p in (f, g)))[0]
 
 
 def bivariate_subresultants(frows, grows):
     """(res, s10, s11): the resultant and the first subresultant s11*v + s10
     of f and g in the eliminated variable v (see usubresultants_int), up to
     positive rational factors, as dense ascending integer lists, from the
-    primitive integer rows of f and g in v (_primitive_rows), which a
+    primitive integer rows of f and g in v (IntPoly.rows), which a
     caller also restricting f and g to lines (line_restriction) splits once.
 
     The chain runs on the polynomials F and G with those rows, of
@@ -634,24 +497,3 @@ def _balanced_digits(n, base):
             n += 1
         digits.append(digit)
     return digits
-
-
-def _primitive_rows(p, var):
-    """Split p into a positive rational content and primitive integer rows.
-
-    Returns (content, rows) with p = content * sum(rows[e](t) * x**e), where x
-    is variable ``var``, t the other variable, and rows[e] the dense ascending
-    integer coefficient list of x**e (empty when x**e does not occur).
-    """
-    if p.nvars != 2:
-        raise ValueError("resultants here are bivariate only")
-    if p.is_zero():
-        raise ValueError("resultant of a zero polynomial")
-    keep = 1 - var
-    # the content of reduced fractions n_i / d_i is gcd(n_i) / lcm(d_i)
-    denom = lcm(*(c.denominator for c in p.terms.values()))
-    content = gcd(*(c.numerator for c in p.terms.values()))
-    rows = [[0] * (p.degree(keep) + 1) for _ in range(p.degree(var) + 1)]
-    for mono, c in p.terms.items():
-        rows[mono[var]][mono[keep]] = c.numerator * (denom // c.denominator) // content
-    return Fraction(content, denom), [utrim(row) for row in rows]

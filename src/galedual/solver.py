@@ -13,7 +13,7 @@ Newton polishing (galedual.newton).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from math import comb, gcd
 
 import numpy as np
 
@@ -25,20 +25,19 @@ from .errors import (
 )
 from .newton import compile_pair, refine
 from .polynomials import (
-    Poly,
     _gcd_int,
-    _primitive_rows,
-    _to_int_primitive,
+    _primitive,
     bivariate_subresultants,
     line_restriction,
+    transposed,
     udivexact,
-    ueval,
     umul,
     usquarefree_int,
+    utrim,
 )
 # unused here; bench/spans.py looks these names up on this module to count calls
 from .polynomials import bivariate_resultant, ugcd, usquarefree  # noqa: F401
-from .systems import cleared_polynomials, clear_denominators, evaluate_phi
+from .systems import cleared_form, cleared_polynomials, clear_denominators, evaluate_phi
 from .ratlinalg import frac_rows
 from .roots import polynomial_roots, rational_values, real_root_count
 
@@ -88,18 +87,18 @@ _DEGREE_CAP = 30
 
 
 def solve_bivariate(f, g, config=None, exclude=()):
-    """All isolated common zeros of two bivariate polynomials off some lines.
+    """All isolated common zeros of two IntPolys off some lines.
 
-    ``exclude`` lists lines (c, a, b), each the zero set of c + a*x + b*y;
-    common zeros on them are not solutions. One integer subresultant chain
-    (polynomials.bivariate_subresultants) gives R(x) = Res_y(f, g) and the
-    first subresultant S1 = S11(x)*y + S10(x). From R's squarefree factors the
-    roots under excluded zeros are divided out, and separation is checked
-    exactly: each factor must be coprime to S11. Then every root x0 lies
-    under exactly one common zero, (x0, -S10(x0)/S11(x0)), whose
-    intersection multiplicity is x0's multiplicity in R. A pair that fails
-    the check is sheared, x -> x - lam*y for lam = 1, 2, ..., and
-    eliminated again.
+    ``exclude`` lists lines (c, a, b) of ints, each the zero set of
+    c + a*x + b*y; common zeros on them are not solutions. One integer
+    subresultant chain (polynomials.bivariate_subresultants) gives
+    R(x) = Res_y(f, g) and the first subresultant S1 = S11(x)*y + S10(x).
+    From R's squarefree factors the roots under excluded zeros are divided
+    out, and separation is checked exactly: each factor must be coprime to
+    S11. Then every root x0 lies under exactly one common zero,
+    (x0, -S10(x0)/S11(x0)), whose intersection multiplicity is x0's
+    multiplicity in R. A pair that fails the check is sheared,
+    x -> x - lam*y for lam = 1, 2, ..., and eliminated again.
 
     Roots and the lift to y are computed by roots.polynomial_roots and
     roots.rational_values, and each point is then polished by Newton's
@@ -115,10 +114,8 @@ def solve_bivariate(f, g, config=None, exclude=()):
     _MAX_SHEAR separates the common zeros.
     """
     config = config or SolverConfig()
-    if f.nvars != 2 or g.nvars != 2:
-        raise DimensionCapError("solver handles exactly two variables")
     for p in (f, g):
-        if p.is_zero():
+        if not p.terms:
             raise CommonComponentError("an identically zero equation vanishes everywhere")
         if p.degree() > _DEGREE_CAP:
             raise DegreeCapError(f"total degree {p.degree()} exceeds cap {_DEGREE_CAP}")
@@ -126,22 +123,20 @@ def solve_bivariate(f, g, config=None, exclude=()):
     # constants (after the zero check) have no roots anywhere
     if f.degree() == 0 or g.degree() == 0:
         return SolutionSet((), (), ("one equation is a nonzero constant",), config)
-    if f.degree(1) == 0 and g.degree(1) == 0:
-        # two polynomials in x alone, read on the line y = 0: a common root
-        # would be a vertical line
-        if len(_gcd_int(*(line_restriction(_primitive_rows(p, 1)[1], (0, 0, 1)) for p in (f, g)))) > 1:
+    if len(f.rows) == 1 and len(g.rows) == 1:
+        # two polynomials in x alone: a common root would be a vertical line
+        if len(_gcd_int(f.rows[0], g.rows[0])) > 1:
             raise CommonComponentError("both equations vanish on a common vertical line")
         return SolutionSet((), (), (), config)
 
     diagnostics = []
     for lam in range(_MAX_SHEAR + 1):
-        pair = (_shear(f, lam), _shear(g, lam))
-        rows = [_primitive_rows(p, 1)[1] for p in pair]
+        rows = [_shear(p.rows, lam) for p in (f, g)]
         res, s10, s11 = bivariate_subresultants(*rows)
         if not res:
             raise CommonComponentError("resultant vanishes identically; common curve")
         lines = [(c, a, b - a * lam) for c, a, b in exclude]
-        factors = _separated_factors(res, s11, pair, rows, lines)
+        factors = _separated_factors(res, s11, rows, lines)
         if factors is not None:
             break
     else:
@@ -183,15 +178,23 @@ def _sort_key(sol):
     return (round(x.real, 9), round(x.imag, 9), round(y.real, 9), round(y.imag, 9))
 
 
-def _shear(p, lam):
-    """p(x - lam*y, y)."""
+def _shear(rows, lam):
+    """The rows in y of p(x - lam*y, y), from those of p, by binomial
+    expansion of each (x - lam*y)**i."""
     if not lam:
-        return p
-    x, y = Poly.variable(0, 2), Poly.variable(1, 2)
-    return sum((((x - lam * y) ** i * y ** j).scale(c) for (i, j), c in p.terms.items()), Poly(2))
+        return rows
+    out = [[0] * max(map(len, rows)) for _ in range(max(j + len(row) for j, row in enumerate(rows)))]
+    for j, row in enumerate(rows):
+        for i, c in enumerate(row):
+            if c:
+                for k in range(i + 1):
+                    out[j + k][i - k] += c * comb(i, k) * (-lam) ** k
+    while not any(out[-1]):
+        out.pop()
+    return [utrim(row) for row in out]
 
 
-def _separated_factors(res, s11, pair, rows, lines):
+def _separated_factors(res, s11, rows, lines):
     """Squarefree factors of res with their multiplicities, less the roots
     under common zeros on the lines; None unless each factor left is coprime
     to s11 and each root taken out is certified.
@@ -203,11 +206,11 @@ def _separated_factors(res, s11, pair, rows, lines):
     only: so when the fiber is separated there (one common zero), and
     _only_excluded checks the other roots. The work is in primitive integer
     lists, and the factors have positive leading coefficients; rows are the
-    pair's primitive integer rows in y, as the elimination read them.
+    pair's rows in y, as the elimination read them.
     """
     excluded = []
     for line in lines:
-        h = _gcd_int(*(line_restriction(r, line) for r in rows)) if line[2] else _to_int_primitive(line[:2])
+        h = _gcd_int(*(line_restriction(r, line) for r in rows)) if line[2] else _primitive(list(line[:2]))
         if len(h) > 1:
             excluded.append(h)
     out = []
@@ -216,7 +219,7 @@ def _separated_factors(res, s11, pair, rows, lines):
             common = _gcd_int(factor, h)
             if len(common) > 1:
                 unseparated = _gcd_int(common, s11)
-                if len(unseparated) > 1 and not _only_excluded(unseparated, pair, lines):
+                if len(unseparated) > 1 and not _only_excluded(unseparated, rows, lines):
                     return None
                 factor = udivexact(factor, common)
         if len(factor) > 1:
@@ -226,41 +229,52 @@ def _separated_factors(res, s11, pair, rows, lines):
     return out
 
 
-def _only_excluded(roots, pair, lines):
+def _only_excluded(roots, rows, lines):
     """Whether each fiber x = x0 over a root of the squarefree integer list
-    ``roots`` holds zeros of the lines only.
+    ``roots`` holds zeros of the lines only; rows are the pair's rows in y.
 
-    Decided exactly at the rational x0 where two lines cross: there every
-    common root in y of the pair must be a root of some line's form on the
-    fiber (a vertical line through x0 takes the whole fiber). Any other
-    root is not certified.
+    Decided exactly at each x0 = num/den where two lines cross, in lowest
+    terms with den > 0: there every common root in y of the pair must be a
+    root of some line's form on the fiber (a vertical line through x0 takes
+    the whole fiber). Any other root is not certified.
     """
-    certified, rows = set(), None
+    certified, xrows = set(), None
     for i, (c1, a1, b1) in enumerate(lines):
         for c2, a2, b2 in lines[i + 1:]:
             det = a1 * b2 - a2 * b1
             if not det:
                 continue
-            x0 = Fraction(b1 * c2 - b2 * c1) / det
-            if x0 in certified or ueval(roots, x0):
+            num = b1 * c2 - b2 * c1
+            divisor = gcd(num, det) if det > 0 else -gcd(num, det)
+            num, den = num // divisor, det // divisor
+            if (num, den) in certified or _scaled_value(roots, num, den):
                 continue
             on_lines = [1]
             for c, a, b in lines:
-                on_lines = umul(on_lines, [c + a * x0, b])
+                on_lines = umul(on_lines, [c * den + a * num, b * den])
             if on_lines:  # otherwise a vertical line is the fiber
-                on_lines = _to_int_primitive(on_lines)
-                rows = rows or [_primitive_rows(p, 0)[1] for p in pair]  # in x, for vertical lines
-                common = _gcd_int(*(line_restriction(r, (-x0, 1, 0)) for r in rows))
+                xrows = xrows or [transposed(r) for r in rows]  # in x, for vertical lines
+                common = _gcd_int(*(line_restriction(r, (-num, den, 0)) for r in xrows))
+                on_lines = _primitive(on_lines)
                 if any(len(_gcd_int(h, on_lines)) < len(h) for h, _ in usquarefree_int(common)):
                     return False
-            certified.add(x0)
+            certified.add((num, den))
     return len(certified) == len(roots) - 1
+
+
+def _scaled_value(coeffs, num, den):
+    """den**d * p(num/den) for the integer list p of degree d, in integers."""
+    value, power = 0, 1
+    for c in reversed(coeffs):
+        value = value * num + c * power
+        power *= den
+    return value
 
 
 def solve_sparse(system, config=None):
     """Isolated torus solutions of a bivariate sparse system.
 
-    Clears Laurent denominators row by row and solves the polynomial pair
+    Clears Laurent denominators row by row and solves the integer pair
     off the coordinate axes, then re-verifies each point on the defining
     Laurent system.
     """
@@ -309,7 +323,7 @@ def solve_master(master, config=None):
         )
     cleared = [clear_denominators(master, j) for j in range(shape.num_weights)]
     f, g = (cb.expand_difference(master.arrangement) for cb in cleared)
-    lines = tuple((form.constant, *form.coeffs) for form in master.arrangement.forms)
+    lines = tuple(tuple(cleared_form(form)[1]) for form in master.arrangement.forms)
     raw = solve_bivariate(f, g, config, exclude=lines)
     return _reverified(raw, "complement", master.residuals([s.point for s in raw.solutions]))
 

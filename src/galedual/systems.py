@@ -15,12 +15,13 @@ from math import lcm
 
 from .errors import (
     DependentRowsError,
+    DimensionCapError,
     InvariantError,
     NoPivotError,
     NoRationalScalingError,
 )
 from .lattice import ExponentMatrix, WeightBasis, solve_integer
-from .polynomials import Poly, monomial_string, term_sum
+from .polynomials import IntPoly, monomial_string, term_sum
 from .ratlinalg import mat_rank, rref, solve_mod2
 
 # unused here; bench/spans.py looks these names up on this module to count calls
@@ -259,20 +260,21 @@ class ClearedBinomial:
     minus: tuple
 
     def expand_difference(self, arrangement):
-        """A positive multiple of product(p_i^plus) - product(p_i^minus).
+        """The IntPoly of product(p_i^plus) - product(p_i^minus), for an
+        arrangement of lines.
 
         Each form p_i is q_i/d_i with q_i integral and d_i > 0; the multiple
         product(q_i^plus)*product(d_i^minus) - product(q_i^minus)*product(d_i^plus)
-        is expanded in ints.
+        is expanded in ints, one factor q_i at a time, and its terms are
+        listed in the order the products first meet their monomials.
         """
-        n = arrangement.ambient_dim
-        monos = [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        plus, minus = {monos[0]: 1}, {monos[0]: 1}
+        if arrangement.ambient_dim != 2:
+            raise DimensionCapError("only arrangements of lines expand to bivariate polynomials")
+        plus, minus = {(0, 0): 1}, {(0, 0): 1}
         plus_scale = minus_scale = 1
         for form, up, down in zip(arrangement.forms, self.plus, self.minus):
-            values = (form.constant, *form.coeffs)
-            den = lcm(*(v.denominator for v in values))
-            factor = [(m, v.numerator * (den // v.denominator)) for m, v in zip(monos, values) if v]
+            den, values = cleared_form(form)
+            factor = [(m, v) for m, v in zip(((0, 0), (1, 0), (0, 1)), values) if v]
             for _ in range(up):
                 plus = _times(plus, factor)
             for _ in range(down):
@@ -282,15 +284,23 @@ class ClearedBinomial:
         terms = {m: c * plus_scale for m, c in plus.items()}
         for m, c in minus.items():
             terms[m] = terms.get(m, 0) - c * minus_scale
-        return Poly(n, terms)
+        return IntPoly(terms)
+
+
+def cleared_form(form):
+    """(d, q): the lcm d of a form's denominators, and the int list q of
+    d times its constant and coefficients."""
+    values = (form.constant, *form.coeffs)
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _times(terms, factor):
-    """Product of an int term dict and a list of (monomial, int) terms."""
+    """Product of an int term dict and a list of ((i, j), int) terms."""
     out = {}
-    for m1, c1 in terms.items():
-        for m2, c2 in factor:
-            mono = tuple(a + b for a, b in zip(m1, m2))
+    for (a, b), c1 in terms.items():
+        for (i, j), c2 in factor:
+            mono = (a + i, b + j)
             out[mono] = out.get(mono, 0) + c1 * c2
     return out
 
@@ -410,27 +420,21 @@ def evaluate_phi(support, point):
 
 
 def cleared_polynomials(system):
-    """Laurent rows as honest polynomials.
+    """Laurent rows of a bivariate system as IntPolys.
 
     Each row is multiplied by the minimal monomial clearing its negative
-    exponents; torus solutions are unchanged, and any extra roots land on
-    coordinate hyperplanes where the membership filter discards them.
+    exponents and by the lcm of its denominators; torus solutions are
+    unchanged, and any extra roots land on coordinate hyperplanes where the
+    membership filter discards them. The terms keep the row's order: the
+    constant first, then the support columns.
     """
-    dim = system.shape.torus_dim
     out = []
     for row in system.coefficients:
-        involved = []
-        if row[0] != 0:
-            involved.append((tuple([0] * dim), row[0]))
-        for j in range(system.shape.num_forms):
-            if row[j + 1] != 0:
-                involved.append((system.support.exponent(j), row[j + 1]))
+        involved = [((0, 0), row[0])] if row[0] else []
+        involved += [(system.support.exponent(j), c) for j, c in enumerate(row[1:]) if c]
         if not involved:
             raise ValueError("identically zero equation")
-        shift = [min(0, min(e[v] for e, _ in involved)) for v in range(dim)]
-        terms = {}
-        for e, c in involved:
-            mono = tuple(ev - sv for ev, sv in zip(e, shift))
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        out.append(Poly(dim, terms))
+        sx, sy = (min(0, *(e[v] for e, _ in involved)) for v in (0, 1))
+        den = lcm(*(c.denominator for _, c in involved))
+        out.append(IntPoly({(a - sx, b - sy): c.numerator * (den // c.denominator) for (a, b), c in involved}))
     return out

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from importlib.resources import files
 
+from bivariate import Q, same_up_to_scale
 from galedual.cli import main as cli_main
 from galedual.duality import dualize_poly_to_master
 from galedual.errors import (
@@ -31,7 +32,6 @@ from galedual.lattice import (
     quotient_images,
     saturation_index,
 )
-from galedual.polynomials import Poly, poly_equal_up_to_scale
 from galedual.polytopes import (
     convex_hull,
     euler_characteristic,
@@ -89,21 +89,21 @@ def test_criterion_1_dualize_worked_example(capsys):
     target_lattice = IntMatrix.from_rows([[-1, 3, 2, -2], [3, -1, 1, -3]])
     assert lattice_equal(master.weights.matrix, target_lattice)
 
-    s = Poly.variable(0, 2)
-    t = Poly.variable(1, 2)
-    form_a = Poly.linear(Fraction(-1, 2), (1, -1))  # s - t - 1/2
-    form_b = Poly.linear(-1, (1, 1))                # s + t - 1
+    s = Q({(1, 0): 1})
+    t = Q({(0, 1): 1})
+    form_a = s - t - Fraction(1, 2)
+    form_b = s + t - 1
     targets = (
-        s ** 2 * form_b ** 3 - t ** 2 * form_a,
-        s * form_a ** 3 - t ** 3 * form_b,
+        (s ** 2 * form_b ** 3 - t ** 2 * form_a).int(),
+        (s * form_a ** 3 - t ** 3 * form_b).int(),
     )
     binomials = [
         clear_denominators(master, j).expand_difference(master.arrangement)
         for j in range(2)
     ]
-    direct = all(poly_equal_up_to_scale(b, t_) for b, t_ in zip(binomials, targets))
+    direct = all(same_up_to_scale(b, t_) for b, t_ in zip(binomials, targets))
     swapped = all(
-        poly_equal_up_to_scale(b, t_) for b, t_ in zip(binomials, reversed(targets))
+        same_up_to_scale(b, t_) for b, t_ in zip(binomials, reversed(targets))
     )
     assert direct or swapped, "cleared binomials do not match the expected pair"
 

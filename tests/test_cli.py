@@ -469,6 +469,23 @@ def test_argparse_rejects_malformed_invocations():
 
 
 @pytest.mark.parametrize("command", ["dualize", "verify"])
+@pytest.mark.parametrize("coefficients, reason", [
+    # x = 2y and xy = 3: the pivot monomial xy is the constant 3
+    ([["0", "1", "-2", "0"], ["-3", "0", "0", "1"]], "form 1 has zero gradient; not a hyperplane"),
+    # x = 2xy + 2 and y = xy + 1: the pivot monomials' forms are proportional
+    ([["-2", "1", "0", "-2"], ["-1", "0", "1", "-1"]], "forms 0 and 1 are proportional"),
+])
+def test_degenerate_dual_is_a_diagnostic(tmp_path, capsys, command, coefficients, reason):
+    path = write_json(tmp_path, "degenerate.json", {
+        "variables": ["x", "y"],
+        "support": [[1, 0], [0, 1], [1, 1]],
+        "coefficients": coefficients,
+    })
+    message = f"error: the dual forms are no hyperplane arrangement: {reason}\n"
+    assert run(capsys, command, "--input", path) == (2, "", message)
+
+
+@pytest.mark.parametrize("command", ["dualize", "verify"])
 def test_inconsistent_equations_are_a_diagnostic(tmp_path, capsys, command):
     # 1 + x = 0 and 1 = 0
     path = write_json(tmp_path, "inconsistent.json", {

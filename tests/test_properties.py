@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from galedual.duality import dualize_master_to_poly, dualize_poly_to_master
 from galedual.errors import (
     CommonComponentError,
+    DegenerateDualError,
     DegreeCapError,
     DependentRowsError,
     NoPivotError,
@@ -59,11 +60,7 @@ def dualized(system):
     (ROADMAP item 2)."""
     try:
         return dualize_poly_to_master(system)
-    except (DependentRowsError, NotPrimitiveError, NoPivotError):
-        assume(False)
-    except ValueError as exc:
-        if "zero gradient" not in str(exc) and "proportional" not in str(exc):
-            raise
+    except (DegenerateDualError, DependentRowsError, NotPrimitiveError, NoPivotError):
         assume(False)
 
 

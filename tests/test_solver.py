@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bivariate import Q, ints
 from galedual.duality import (
     GalePair,
     dualize_master_to_poly,
@@ -27,7 +28,7 @@ from galedual.errors import (
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from galedual.newton import compile_pair, refine
 from galedual import polynomials, roots, solver
-from galedual.polynomials import Poly, umul, usquarefree_int
+from galedual.polynomials import IntPoly, umul, usquarefree_int
 from galedual.polytopes import kouchnirenko_bound
 from galedual.roots import polynomial_roots, real_root_count, ureal_root_count
 from galedual.serialize import load_system
@@ -85,7 +86,7 @@ def second_master():
 
 
 def x_y():
-    return Poly.variable(0, 2), Poly.variable(1, 2)
+    return Q({(1, 0): 1}), Q({(0, 1): 1})
 
 
 def assert_conjugation_closed(solutions, tol=1e-6):
@@ -105,7 +106,7 @@ def assert_conjugation_closed(solutions, tol=1e-6):
 
 def test_two_transverse_points():
     x, y = x_y()
-    sols = solve_bivariate(x ** 2 - 1, y - x)
+    sols = solve_bivariate(*ints(x ** 2 - 1, y - x))
     assert sols.count == 2
     assert sols.real_count == 2
     assert [tuple(round(c.real) for c in s.point) for s in sols.solutions] == [
@@ -118,7 +119,7 @@ def test_two_transverse_points():
 
 def test_double_point_multiplicity():
     x, y = x_y()
-    sols = solve_bivariate((x - y) ** 2, x + y - 2)
+    sols = solve_bivariate(*ints((x - y) ** 2, x + y - 2))
     assert sols.count == 1
     only = sols.solutions[0]
     assert abs(only.point[0] - 1) < 1e-6 and abs(only.point[1] - 1) < 1e-6
@@ -128,7 +129,7 @@ def test_double_point_multiplicity():
 
 def test_conjugate_pair_detected():
     x, y = x_y()
-    sols = solve_bivariate(x ** 2 + 1, y - x)
+    sols = solve_bivariate(*ints(x ** 2 + 1, y - x))
     assert sols.count == 2
     assert sols.real_count == 0
     assert_conjugation_closed(sols.solutions)
@@ -139,8 +140,8 @@ def test_real_count_is_exact_near_the_real_axis(k):
     # the conjugate pair 3 +- 10**(-k/2)*i, whose imaginary parts fall below
     # any fixed threshold from k = 14 on, and two real roots 10**(-k/2) apart
     x, y = x_y()
-    near = solve_bivariate(10 ** k * (x - 3) ** 2 + 1, 7 * y - x)
-    close = solve_bivariate((2 * 10 ** (k // 2) * (x - 3)) ** 2 - 1, 7 * y - x)
+    near = solve_bivariate(*ints(10 ** k * (x - 3) ** 2 + 1, 7 * y - x))
+    close = solve_bivariate(*ints((2 * 10 ** (k // 2) * (x - 3)) ** 2 - 1, 7 * y - x))
     assert (near.count, near.real_count) == (2, 0)
     assert (close.count, close.real_count) == (2, 2)
     assert all(s.point[0].imag == s.point[1].imag == 0 for s in close.solutions)
@@ -166,9 +167,9 @@ def test_real_count_is_the_number_of_real_roots(factors):
         coeffs = umul(coeffs, [c, b, a])
     assert ureal_root_count(coeffs) == len(roots)
     x, y = x_y()
-    f = Poly(2, {(i, 0): c for i, c in enumerate(coeffs)})
+    f = IntPoly({(i, 0): c for i, c in enumerate(coeffs)})
     if f.degree() > 0:
-        assert solve_bivariate(f, 7 * y - x).real_count == len(roots)
+        assert solve_bivariate(f, (7 * y - x).int()).real_count == len(roots)
 
 
 # -- real counts from inclusion disks, Sturm as the reference -------------------
@@ -313,44 +314,44 @@ def test_fixtures_never_reach_the_sturm_fallback(monkeypatch, fixture):
 
 def test_constant_equation_has_no_roots():
     x, y = x_y()
-    sols = solve_bivariate(Poly.constant(2, 5), x + y)
+    sols = solve_bivariate(IntPoly({(0, 0): 5}), (x + y).int())
     assert sols.count == 0
     assert sols.diagnostics
 
 
 def test_disjoint_vertical_lines():
     x, _ = x_y()
-    sols = solve_bivariate(x ** 2 - 1, x ** 2 + x - 6)
+    sols = solve_bivariate(*ints(x ** 2 - 1, x ** 2 + x - 6))
     assert sols.count == 0
 
 
 def test_zero_equation_raises():
     x, y = x_y()
     with pytest.raises(CommonComponentError):
-        solve_bivariate(Poly(2), x + y)
+        solve_bivariate(IntPoly({}), (x + y).int())
 
 
 def test_shared_curve_raises():
     x, y = x_y()
     shared = x - y
     with pytest.raises(CommonComponentError):
-        solve_bivariate(shared * (x + y + 1), shared * (x + 2 * y + 3))
+        solve_bivariate(*ints(shared * (x + y + 1), shared * (x + 2 * y + 3)))
     with pytest.raises(CommonComponentError):
-        solve_bivariate(x + y - 1, (x + y - 1) * (x - 3))
+        solve_bivariate(*ints(x + y - 1, (x + y - 1) * (x - 3)))
 
 
 def test_shared_vertical_line_raises():
     x, _ = x_y()
     # both equations ignore y and share the root x = 1
     with pytest.raises(CommonComponentError):
-        solve_bivariate(x ** 2 - 1, x ** 2 + x - 2)
+        solve_bivariate(*ints(x ** 2 - 1, x ** 2 + x - 2))
 
 
 def test_unseparated_fiber_is_sheared():
     # both common zeros lie on x = 1, so no first subresultant separates them
     # there; the shear x -> x - y does
     x, y = x_y()
-    sols = solve_bivariate(x - 1, y ** 2 - 4)
+    sols = solve_bivariate(*ints(x - 1, y ** 2 - 4))
     assert [tuple(round(c.real) for c in s.point) for s in sols.solutions] == [(1, -2), (1, 2)]
     assert sols.diagnostics == ("sheared x -> x - 1*y to separate the solutions",)
 
@@ -359,7 +360,7 @@ def test_excluded_zero_sharing_a_fiber_is_not_divided_out_blindly():
     # (1, 0) is on the excluded line y = 0 and (1, 2) is a solution over the
     # same x: dividing x - 1 out of the resultant would lose it
     x, y = x_y()
-    sols = solve_bivariate(x - 1, y * (y - 2) + (x - 1) * (y + 3), exclude=[(0, 0, 1)])
+    sols = solve_bivariate(*ints(x - 1, y * (y - 2) + (x - 1) * (y + 3)), exclude=[(0, 0, 1)])
     assert [tuple(round(c.real) for c in s.point) for s in sols.solutions] == [(1, 2)]
     assert sols.diagnostics == ("sheared x -> x - 1*y to separate the solutions",)
 
@@ -368,7 +369,7 @@ def test_zero_at_a_crossing_of_excluded_lines_sharing_a_fiber():
     # (0, 0) is where the excluded lines y = 0 and y = x cross, and (0, 2) is
     # a solution over the same x: the crossing does not certify the fiber
     x, y = x_y()
-    sols = solve_bivariate(x, y * (y - 2) + x * (y + 3), exclude=[(0, 0, 1), (0, -1, 1)])
+    sols = solve_bivariate(*ints(x, y * (y - 2) + x * (y + 3)), exclude=[(0, 0, 1), (0, -1, 1)])
     assert [tuple(round(c.real) for c in s.point) for s in sols.solutions] == [(0, 2)]
     assert sols.diagnostics == ("sheared x -> x - 1*y to separate the solutions",)
 
@@ -377,19 +378,16 @@ def test_non_curvilinear_zero_cannot_be_separated():
     # every fiber through the origin meets both curves to order two
     x, y = x_y()
     with pytest.raises(SeparationError):
-        solve_bivariate(x ** 2, y ** 2)
+        solve_bivariate(*ints(x ** 2, y ** 2))
 
 
 def test_degree_cap():
     x, y = x_y()
     with pytest.raises(DegreeCapError):
-        solve_bivariate(x ** 31 - 1, y - x)
+        solve_bivariate(*ints(x ** 31 - 1, y - x))
 
 
 def test_dimension_caps():
-    with pytest.raises(DimensionCapError):
-        solve_bivariate(Poly.variable(0, 3), Poly.variable(1, 3))
-
     shape = SystemShape(1, 1, 2)
     support = ExponentMatrix(
         shape, IntMatrix.from_rows([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
@@ -441,11 +439,13 @@ def _backward_error(terms, x, y):
 
 
 def scalar_newton(f, g, start, config, max_iter):
-    """Newton on the pair one start at a time in Python complex arithmetic, at
-    most max_iter steps: the reference for refine. Returns (point, residual,
-    converged)."""
-    polys = [[(m[0], m[1], complex(c)) for m, c in p.terms.items()]
-             for p in (f, f.derivative(0), f.derivative(1), g, g.derivative(0), g.derivative(1))]
+    """Newton on the IntPoly pair, each divided by its largest absolute
+    coefficient in Fractions, one start at a time in Python complex
+    arithmetic, at most max_iter steps: the reference for refine. Returns
+    (point, residual, converged)."""
+    scaled = [Q.of(p) * Fraction(1, max(map(abs, p.terms.values()))) for p in (f, g)]
+    polys = [[(m[0], m[1], complex(c)) for m, c in q.terms.items()]
+             for p in scaled for q in (p, p.derivative(0), p.derivative(1))]
     fp, fxp, fyp, gp, gxp, gyp = polys
     x, y = start
     best = (x, y)
@@ -482,8 +482,7 @@ def seeded_starts(count, seed, radius=3.0):
 
 
 def worked_pair():
-    f, g = cleared_polynomials(worked_sparse())
-    return f.scale(1 / f.max_abs_coefficient()), g.scale(1 / g.max_abs_coefficient())
+    return cleared_polynomials(worked_sparse())
 
 
 # whether CPython rounds a complex product's parts unfused, as refine does:
@@ -533,40 +532,51 @@ def bivariate_polys():
         st.tuples(st.integers(0, 4), st.integers(0, 4)),
         st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4).filter(bool),
         min_size=1, max_size=8,
-    ).map(lambda terms: Poly(2, terms))
+    ).map(Q)
 
 
 @settings(deadline=None, max_examples=100)
 @given(bivariate_polys(), bivariate_polys())
-@example(*cleared_polynomials(worked_sparse()))
+@example(*map(Q.of, cleared_polynomials(worked_sparse())))
 def test_compile_pair_divides_by_the_max_norm(f, g):
-    # each polynomial is divided by its largest absolute coefficient exactly,
-    # then rounded once, so it compiles bit for bit as the scaled pair does,
-    # and as the derivatives built as Polys and rounded from Fractions do
-    scaled = [p.scale(1 / p.max_abs_coefficient()) for p in (f, g)]
+    # each integer polynomial is divided by its largest absolute coefficient
+    # exactly, then rounded once, so it compiles bit for bit as the rational
+    # polynomial it was cleared from does when scaled by its own max norm,
+    # with the derivatives built in Fractions and rounded from them
 
     def arrays(compiled):
         xpow, ypow, groups = compiled
         return [(a.shape, a.dtype, a.tobytes()) for a in (xpow, ypow, *(a for grp in groups for a in grp))]
 
     def reference(p):
+        p = p * (1 / max(map(abs, p.terms.values())))
         i, j, c = (np.zeros((3, len(p.terms)), dtype=dtype) for dtype in (int, int, float))
         for r, q in enumerate((p, p.derivative(0), p.derivative(1))):
             for k, (mono, coeff) in enumerate(q.terms.items()):
-                i[r, k], j[r, k], c[r, k] = mono[0], mono[1], float(coeff / p.max_abs_coefficient())
+                i[r, k], j[r, k], c[r, k] = mono[0], mono[1], float(coeff)
         return i, j, c[:, :, None]
 
-    compiled = compile_pair(f, g)
-    assert arrays(compiled) == arrays(compile_pair(*scaled))
+    compiled = compile_pair(*ints(f, g))
     assert arrays(compiled) == arrays((*compiled[:2], (reference(f), reference(g))))
+
+
+@settings(deadline=None, max_examples=100)
+@given(bivariate_polys(), st.integers(1, 8))
+def test_shear_is_the_substitution(p, lam):
+    # p(x - lam*y, y) by substitution; the shear keeps the content 1
+    p = p.int()
+    x, y = x_y()
+    substituted = sum((c * (x - lam * y) ** i * y ** j for (i, j), c in p.terms.items()), Q())
+    assert solver._shear(p.rows, lam) == substituted.int().rows
+    assert solver._shear(p.rows, 0) is p.rows
 
 
 def test_overflowing_starts_count_as_diverged():
     # complex powers of the last two starts overflow: a non-finite iterate
     # counts as diverged, and refine raises nothing
     x, y = x_y()
-    f = 2 * x ** 9 * y ** 2 + 4 * x ** 5 * y - 3
-    g = 2 * x ** 10 * y ** 5 - 3 * x ** 6 * y ** 12 + x + 2 * x ** 11 * y ** 7
+    f, g = ints(2 * x ** 9 * y ** 2 + 4 * x ** 5 * y - 3,
+                2 * x ** 10 * y ** 5 - 3 * x ** 6 * y ** 12 + x + 2 * x ** 11 * y ** 7)
     sols = solve_bivariate(f, g)
     assert sols.count > 0
     assert all(s.residual < sols.config.verify_tol for s in sols.solutions)
@@ -622,7 +632,7 @@ def test_master_worked_example_counts():
     # and t = 0 cross; it is divided out of the resultant, never a candidate
     master = worked_master()
     f, g = (clear_denominators(master, j).expand_difference(master.arrangement) for j in range(2))
-    assert f.eval_exact((0, 0)) == g.eval_exact((0, 0)) == 0
+    assert Q.of(f)(0, 0) == Q.of(g)(0, 0) == 0
     assert not sols.excluded
     assert_conjugation_closed(sols.solutions)
 
@@ -643,6 +653,35 @@ def test_master_fixtures_solve_without_determinants(monkeypatch, fixture):
     monkeypatch.setattr("galedual.polynomials.det_bareiss_int", refuse)
     sols = solve_master(load_system(str(files("galedual") / "fixtures" / fixture)))
     assert sols.count == 17
+
+
+@pytest.mark.parametrize("fixture", ["example22_sparse.json", "example22_master.json", "example3_second.json"])
+def test_solve_bivariate_makes_no_fraction(monkeypatch, fixture):
+    # the solve works on integers from the cleared pair to Newton: count the
+    # Fractions made while solve_bivariate runs, on both sides of the pair
+    made, inside = [], []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        if inside:
+            made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def spied(*args, **kwargs):
+        inside.append(1)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    solve = solver.solve_bivariate
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(solver, "solve_bivariate", spied)
+    system = load_system(str(files("galedual") / "fixtures" / fixture))
+    pair = dualize_poly_to_master(system) if isinstance(system, SparseSystem) else dualize_master_to_poly(system)
+    assert solve_sparse(pair.poly).count == solve_master(pair.master).count == 17
+    assert Fraction(3, 4) == Fraction(6, 8) and not inside  # the spy counts only inside the solve
+    assert made == []
 
 
 @pytest.mark.parametrize("fixture", ["example22_sparse.json", "example22_master.json", "example3_second.json"])

@@ -3,21 +3,24 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bivariate import Q, x, y
 from galedual.errors import (
     DependentRowsError,
+    DimensionCapError,
     NoPivotError,
     NoRationalScalingError,
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
-from galedual.polynomials import Poly
 from galedual.ratlinalg import mat_det, mat_inverse, mat_mul, row_space_equal
 from galedual.systems import (
     Arrangement,
+    ClearedBinomial,
     LinearForm,
     MasterSystem,
     SparseSystem,
@@ -260,6 +263,7 @@ def test_diagonalize_no_pivot():
 
 
 def test_cleared_polynomials_match_on_torus():
+    # each row's denominators have lcm 2, and its cleared integers are coprime
     rng = random.Random(63)
     system = worked_sparse()
     cleared = cleared_polynomials(system)
@@ -276,7 +280,7 @@ def test_cleared_polynomials_match_on_torus():
         for _ in range(8):
             p = rand_torus_point(rng, dim)
             monomial = p[0] ** shift[0] * p[1] ** shift[1]
-            assert poly.eval_exact(p) == monomial * laurent_value(system, i, p)
+            assert Q.of(poly)(*p) == 2 * monomial * laurent_value(system, i, p)
 
 
 def test_cleared_polynomials_plain_when_no_negatives():
@@ -287,7 +291,41 @@ def test_cleared_polynomials_plain_when_no_negatives():
     for i, poly in enumerate(cleared):
         for _ in range(5):
             p = rand_torus_point(rng, 2)
-            assert poly.eval_exact(p) == laurent_value(system, i, p)
+            assert Q.of(poly)(*p) == laurent_value(system, i, p)
+
+
+@st.composite
+def bivariate_sparse_systems(draw):
+    """Two equations on 3 or 4 distinct nonzero exponents in [-3, 3]^2, with
+    rational coefficients, some of them zero."""
+    k = draw(st.integers(3, 4))
+    exponent = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    cols = draw(st.lists(exponent, min_size=k, max_size=k, unique=True))
+    value = st.sampled_from([0, 0, 1, -1]) | st.fractions(-9, 9, max_denominator=6)
+    rows = draw(st.lists(st.lists(value, min_size=k + 1, max_size=k + 1), min_size=2, max_size=2))
+    try:
+        support = ExponentMatrix(SystemShape(k - 2, 0, 2), IntMatrix.from_rows([list(v) for v in zip(*cols)]))
+        return SparseSystem(support, rows, ("x", "y"))
+    except (ValueError, DependentRowsError):
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bivariate_sparse_systems())
+def test_cleared_rows_are_the_laurent_rows_times_their_clearing_monomials(system):
+    point = (Fraction(-2, 3), Fraction(5, 2))
+    for i, (row, poly) in enumerate(zip(system.coefficients, cleared_polynomials(system))):
+        laurent = [((0, 0), row[0])] + [(system.support.exponent(j), c) for j, c in enumerate(row[1:])]
+        laurent = [(e, c) for e, c in laurent if c]
+        # the clearing monomial x**mx * y**my: the least that leaves no negative exponent
+        mx, my = (max(0, -min(e[v] for e, _ in laurent)) for v in (0, 1))
+        reference = Q({(a + mx, b + my): c for (a, b), c in laurent})
+        assert list(poly.terms) == list(reference.terms)  # the row's order, which Newton sums in
+        cleared = Q.of(poly)
+        ratio = next(iter(cleared.terms.values())) / next(iter(reference.terms.values()))
+        assert ratio > 0 and cleared == ratio * reference
+        monomial = point[0] ** mx * point[1] ** my
+        assert cleared(*point) == ratio * monomial * laurent_value(system, i, point)
 
 
 # -- arrangements -----------------------------------------------------------------
@@ -376,7 +414,7 @@ def test_cleared_binomial_zero_iff_product_one():
             product = Fraction(1)
             for v, w in zip(values, master.weights.weight(j)):
                 product *= v ** w
-            difference = cleared.expand_difference(master.arrangement).eval_exact(p)
+            difference = Q.of(cleared.expand_difference(master.arrangement))(*p)
             assert (difference == 0) == (product == 1)
             # split never mixes a coordinate into both sides
             assert all(a * b == 0 for a, b in zip(cleared.plus, cleared.minus))
@@ -384,13 +422,13 @@ def test_cleared_binomial_zero_iff_product_one():
 
 
 def fraction_difference(cleared, arrangement):
-    """product(p_i^plus) - product(p_i^minus) in Fraction Polys, the way
-    expand_difference computed it before it cleared denominators."""
+    """product(p_i^plus) - product(p_i^minus) with Fraction coefficients, the
+    way expand_difference computed it before it cleared denominators."""
 
     def product(exponents):
-        out = Poly.constant(arrangement.ambient_dim, 1)
+        out = Q({(0, 0): 1})
         for form, e in zip(arrangement.forms, exponents):
-            out = out * Poly.linear(form.constant, form.coeffs) ** e
+            out = out * (form.constant + form.coeffs[0] * x + form.coeffs[1] * y) ** e
         return out
 
     return product(cleared.plus) - product(cleared.minus)
@@ -420,12 +458,45 @@ def test_expand_difference_is_a_positive_multiple(master):
     assume(any(d.denominator > 1 for f in master.arrangement.forms for d in (f.constant, *f.coeffs)))
     for j in range(master.shape.num_weights):
         cleared = clear_denominators(master, j)
+        if master.arrangement.ambient_dim != 2:
+            # the solver's integer form has two variables
+            with pytest.raises(DimensionCapError):
+                cleared.expand_difference(master.arrangement)
+            continue
         reference = fraction_difference(cleared, master.arrangement)
-        expanded = cleared.expand_difference(master.arrangement)
+        expanded = Q.of(cleared.expand_difference(master.arrangement))
         mono = next(iter(reference.terms))
         ratio = expanded.terms[mono] / reference.terms[mono]
         assert ratio > 0
-        assert expanded == reference.scale(ratio)
+        assert expanded == ratio * reference
+
+
+@st.composite
+def planar_arrangements(draw):
+    """4 or 5 lines with rational coefficients of denominator up to 6."""
+    value = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    n = draw(st.integers(4, 5))
+    forms = draw(st.lists(st.tuples(value, value, value), min_size=n, max_size=n))
+    try:
+        return Arrangement(2, [LinearForm(c, (a, b)) for c, a, b in forms], ("s", "t"))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planar_arrangements(), st.data())
+def test_expand_difference_matches_the_fraction_expansion(arrangement, data):
+    # with p_i = q_i/d_i: product(q_i^plus)*product(d_i^minus) - product(q_i^minus)*product(d_i^plus)
+    n = len(arrangement.forms)
+    weight = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    cleared = ClearedBinomial(tuple(max(w, 0) for w in weight), tuple(max(-w, 0) for w in weight))
+    plus = minus = Q({(0, 0): 1})
+    for form, up, down in zip(arrangement.forms, cleared.plus, cleared.minus):
+        d = lcm(*(v.denominator for v in (form.constant, *form.coeffs)))
+        q = d * (form.constant + form.coeffs[0] * x + form.coeffs[1] * y)
+        plus = plus * q ** up * d ** down
+        minus = minus * q ** down * d ** up
+    assert cleared.expand_difference(arrangement).terms == (plus - minus).int().terms
 
 
 # -- constant absorption --------------------------------------------------------------
