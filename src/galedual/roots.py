@@ -1,14 +1,16 @@
 """Roots of exact univariate polynomials, and values of quotients at them.
 
-Floating point does the work, in numpy. Where its rounding error bound
-leaves a root or a value uncertain, it is evaluated exactly in integers at
-the float's dyadic value instead. A cluster of uncertain roots is first
-recentred: the polynomial is shifted exactly to a dyadic point at the
-cluster and scaled to its size (a Taylor shift in Gaussian integers), and
-its roots are found there in floating point again (Bini and Robol, JCAM
-272, 2014, restart at clusters). How many roots are real is proved from
-inclusion disks around the roots found (real_root_count); Sturm's theorem
-in integers (ureal_root_count) decides only where the disks overlap.
+Floating point does the work, in numpy: a polynomial's values at many
+points at once come from a table of their powers, with a rounding error
+bound. Where that bound leaves a root or a value uncertain, it is
+evaluated exactly in integers at the float's dyadic value instead. A
+cluster of uncertain roots is first recentred: the polynomial is shifted
+exactly to a dyadic point at the cluster and scaled to its size (a Taylor
+shift in Gaussian integers), and its roots are found there in floating
+point again (Bini and Robol, JCAM 272, 2014, restart at clusters). How
+many roots are real is proved from inclusion disks around the roots found
+(real_root_count); Sturm's theorem in integers (ureal_root_count) decides
+only where the disks overlap.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ def polynomial_roots(coeffs):
     (Bini, Numer. Algorithms 13, 1996) on the list itself: eigenvalues are
     backward stable for the companion matrix only, so where roots crowd
     and the coefficients span many orders of magnitude they can be far off.
-    A root iterates in floating point (Horner's rule, with its rounding
-    bound) until it stops moving. If the bound then leaves it uncertain to
-    more than _RTOL relative, it goes on with Newton ratios evaluated
-    exactly, in integers at the iterate's dyadic value.
+    A root iterates in floating point (_horner's power table, with its
+    rounding bound) until it stops moving. If the bound then leaves it
+    uncertain to more than _RTOL relative, it goes on with Newton ratios
+    evaluated exactly, in integers at the iterate's dyadic value.
 
     Uncertain roots whose rounding disks overlap form a group; a group well
     apart from the other roots is a cluster, and iterating its roots from a
@@ -79,7 +81,7 @@ def polynomial_roots(coeffs):
 
 def _ratios(asc, z):
     """Newton ratios p/p' of float coefficients at the points (_horner), and
-    the radius about each that Horner's rounding error leaves uncertain."""
+    the radius about each that their rounding error leaves uncertain."""
     p, dp, bound = _horner(asc, z)
     return p / dp, 4 * (len(asc) - 1) * _EPS * bound / np.abs(dp)
 
@@ -87,7 +89,7 @@ def _ratios(asc, z):
 def _tolerance(z, scale):
     """The relative uncertainty _RTOL at which a root z is final, in units of
     scale."""
-    return _RTOL * np.maximum(1, np.abs(z)) / scale
+    return _RTOL * np.abs(z) / scale
 
 
 def _aberth_step(z, active, ratio, radius, scale, origin=0):
@@ -207,21 +209,25 @@ def real_root_count(coeffs, z):
     conjugation. Larger radii keep all of this true, so upper bounds on r_i
     serve.
 
-    The first bounds come from floating-point Horner (_horner), with u =
-    _EPS/2 the unit of rounding and B the sum of |terms| it returns. Its
-    value is within 8*n*_EPS*B = 16*n*u*B of p(z_i) / (scale *
-    max(1, |z_i|)**n), which covers, to first order and with room for the
-    second: scaling the coefficients by 1/scale (u*B); beyond the unit
-    circle, the reciprocal w = 1/z_i, which numpy's Smith division rounds
-    within 6u, so every power of w that Horner forms is within 6*n*u
-    (6*n*u*B); and Horner's own complex steps ((sqrt(5) + 1)*n*u*B). The
+    The first bounds come from the floating-point power table (_horner),
+    with u = _EPS/2 the unit of rounding and B the sum of |terms| it
+    returns. Barring underflow, its value is within 8*n*_EPS*B = 16*n*u*B
+    of p(z_i) / (scale * max(1, |z_i|)**n), which covers, to first order
+    and with room for the second: scaling the coefficients by 1/scale
+    (u*B); beyond the unit circle, the reciprocal w = 1/z_i, which numpy's
+    Smith division rounds within 6u, so that w**k is within 6*k*u
+    (6*n*u*B); the running product that forms w**k from w, each complex
+    product within sqrt(5)*u (Brent, Percival and Zimmermann, Math. Comp.
+    76, 2007), so (k - 1)*sqrt(5)*u in all (sqrt(5)*n*u*B); each term's
+    product with its real coefficient (u*B); and the sum of the n + 1 terms
+    (sqrt(2)*n*u*B). That is about (2 + 9.7*n)*u*B. The
     factor 1 + 8*n*_EPS on r_i covers the rest: the product of differences,
     kept as frexp mantissas and summed exponents so that nothing overflows,
     at about 3u per factor for the difference, its modulus and the
     product; max(1, |z_i|)**n, within about n*u; a few single roundings;
     and 4u for comparing the disks' distances in floats. Where these bounds
     leave disks in conflict, the disks involved get |p(z_i)| exactly
-    (_horner_exact) at the dyadic z_i; where they still conflict, Sturm's
+    (_value_exact) at the dyadic z_i; where they still conflict, Sturm's
     theorem (ureal_root_count) decides.
     """
     n = len(coeffs) - 1
@@ -272,8 +278,8 @@ def _disk_count(z, radius):
 def _exact_magnitude(coeffs, z, scale):
     """(value, exponent) with |p(z)| / scale = value * 2**exponent to within
     a few rounding units, p(z) evaluated exactly at the dyadic z."""
-    (tr, ti), _ = _horner_exact(coeffs, z)
-    d = max(v.as_integer_ratio()[1] for v in (z.real, z.imag))
+    tr, ti = _value_exact(coeffs, z)
+    d = _dyadic(z)[2]
     top, low = max(tr.bit_length(), ti.bit_length()), scale.bit_length()
     value = math.hypot(tr / (1 << top), ti / (1 << top)) / (scale / (1 << low))
     return value, top - low - (len(coeffs) - 1) * (d.bit_length() - 1)
@@ -303,19 +309,19 @@ def ureal_root_count(coeffs):
 
 
 def rational_values(num, den, z):
-    """num(z)/den(z) for integer lists at the points z: floating-point Horner,
-    or exact evaluation where its rounding bound leaves a value uncertain to
-    more than _RTOL relative."""
+    """num(z)/den(z) for integer lists at the points z: both from one float
+    power table (_horner), or exact evaluation where its rounding bound
+    leaves a value uncertain to more than _RTOL relative."""
     n = max(len(num), len(den))
     num, den = num + [0] * (n - len(num)), den + [0] * (n - len(den))
-    scaled = _floats(num + den)
     with np.errstate(all="ignore"):
-        top, _, top_bound = _horner(scaled[:n], z)
-        bottom, _, bottom_bound = _horner(scaled[n:], z)
+        (top, bottom), _, (top_bound, bottom_bound) = _horner(_floats(num + den).reshape(2, n), z)
         values = top / bottom
         error = 4 * n * _EPS * (top_bound + np.abs(values) * bottom_bound) / np.abs(bottom)
-    for k in np.flatnonzero(~(error <= _RTOL * np.maximum(1, np.abs(values)))):
-        values[k] = _quotient(_horner_exact(num, z[k])[0], _horner_exact(den, z[k])[0])
+    # a denominator that cancels to 0 in floats leaves an infinite value,
+    # which the relative test alone would pass
+    for k in np.flatnonzero(~(error <= _RTOL * np.maximum(1, np.abs(values))) | np.isinf(values)):
+        values[k] = _quotient(_value_exact(num, z[k]), _value_exact(den, z[k]))
     return values
 
 
@@ -330,34 +336,34 @@ def _floats(ints, imag=()):
 
 def _horner(asc, z):
     """p(z) and p'(z) for ascending float coefficients at each point, and the
-    sum of |terms| that bounds Horner's rounding error in p(z).
+    sum of |terms| that bounds the rounding error in p(z). asc may be a
+    stack of coefficient rows; the results then have a row for each.
 
-    Beyond the unit circle Horner's rule runs on the reversed list at
-    w = 1/z, and all three come back divided by z**n: p/p' and the relative
-    error are unchanged, and nothing overflows.
+    The terms come from a table of the powers of w = z, or of w = 1/z
+    beyond the unit circle, where they run in reverse and all three come
+    back divided by z**n: p/p' and the relative error are unchanged, and
+    nothing overflows. Each point's powers form one contiguous row, summed
+    along itself, so a point's values do not depend on the other points
+    evaluated with it.
     """
-    n = len(asc) - 1
+    n = asc.shape[-1] - 1
     outside = np.abs(z) > 1
-    w = np.where(outside, 1 / z, z)
-    desc = np.where(outside[None, :], asc[:, None], asc[::-1, None])  # descending in w
-    p = np.zeros(len(z), dtype=complex)
-    dp = np.zeros(len(z), dtype=complex)
-    bound = np.zeros(len(z))
-    for row in desc:
-        dp = dp * w + p
-        p = p * w + row
-        bound = bound * np.abs(w) + np.abs(row)
-    # p(z) = z**n * q(w) for the reversed list q, so p'(z) / z**n = w * (n*q - w*q')
-    return p, np.where(outside, w * (n * p - w * dp), dp), bound
+    powers = np.empty((len(z), n + 1), dtype=complex)
+    powers[:, 0] = 1
+    powers[:, 1:] = np.where(outside, 1 / z, z)[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    # p(z) / z**n = sum a_k w**(n - k) and p'(z) / z**n = sum k*a_k w**(n + 1 - k)
+    powers[outside] = powers[outside, ::-1]
+    terms = asc[..., None, :] * powers
+    dp = (np.arange(1, n + 1) * asc[..., None, 1:] * powers[:, :-1]).sum(axis=-1)
+    return terms.sum(axis=-1), dp, np.abs(terms).sum(axis=-1)
 
 
 def _horner_exact(ints, z):
     """d**n * p(z) and d**n * p'(z) exactly, as (real, imaginary) integer
     pairs, where z = (a + b*i)/d is the float complex z with d a power of two
     and n + 1 is the length of the list."""
-    (ar, dr), (ai, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    d = max(dr, di)
-    a, b = ar * (d // dr), ai * (d // di)
+    a, b, d = _dyadic(z)
     tr, ti, ur, ui = ints[-1], 0, 0, 0
     power = 1
     for c in reversed(ints[:-1]):
@@ -365,6 +371,25 @@ def _horner_exact(ints, z):
         ur, ui = ur * a - ui * b + d * tr, ur * b + ui * a + d * ti
         tr, ti = tr * a - ti * b + c * power, tr * b + ti * a
     return (tr, ti), (ur, ui)
+
+
+def _value_exact(ints, z):
+    """d**n * p(z) exactly, as in _horner_exact, without p'(z)."""
+    a, b, d = _dyadic(z)
+    tr, ti = ints[-1], 0
+    power = 1
+    for c in reversed(ints[:-1]):
+        power *= d
+        tr, ti = tr * a - ti * b + c * power, tr * b + ti * a
+    return tr, ti
+
+
+def _dyadic(z):
+    """(a, b, d) with z = (a + b*i)/d for the float complex z, d a power of
+    two."""
+    (ar, dr), (ai, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(dr, di)
+    return ar * (d // dr), ai * (d // di), d
 
 
 def _quotient(num, den):

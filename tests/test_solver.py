@@ -217,7 +217,7 @@ def moved_wilkinson():
 
 
 def test_large_coefficients_take_the_exact_tier(monkeypatch):
-    # floating-point Horner cancels far beyond its rounding bound at
+    # floating-point evaluation cancels far beyond its rounding bound at
     # 1264-bit coefficients, exact values do not
     coeffs = moved_wilkinson()
     used = tiers(monkeypatch)
@@ -301,6 +301,90 @@ def test_roots_that_never_settle_raise(monkeypatch):
     monkeypatch.setattr(roots, "_ABERTH_STEPS", 1)
     with pytest.raises(ConvergenceError, match="after 1 Aberth passes"):
         polynomial_roots(moved_wilkinson())
+
+
+def test_roots_far_inside_the_unit_circle_are_relatively_accurate():
+    # a pair of modulus sqrt(5 / 2**190) = 5.6e-29 next to roots near 1e-30
+    # and 4e29; an absolute stop test left it at 4.3e-27
+    coeffs = umul([5, 1, 2 ** 190 + 1], [1, -(2 ** 100), 3])
+    z = polynomial_roots(coeffs)
+    with mpmath.workdps(100):
+        reference = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=800)
+    assert len(z) == len(reference) == 4
+    for r in map(complex, reference):
+        assert np.abs(z - r).min() <= 2.0 ** -30 * abs(r)
+    assert real_root_count(coeffs, z) == ureal_root_count(coeffs) == 2
+
+
+# -- float evaluation from power tables, against exact values ----------------------
+
+
+def exact_scaled_value(ints, scale, z):
+    """p(z) / scale inside the unit circle and p(z) / (scale * z**n) beyond
+    it, as _horner scales its value, in Fractions (real, imaginary)."""
+    n = len(ints) - 1
+    tr, ti = roots._value_exact(ints, z)  # d**n * p(z)
+    a, b, d = roots._dyadic(z)
+    if abs(z) <= 1:
+        return Fraction(tr, scale * d ** n), Fraction(ti, scale * d ** n)
+    gr, gi = 1, 0  # (a + b*i)**n = d**n * z**n
+    for _ in range(n):
+        gr, gi = gr * a - gi * b, gr * b + gi * a
+    norm = scale * (gr * gr + gi * gi)
+    return Fraction(tr * gr + ti * gi, norm), Fraction(ti * gr - tr * gi, norm)
+
+
+def dyadic_points():
+    part = st.builds(lambda k, j: k / 2 ** j, st.integers(-(2 ** 10), 2 ** 10), st.integers(0, 16))
+    return st.lists(st.builds(complex, part, part), min_size=1, max_size=6)
+
+
+def coefficient_stacks():
+    """1 to 3 rows of n + 1 integers of magnitude up to 2**b, n from 1 to 40
+    and b from 4 to 400."""
+    return st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(4, 400)).flatmap(
+        lambda s: st.lists(st.lists(st.integers(-(2 ** s[2]), 2 ** s[2]), min_size=s[1] + 1, max_size=s[1] + 1),
+                           min_size=s[0], max_size=s[0]))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(coefficient_stacks(), dyadic_points())
+@example([[3, -(2 ** 300), 5, 2 ** 300 - 1]], [0.5 + 0.25j, -3 + 0.5j, 0j, 1 + 0j, 2.0 ** -16])
+@example([[1] * 41, [(-1) ** k * 7 ** k for k in range(41)]], [1.0009765625 + 0j, -0.99951171875 + 0j])
+def test_power_table_values_lie_within_the_rounding_bound(rows, points):
+    # the stop test's radius in _ratios: 4*n*_EPS*B, half of what
+    # real_root_count allows
+    n = len(rows[0]) - 1
+    flat = [c for row in rows for c in row]
+    scale = max(map(abs, flat)) or 1
+    with np.errstate(all="ignore"):  # 1/z at z = 0, as in the callers
+        p, _, bound = roots._horner(roots._floats(flat).reshape(len(rows), n + 1), np.array(points))
+    for row, values, bounds in zip(rows, p, bound):
+        for v, b, point in zip(values, bounds, points):
+            er, ei = exact_scaled_value(row, scale, point)
+            limit = 4 * n * Fraction(roots._EPS) * Fraction(b)
+            assert (Fraction(v.real) - er) ** 2 + (Fraction(v.imag) - ei) ** 2 <= limit ** 2
+            assert roots._value_exact(row, point) == roots._horner_exact(row, point)[0]
+
+
+def test_quotient_whose_float_denominator_cancels_is_evaluated_exactly():
+    # 2**60 + 1 - 2**60*x at x = 1 is 1, but 0 in floats
+    values = roots.rational_values([1, 0], [2 ** 60 + 1, -(2 ** 60)], np.array([1 + 0j, 2 + 0j]))
+    assert values[0] == 1
+    assert values[1] == pytest.approx(-1 / (2 ** 60 - 1), rel=2.0 ** -30)
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(coefficient_stacks(), dyadic_points(), st.data())
+def test_power_table_values_do_not_depend_on_the_other_points(rows, points, data):
+    asc = roots._floats([c for row in rows for c in row]).reshape(len(rows), -1)
+    z = np.array(points)
+    keep = data.draw(st.lists(st.sampled_from(range(len(z))), min_size=1, unique=True))
+    with np.errstate(all="ignore"):
+        whole, part, single = roots._horner(asc, z), roots._horner(asc, z[keep]), roots._horner(asc[0], z[keep[:1]])
+    for w, p, s in zip(whole, part, single):
+        assert w[..., keep].tobytes() == p.tobytes()
+        assert w[0, keep[:1]].tobytes() == s.tobytes()
 
 
 @pytest.mark.parametrize("fixture", ["example22_sparse.json", "example22_master.json", "example3_second.json"])
