@@ -1,8 +1,10 @@
 """Exact integer lattice algebra.
 
-Hermite and Smith normal forms with unimodular witnesses, saturated kernel
-bases, saturation indices, LLL reduction and quotient-image matrices, all in
-Python int; nothing here rounds or overflows.
+One Hermite elimination (``_hermite``) serves the Hermite normal form, the
+saturated kernel bases and saturation indices (one pass on the transpose gives
+both), the quotient-image matrices, and the Smith normal form (alternating row
+and column passes). LLL reduction is the other algorithm here. All in Python
+int; nothing here rounds or overflows.
 """
 
 from __future__ import annotations
@@ -180,20 +182,14 @@ class WeightBasis:
         return self.matrix.row(j)
 
 
-def hnf(mat):
-    """Row-style Hermite normal form with a unimodular witness.
-
-    Returns (H, U) with U @ mat == H, |det U| = 1, pivot columns strictly
-    increasing left to right, pivots positive, entries above each pivot reduced
-    into [0, pivot), zero rows at the bottom. H depends only on the row lattice
-    of ``mat``.
+def _hermite(a, u):
+    """Reduce the integer rows ``a`` to row-style Hermite normal form in place,
+    doing every row operation to the rows of ``u`` too; returns the rank.
 
     Pivot choice during elimination: the row minimizing |value| in the working
     column, ties broken by lowest row index.
     """
-    m, n = mat.rows, mat.cols
-    a = mat.to_rows()
-    u = IntMatrix.identity(m).to_rows()
+    m, n = len(a), len(a[0]) if a else 0
     r = 0
     for c in range(n):
         if r == m:
@@ -226,7 +222,24 @@ def hnf(mat):
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
                     u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
-    return IntMatrix.from_rows(a, cols=n), IntMatrix.from_rows(u, cols=m)
+    return r
+
+
+def hnf(mat):
+    """Row-style Hermite normal form with a unimodular witness.
+
+    Returns (H, U) with U @ mat == H, |det U| = 1, pivot columns strictly
+    increasing left to right, pivots positive, entries above each pivot reduced
+    into [0, pivot), zero rows at the bottom. H depends only on the row lattice
+    of ``mat``.
+    """
+    a, u = mat.to_rows(), IntMatrix.identity(mat.rows).to_rows()
+    _hermite(a, u)
+    return IntMatrix.from_rows(a, cols=mat.cols), IntMatrix.from_rows(u, cols=mat.rows)
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
 
 
 def snf(mat):
@@ -234,90 +247,44 @@ def snf(mat):
 
     Returns (S, U, V) with U @ mat @ V == S, S diagonal with nonnegative
     entries d_1 | d_2 | ... and zeros trailing, |det U| = |det V| = 1.
+
+    Row and column Hermite passes alternate until the matrix is diagonal. Each
+    pass replaces the leading entry by a divisor of it; once a pass leaves it
+    unchanged it divides its row and column, which the next pass clears, so
+    the passes end one leading entry at a time. Then each pair d_i, d_j that
+    breaks the chain becomes (gcd, lcm) by one unimodular 2x2 step.
     """
     m, n = mat.rows, mat.cols
-    a = mat.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row dst -= q * row src
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        # col dst -= q * col src
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    def diagonalize_at(t):
-        """Clear row t and column t outside (t, t). Pivot must be nonzero."""
-        while True:
-            # move the absolutely smallest nonzero of the trailing block to (t, t)
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                return False
-            if best[0] != t:
-                swap_rows(t, best[0])
-            if best[1] != t:
-                swap_cols(t, best[1])
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    add_row(i, t, a[i][t] // a[t][t])
-                    dirty = dirty or a[i][t] != 0
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    add_col(j, t, a[t][j] // a[t][t])
-                    dirty = dirty or a[t][j] != 0
-            if not dirty:
-                return True
-
-    limit = min(m, n)
-    rank = 0
-    for t in range(limit):
-        if not diagonalize_at(t):
+    a, u, vt = mat.to_rows(), IntMatrix.identity(m).to_rows(), IntMatrix.identity(n).to_rows()
+    while True:
+        _hermite(a, u)
+        a = _transpose(a)
+        _hermite(a, vt)
+        a = _transpose(a)
+        if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
             break
-        rank += 1
+    v = _transpose(vt)
 
-    # enforce the divisibility chain d_i | d_j for i < j
-    t = 0
-    while t < rank - 1:
-        fixed = True
-        for j in range(t + 1, rank):
-            if a[j][j] % a[t][t] != 0:
-                add_col(t, j, -1)  # col t += col j, brings a[j][j] into column t
-                diagonalize_at(t)
-                fixed = False
-                break
-        if fixed:
-            t += 1
-
-    for t in range(rank):
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return (
-        IntMatrix.from_rows(a, cols=n),
-        IntMatrix.from_rows(u, cols=m),
-        IntMatrix.from_rows(v, cols=n),
-    )
+    rank = sum(1 for t in range(min(m, n)) if a[t][t])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = a[i][i], a[j][j]
+            if y % x:
+                # s*x + t*y = g; rows by [[s, t], [-y/g, x/g]] and columns by
+                # [[1, -t*y/g], [1, s*x/g]] send diag(x, y) to diag(g, xy/g)
+                pair, st = [[x], [y]], [[1, 0], [0, 1]]
+                _hermite(pair, st)
+                g, (s, t) = pair[0][0], st[0]
+                x, y = x // g, y // g
+                ui, uj = u[i], u[j]
+                u[i] = [s * p + t * q for p, q in zip(ui, uj)]
+                u[j] = [x * q - y * p for p, q in zip(ui, uj)]
+                for row in v:
+                    row[i], row[j] = row[i] + row[j], s * x * row[j] - t * y * row[i]
+                a[i][i], a[j][j] = g, g * x * y
+    # from the flat data, since a has lost its rows when n == 0
+    smith = IntMatrix(m, n, tuple(x for row in a for x in row))
+    return smith, IntMatrix.from_rows(u, cols=m), IntMatrix.from_rows(v, cols=n)
 
 
 def smith_diagonal(mat):
@@ -326,23 +293,21 @@ def smith_diagonal(mat):
     return [d for d in (s.at(t, t) for t in range(min(s.rows, s.cols))) if d]
 
 
-def integer_rank(mat):
-    """Rank over Q (equivalently over Z up to torsion)."""
-    return len(smith_diagonal(mat))
+def _kernel_and_index(mat):
+    """Rows spanning the saturated kernel of ``mat``, and the saturation index
+    of its rows, from one Hermite elimination of the transpose.
 
-
-def _smith_kernel(mat):
-    """Nonzero Smith divisors of ``mat`` and the Hermite normal form of its
-    saturated kernel, both from one snf."""
-    s, _, v = snf(mat)
-    divisors = [d for d in (s.at(t, t) for t in range(min(s.rows, s.cols))) if d]
-    rows = [v.column(j) for j in range(len(divisors), mat.cols)]
-    return divisors, hnf(IntMatrix.from_rows(rows, cols=mat.cols))[0]
-
-
-def _index(divisors, rows):
-    """Product of the Smith divisors; 0 when there are fewer than ``rows``."""
-    return math.prod(divisors) if len(divisors) == rows else 0
+    U @ mat^T = H with U unimodular and H of rank r. The rows of U past r
+    annihilate mat and span every integer solution. The first r rows of U^-T
+    span the saturation, and mat is the transposed leading r x r block of H
+    times them, so the index is the product of H's pivots (0 when r is short
+    of mat.rows).
+    """
+    a = mat.transpose().to_rows()
+    u = IntMatrix.identity(mat.cols).to_rows()
+    r = _hermite(a, u)
+    index = math.prod(next(x for x in row if x) for row in a[:r]) if r == mat.rows else 0
+    return IntMatrix.from_rows(u[r:], cols=mat.cols), index
 
 
 def kernel_basis(mat):
@@ -354,7 +319,7 @@ def kernel_basis(mat):
     Hermite normal form, so the result is canonical for the kernel lattice.
     Row count is cols - rank(mat).
     """
-    return _smith_kernel(mat)[1]
+    return hnf(_kernel_and_index(mat)[0])[0]
 
 
 def saturation_index(mat):
@@ -365,20 +330,7 @@ def saturation_index(mat):
     is the product of the Smith divisors. Index 1 means the rows generate a
     primitive lattice.
     """
-    return _index(smith_diagonal(mat), mat.rows)
-
-
-def lattice_equal(a, b):
-    """Whether two row-generating sets span the same integer lattice."""
-    if a.cols != b.cols:
-        return False
-
-    def reduced(mat):
-        h, _ = hnf(mat)
-        keep = [list(h.row(i)) for i in range(h.rows) if any(h.row(i))]
-        return keep
-
-    return reduced(a) == reduced(b)
+    return _kernel_and_index(mat)[1]
 
 
 def _canonical_rows(rows):
@@ -471,13 +423,12 @@ def quotient_images(basis):
     Raises DependentRowsError or NotPrimitiveError when B is not a primitive
     basis.
     """
-    divisors, kernel = _smith_kernel(basis.matrix)
-    index = _index(divisors, basis.shape.num_weights)
+    kernel, index = _kernel_and_index(basis.matrix)
     if index == 0:
         raise DependentRowsError("weight rows are dependent over Q")
     if index != 1:
         raise NotPrimitiveError(index, what="weight lattice")
-    return ExponentMatrix(basis.shape, kernel)
+    return ExponentMatrix(basis.shape, hnf(kernel)[0])
 
 
 def solve_integer(mat, rhs):

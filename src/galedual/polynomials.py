@@ -94,10 +94,6 @@ def utrim(coeffs):
     return c
 
 
-def udeg(coeffs):
-    return len(utrim(coeffs)) - 1
-
-
 def ueval(coeffs, x):
     total = 0
     for c in reversed(coeffs):

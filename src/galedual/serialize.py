@@ -17,10 +17,7 @@ from .systems import Arrangement, LinearForm, MasterSystem, SparseSystem
 
 
 def rational_to_string(value):
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))
 
 
 def parse_rational(value, field):

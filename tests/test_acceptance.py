@@ -26,9 +26,7 @@ from galedual.lattice import (
     SystemShape,
     WeightBasis,
     hnf,
-    integer_rank,
     kernel_basis,
-    lattice_equal,
     quotient_images,
     saturation_index,
 )
@@ -39,6 +37,7 @@ from galedual.polytopes import (
     kouchnirenko_bound,
     normalized_volume,
 )
+from galedual.ratlinalg import mat_rank
 from galedual.serialize import load_system, parse_master
 from galedual.solver import solve_master, solve_sparse, verify_isomorphism
 from galedual.systems import SparseSystem, clear_denominators, diagonalize
@@ -56,6 +55,12 @@ E2_BOUND = 2 * (E2 + 3)
 
 def announce(criterion, detail, elapsed, budget):
     print(f"[PASS] criterion {criterion}: {detail} ({elapsed:.2f}s, budget {budget:g}s)")
+
+
+def same_lattice(a, b):
+    """Whether two row-generating sets span the same integer lattice: the
+    nonzero rows of their Hermite normal forms agree."""
+    return [r for r in hnf(a)[0].to_rows() if any(r)] == [r for r in hnf(b)[0].to_rows() if any(r)]
 
 
 def rand_unimodular2(rng):
@@ -87,7 +92,7 @@ def test_criterion_1_dualize_worked_example(capsys):
     master = parse_master(payload["master"])
 
     target_lattice = IntMatrix.from_rows([[-1, 3, 2, -2], [3, -1, 1, -3]])
-    assert lattice_equal(master.weights.matrix, target_lattice)
+    assert same_lattice(master.weights.matrix, target_lattice)
 
     s = Q({(1, 0): 1})
     t = Q({(0, 1): 1})
@@ -189,7 +194,7 @@ def test_criterion_6_euler_equals_volume_bound():
     while accepted < 100:
         rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(2)]
         matrix = IntMatrix.from_rows(rows)
-        if integer_rank(matrix) != 2 or saturation_index(matrix) != 1:
+        if mat_rank(rows) != 2 or saturation_index(matrix) != 1:
             continue
         accepted += 1
         basis = WeightBasis(shape, matrix)
@@ -211,7 +216,7 @@ def test_criterion_7_randomized_invariants():
         )
         k = kernel_basis(m)
         assert (m @ k.transpose()).is_zero()
-        assert integer_rank(m) + k.rows == cols
+        assert mat_rank(m.to_rows()) + k.rows == cols
 
     # (b) the pentagon volume is a lattice invariant
     for _ in range(100):

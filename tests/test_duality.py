@@ -27,8 +27,8 @@ from galedual.lattice import (
     IntMatrix,
     SystemShape,
     WeightBasis,
+    hnf,
     kernel_basis,
-    lattice_equal,
     lll_reduce,
     saturation_index,
     smith_diagonal,
@@ -36,6 +36,12 @@ from galedual.lattice import (
 from galedual.polytopes import kouchnirenko_bound
 from galedual.serialize import check_to_dict
 from galedual.systems import Arrangement, LinearForm, MasterSystem, SparseSystem
+
+
+def same_lattice(a, b):
+    """Whether two row-generating sets span the same integer lattice: the
+    nonzero rows of their Hermite normal forms agree."""
+    return [r for r in hnf(a)[0].to_rows() if any(r)] == [r for r in hnf(b)[0].to_rows() if any(r)]
 
 
 def worked_sparse():
@@ -84,7 +90,7 @@ def test_dualize_poly_reproduces_known_master():
         (Fraction(0), (0, 1)),
     ]
     expected_weights = IntMatrix.from_rows([[-1, 3, 2, -2], [3, -1, 1, -3]])
-    assert lattice_equal(pair.master.weights.matrix, expected_weights)
+    assert same_lattice(pair.master.weights.matrix, expected_weights)
     assert pair.witness.z_monomials == ("x^3*y^2", "x*y^2", "x^4*y^-1", "x^4*y")
     check = check_gale_pair(pair)
     assert check.all_pass, check.failures()
@@ -126,7 +132,7 @@ def test_dualize_master_to_poly_keeps_count_data():
     # columns in the witness's z order
     again = dualize_poly_to_master(base.poly)
     weights = worked_master().weights.matrix
-    assert lattice_equal(
+    assert same_lattice(
         again.master.weights.matrix,
         weights.submatrix_columns(again.witness.z_support_columns),
     )
@@ -285,17 +291,17 @@ def test_saturate_weights():
     assert saturation_index(doubled.weights.matrix) == 2
     saturated = saturate_weights(doubled)
     assert saturation_index(saturated.weights.matrix) == 1
-    assert lattice_equal(saturated.weights.matrix, master.weights.matrix)
+    assert same_lattice(saturated.weights.matrix, master.weights.matrix)
     assert saturated.arrangement is doubled.arrangement
     # no-op on an already primitive basis
     same = saturate_weights(master)
-    assert lattice_equal(same.weights.matrix, master.weights.matrix)
+    assert same_lattice(same.weights.matrix, master.weights.matrix)
 
 
 def test_saturated_lattice_is_double_kernel():
     master = worked_master()
     expected = kernel_basis(kernel_basis(master.weights.matrix))
-    assert lattice_equal(saturate_weights(master).weights.matrix, expected)
+    assert same_lattice(saturate_weights(master).weights.matrix, expected)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,9 +16,7 @@ from galedual.lattice import (
     SystemShape,
     WeightBasis,
     hnf,
-    integer_rank,
     kernel_basis,
-    lattice_equal,
     lll_reduce,
     quotient_images,
     saturation_index,
@@ -66,6 +64,12 @@ def rand_unimodular(rng, n):
 
 def exact_det(mat):
     return mat_det(frac_rows(mat.to_rows()))
+
+
+def same_lattice(a, b):
+    """Whether two row-generating sets span the same integer lattice: the
+    nonzero rows of their Hermite normal forms agree."""
+    return [r for r in hnf(a)[0].to_rows() if any(r)] == [r for r in hnf(b)[0].to_rows() if any(r)]
 
 
 def in_row_lattice(mat, vector):
@@ -168,25 +172,48 @@ def minor_gcds(mat):
     return out
 
 
+def assert_smith_form(m):
+    """snf(m) meets its contract; returns the nonzero divisors."""
+    s, u, v = snf(m)
+    assert (u @ m @ v).to_rows() == s.to_rows()
+    if u.rows:
+        assert abs(exact_det(u)) == 1
+    if v.rows:
+        assert abs(exact_det(v)) == 1
+    diag = [s.at(t, t) for t in range(min(s.rows, s.cols))]
+    for i in range(s.rows):
+        for j in range(s.cols):
+            if i != j:
+                assert s.at(i, j) == 0
+    nonzero = [d for d in diag if d != 0]
+    assert all(d > 0 for d in nonzero)
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
+    # zeros trail the chain
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    return nonzero
+
+
 def test_snf_witnesses_and_chain():
     rng = random.Random(15)
     for _ in range(120):
-        m = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
-        s, u, v = snf(m)
-        assert (u @ m @ v).to_rows() == s.to_rows()
-        assert abs(exact_det(u)) == 1
-        assert abs(exact_det(v)) == 1
-        diag = [s.at(t, t) for t in range(min(s.rows, s.cols))]
-        for i in range(s.rows):
-            for j in range(s.cols):
-                if i != j:
-                    assert s.at(i, j) == 0
-        nonzero = [d for d in diag if d != 0]
-        assert all(d > 0 for d in nonzero)
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        # zeros trail the chain
-        assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+        assert_smith_form(rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 4)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(2, 30), min_size=2, max_size=4), st.integers(0, 1),
+       st.randoms(use_true_random=False))
+@example([4, 6, 10], 0, random.Random(0))
+@example([6, 4], 1, random.Random(1))
+def test_snf_repairs_the_divisor_chain(diagonal, pad, rng):
+    # d_k = g_k / g_(k-1), g_k the gcd of the products of k diagonal entries
+    # (the k x k minors of a diagonal matrix)
+    gcds = [1] + [gcd(*(prod(c) for c in combinations(diagonal, k)))
+                  for k in range(1, len(diagonal) + 1)]
+    n = len(diagonal)
+    d = IntMatrix.from_rows([[diagonal[i] if i == j else 0 for j in range(n + pad)] for i in range(n)])
+    m = rand_unimodular(rng, n) @ d @ rand_unimodular(rng, n + pad)
+    assert assert_smith_form(m) == [b // a for a, b in zip(gcds, gcds[1:])]
 
 
 def test_snf_divisors_match_minor_gcd_oracle():
@@ -212,13 +239,50 @@ def test_smith_diagonal_known():
     assert smith_diagonal(IntMatrix.from_rows([[6, 0], [0, 10]])) == [2, 30]
 
 
+@st.composite
+def lattice_matrices(draw):
+    """Integer matrices of 0 to 5 rows and 1 to 7 columns. A row is often an
+    integer combination of earlier rows (so the rows are dependent) or a
+    multiple of a fresh row (so the lattice is not primitive)."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 7))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "combination", "multiple"]))
+        if kind == "combination" and rows:
+            weights = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            row = [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(ncols)]
+        else:
+            row = draw(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols))
+            if kind == "multiple":
+                factor = draw(st.integers(2, 6))
+                row = [factor * x for x in row]
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=ncols)
+
+
+@settings(deadline=None, max_examples=300)
+@given(lattice_matrices())
+@example(IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]]))
+@example(IntMatrix.from_rows([], cols=3))
+@example(IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]]))
+def test_kernel_index_and_smith_agree(m):
+    divisors = assert_smith_form(m)
+    assert divisors == smith_diagonal(m)
+    assert saturation_index(m) == (prod(divisors) if len(divisors) == m.rows else 0)
+    k = kernel_basis(m)
+    assert k.cols == m.cols
+    assert (m @ k.transpose()).is_zero()
+    assert k.rows == m.cols - mat_rank(m.to_rows())
+    assert saturation_index(k) == 1
+
+
 def test_kernel_annihilates_and_is_saturated_in_box():
     rng = random.Random(17)
     for _ in range(50):
         m = rand_matrix(rng, 2, 3)
         k = kernel_basis(m)
         assert (m @ k.transpose()).is_zero()
-        assert k.rows == 3 - integer_rank(m)
+        assert k.rows == 3 - mat_rank(m.to_rows())
         # every kernel vector in the box is an integer combination of the basis
         for v in product(range(-8, 9), repeat=3):
             if any(v) and all(
@@ -242,7 +306,7 @@ def test_kernel_wider_matrices():
 
 def test_kernel_primitive_single_row():
     k = kernel_basis(IntMatrix.from_rows([[2, 4]]))
-    assert lattice_equal(k, IntMatrix.from_rows([[2, -1]]))
+    assert same_lattice(k, IntMatrix.from_rows([[2, -1]]))
 
 
 def test_saturation_index_known():
@@ -260,7 +324,7 @@ def test_saturation_index_against_coordinate_determinant():
     tried = 0
     while tried < 50:
         b = rand_matrix(rng, 2, 4)
-        if integer_rank(b) != 2:
+        if mat_rank(b.to_rows()) != 2:
             continue
         tried += 1
         sat = kernel_basis(kernel_basis(b))
@@ -272,19 +336,6 @@ def test_saturation_index_against_coordinate_determinant():
             assert all(c.denominator == 1 for c in sol)
             coords.append([c for c in sol])
         assert abs(mat_det(coords)) == saturation_index(b)
-
-
-def test_lattice_equal():
-    a = IntMatrix.from_rows([[-1, 3, 2, -2], [3, -1, 1, -3]])
-    b = IntMatrix.from_rows([[1, 5, 5, -7], [0, 8, 7, -9]])  # another basis
-    assert lattice_equal(a, b)
-    c = IntMatrix.from_rows([[-2, 6, 4, -4], [3, -1, 1, -3]])  # index-2 sublattice
-    assert not lattice_equal(a, c)
-    rng = random.Random(20)
-    for _ in range(50):
-        m = rand_matrix(rng, 2, 4)
-        p = rand_unimodular(rng, 2)
-        assert lattice_equal(m, p @ m)
 
 
 def has_reduced_order(rows):
@@ -320,13 +371,13 @@ INTEGER_ROWS = st.integers(1, 6).flatmap(lambda r: st.integers(r, 10).flatmap(
 @given(INTEGER_ROWS)
 def test_lll_reduce_properties(rows):
     matrix = IntMatrix.from_rows(rows)
-    if integer_rank(matrix) < matrix.rows:
+    if mat_rank(matrix.to_rows()) < matrix.rows:
         with pytest.raises(DependentRowsError):
             lll_reduce(matrix)
         return
     reduced = lll_reduce(matrix)
     out = reduced.to_rows()
-    assert lattice_equal(reduced, matrix)
+    assert same_lattice(reduced, matrix)
     assert all(next(x for x in r if x) > 0 for r in out)
     assert out == sorted(out, key=lambda r: (sum(x * x for x in r), r))
     assert has_reduced_order(out)
@@ -418,17 +469,17 @@ def test_quotient_images_properties():
     done = 0
     while done < 60:
         b = rand_matrix(rng, 2, 4, lo=-4, hi=4)
-        if integer_rank(b) != 2 or saturation_index(b) != 1:
+        if mat_rank(b.to_rows()) != 2 or saturation_index(b) != 1:
             continue
         done += 1
         images = quotient_images(WeightBasis(shape, b))
         w = images.matrix
         assert (w @ b.transpose()).is_zero()
-        assert integer_rank(w) == 2
+        assert mat_rank(w.to_rows()) == 2
         # the quotient coordinates are onto: image columns generate Z^2
         assert saturation_index(w) == 1
         # double duality: the kernel of the images is exactly the weight lattice
-        assert lattice_equal(kernel_basis(w), b)
+        assert same_lattice(kernel_basis(w), b)
 
 
 def test_quotient_images_is_the_hnf_kernel():
@@ -449,7 +500,7 @@ def test_quotient_images_worked_example():
     b = IntMatrix.from_rows([[-1, 3, 2, -2], [3, -1, 1, -3]])
     images = quotient_images(WeightBasis(shape, b))
     expected = IntMatrix.from_rows([[3, 1, 4, 4], [2, 2, -1, 1]])
-    assert lattice_equal(images.matrix, expected)
+    assert same_lattice(images.matrix, expected)
 
 
 def test_quotient_images_rejects_bad_bases():
