@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegenerateDualError,
@@ -28,12 +29,13 @@ from .lattice import (
     quotient_images,
     saturation_index,
 )
-from .ratlinalg import right_kernel, row_space_equal, rref
+from .ratlinalg import _integer_rows, right_kernel, row_space_equal, rref
 from .systems import (
     Arrangement,
     LinearForm,
     MasterSystem,
     SparseSystem,
+    cleared_form,
     diagonalize,
     is_essential,
     master_variable_names,
@@ -232,7 +234,12 @@ def saturate_weights(master):
 
 
 def check_gale_pair(pair):
-    """Exact certification of every pairing condition; returns a PairCheck."""
+    """Exact certification of every pairing condition; returns a PairCheck.
+
+    The relations are checked in ints: the forms are scaled by one common
+    denominator and each witness row by its own, and each row must then
+    annihilate the rows (1 | form) as a combination.
+    """
     poly = pair.poly
     master = pair.master
     witness = pair.witness
@@ -257,20 +264,18 @@ def check_gale_pair(pair):
 
     forms_essential = is_essential(master.arrangement)
 
-    relations_vanish = True
-    forms = master.arrangement.forms
+    relations_vanish = False
     if shapes_consistent:
-        for row in witness.linear_forms:
-            constant = row[0] + sum(row[i + 1] * forms[i].constant for i in range(k))
-            gradient = [
-                sum(row[i + 1] * forms[i].coeffs[r] for i in range(k))
-                for r in range(shape.master_dim)
-            ]
-            if constant != 0 or any(g != 0 for g in gradient):
-                relations_vanish = False
-                break
-    else:
-        relations_vanish = False
+        # each witness row times the rows (1 | form), every row cleared to ints
+        cleared = [cleared_form(f) for f in master.arrangement.forms]
+        scale = lcm(*(d for d, _ in cleared))
+        lifted = [[scale] + [0] * shape.master_dim] + [[scale // d * v for v in q] for d, q in cleared]
+        columns = list(zip(*lifted))
+        relations_vanish = not any(
+            sum(w * v for w, v in zip(row, col))
+            for row in _integer_rows(witness.linear_forms)[0]
+            for col in columns
+        )
 
     spans_match = False
     if shapes_consistent:

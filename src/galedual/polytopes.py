@@ -2,10 +2,12 @@
 bounds derived from them.
 
 Hulls and volumes are computed in Python ints, and the facets of a hull are
-found once, by beneath-beyond: the first simplex gets signed integer cofactor
-normals, and each later facet is an integer combination of two earlier ones
-that meet in a ridge. Vertices, and the faces of the pulling triangulation
-that ``normalized_volume`` sums |det| over, are read off facet incidence
+found once, by beneath-beyond: the normals of the first simplex come from one
+fraction-free Gauss-Jordan elimination of its edge rows beside the identity
+(the columns of the inverse and their sum), and each later facet is an
+integer combination of two earlier ones that meet in a ridge. The hull keeps
+each facet's incidence mask; vertices, and the faces of the pulling
+triangulation that ``normalized_volume`` sums |det| over, are read off those
 masks. Float only appears in the fewnomial bound values, which are
 transcendental anyway.
 """
@@ -20,7 +22,7 @@ from operator import and_
 
 from .errors import DependentRowsError, DimensionCapError, InvariantError
 from .lattice import quotient_images
-from .ratlinalg import det_bareiss_int, mat_rank
+from .ratlinalg import _bareiss, det_bareiss_int, mat_rank
 
 # unused here; bench/spans.py looks these names up on this module to count calls
 from .lattice import kernel_basis, solve_integer  # noqa: F401
@@ -35,13 +37,15 @@ class LatticePolytope:
     ``points`` are the deduplicated input points (sorted), ``vertices`` the
     hull vertices (sorted), and ``facets`` the facet hyperplanes as sorted
     (primitive outward normal, offset) pairs: every point p has
-    normal . p <= offset, with equality on the facet.
+    normal . p <= offset, with equality on the facet. ``masks[i]`` is the
+    incidence mask of ``facets[i]``: bit j is set when points[j] lies on it.
     """
 
     ambient_dim: int
     points: tuple
     vertices: tuple
     facets: tuple
+    masks: tuple
 
 
 def convex_hull(points):
@@ -65,24 +69,12 @@ def convex_hull(points):
         p for i, p in enumerate(pts)
         if reduce(and_, (m for m in facets.values() if m >> i & 1), -1) == 1 << i
     ]
-    return LatticePolytope(dim, tuple(pts), tuple(verts), tuple(sorted(facets)))
+    keys = tuple(sorted(facets))
+    return LatticePolytope(dim, tuple(pts), tuple(verts), keys, tuple(map(facets.get, keys)))
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def _normal(subset):
-    """Primitive normal of the hyperplane through d affinely independent points
-    of Z^d: the signed (d-1)-minors of the difference rows, over their gcd."""
-    base = subset[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
-    minors = [
-        (-1) ** i * det_bareiss_int([row[:i] + row[i + 1 :] for row in diffs])
-        for i in range(len(base))
-    ]
-    g = math.gcd(*minors)
-    return tuple(m // g for m in minors)
 
 
 def _facets(pts):
@@ -104,10 +96,15 @@ def _facets(pts):
             simplex.append(i)
     if len(simplex) <= dim:
         raise ValueError("points do not affinely span the ambient space")
+    # the edge rows D beside I reduce to [c*I | c*D^-1]: column j of D^-1 is
+    # normal to the facet opposite simplex[j + 1], their sum to the one opposite pts[0]
+    rows = [diffs[j] + [int(r == t) for t in range(dim)] for r, j in enumerate(simplex[1:])]
+    inverse = [row[dim:] for row in _bareiss(rows, True)[0]]
     facets = {}
-    for k in simplex:
+    for k, normal in zip(simplex, [[sum(row) for row in inverse], *zip(*inverse)]):
+        g = math.gcd(*normal)
+        normal = tuple(n // g for n in normal)
         rest = [j for j in simplex if j != k]
-        normal = _normal([pts[j] for j in rest])
         offset = _dot(normal, pts[rest[0]])
         if _dot(normal, pts[k]) > offset:
             normal, offset = tuple(-n for n in normal), -offset
@@ -118,9 +115,7 @@ def _facets(pts):
         added = {}
         for v, u in product([f for f in facets if side[f] > 0], [f for f in facets if side[f] < 0]):
             ridge = facets[v] & facets[u]
-            if ridge.bit_count() < dim - 1 or any(
-                m & ridge == ridge for f, m in facets.items() if f != v and f != u
-            ):
+            if ridge.bit_count() < dim - 1 or sum(m & ridge == ridge for m in facets.values()) > 2:
                 continue
             sv, su = side[v], -side[u]
             normal = [su * a + sv * b for a, b in zip(v[0], u[0])]
@@ -138,12 +133,9 @@ def normalized_volume(polytope):
     coned from its lexicographically least point over the facets of the face
     that miss that point. A face is an incidence mask over ``points``, and its
     facets are the inclusion-maximal proper nonempty intersections of the
-    face with the masks of the hull's ``facets``.
+    face with the hull's ``masks``.
     """
-    pts = polytope.points
-    masks = [
-        sum(1 << i for i, p in enumerate(pts) if _dot(n, p) == c) for n, c in polytope.facets
-    ]
+    pts, masks = polytope.points, polytope.masks
 
     @cache
     def simplices(face):

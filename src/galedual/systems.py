@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DependentRowsError,
@@ -48,22 +47,24 @@ class LinearForm:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "constant", Fraction(self.constant))
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "constant", _fraction(self.constant))
+        object.__setattr__(self, "coeffs", tuple(map(_fraction, self.coeffs)))
 
     def render(self, names):
         return term_sum([*zip(self.coeffs, names), (self.constant, "1")])
 
 
-def _proportional(a, b):
-    """Whether two vectors are scalar multiples of each other (either order)."""
-    pivot = next((i for i, v in enumerate(a) if v != 0), None)
-    if pivot is None:
-        return all(v == 0 for v in b)
-    if b[pivot] == 0:
-        return False
-    ratio = Fraction(b[pivot]) / Fraction(a[pivot])
-    return all(Fraction(y) == ratio * Fraction(x) for x, y in zip(a, b))
+def _fraction(value):
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _direction(form):
+    """The primitive int multiple of (constant, *coeffs) whose first nonzero
+    entry is positive: the same for two forms exactly when they are
+    proportional."""
+    q = cleared_form(form)[1]
+    g = gcd(*q) if next(v for v in q if v) > 0 else -gcd(*q)
+    return tuple(v // g for v in q)
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,14 @@ class Arrangement:
                 raise ValueError(f"form {i} has wrong arity")
             if all(c == 0 for c in f.coeffs):
                 raise ValueError(f"form {i} has zero gradient; not a hyperplane")
-        for i, j in combinations(range(len(self.forms)), 2):
-            a = (self.forms[i].constant, *self.forms[i].coeffs)
-            b = (self.forms[j].constant, *self.forms[j].coeffs)
-            if _proportional(a, b):
-                raise ValueError(f"forms {i} and {j} are proportional")
+        # proportional forms share a direction; the first class of two or
+        # more, by least index, holds the lexicographically first pair
+        classes = {}
+        for i, f in enumerate(self.forms):
+            classes.setdefault(_direction(f), []).append(i)
+        pair = next((c for c in classes.values() if len(c) > 1), None)
+        if pair:
+            raise ValueError(f"forms {pair[0]} and {pair[1]} are proportional")
 
 
 def is_essential(arrangement):
@@ -120,7 +124,7 @@ class SparseSystem:
         object.__setattr__(
             self,
             "coefficients",
-            tuple(tuple(Fraction(c) for c in row) for row in self.coefficients),
+            tuple(tuple(map(_fraction, row)) for row in self.coefficients),
         )
         object.__setattr__(self, "variables", tuple(self.variables))
         shape = self.support.shape

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import galedual
 
@@ -36,6 +38,7 @@ from galedual.lattice import (
 from galedual.polytopes import kouchnirenko_bound
 from galedual.serialize import check_to_dict
 from galedual.systems import Arrangement, LinearForm, MasterSystem, SparseSystem
+from test_properties import dualizable_systems
 
 
 def same_lattice(a, b):
@@ -250,6 +253,33 @@ def test_check_flags_witness_tampering():
     )
     check = check_gale_pair(GalePair(pair.poly, pair.master, witness))
     assert "relations_vanish" in check.failures()
+
+
+@settings(max_examples=40, deadline=None)
+@given(dualizable_systems(), st.data())
+def test_check_flags_tampering_with_any_relation_entry(drawn, data):
+    """A nonzero rational of large denominator added to one witness entry or
+    to one coefficient of a form that some relation uses breaks
+    relations_vanish; the pair as dualized passes."""
+    pair = drawn[1]
+    assert check_gale_pair(pair).all_pass
+    nudge = Fraction(data.draw(st.integers(-9, 9).filter(bool)), 2**61 - 1)
+    rows = [list(r) for r in pair.witness.linear_forms]
+    forms = list(pair.master.arrangement.forms)
+    if data.draw(st.booleans()):
+        r = data.draw(st.integers(0, len(rows) - 1))
+        rows[r][data.draw(st.integers(0, len(rows[r]) - 1))] += nudge
+    else:
+        # a form that no relation uses could change freely; a dualized pair uses every form
+        assert all(any(row[i + 1] for row in rows) for i in range(len(forms)))
+        i = data.draw(st.integers(0, len(forms) - 1))
+        values = [forms[i].constant, *forms[i].coeffs]
+        values[data.draw(st.integers(0, len(values) - 1))] += nudge
+        forms[i] = LinearForm(values[0], values[1:])
+    arrangement = replace(pair.master.arrangement, forms=tuple(forms))
+    witness = replace(pair.witness, linear_forms=tuple(map(tuple, rows)))
+    tampered = GalePair(pair.poly, replace(pair.master, arrangement=arrangement), witness)
+    assert not check_gale_pair(tampered).relations_vanish
 
 
 def test_check_flags_shape_mismatch():

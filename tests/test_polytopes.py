@@ -347,6 +347,9 @@ def test_facets_are_primitive_supporting_and_tight_at_vertices(pts):
     for v in poly.vertices:
         tight = [n for n, offset in poly.facets if dot(n, v) == offset]
         assert len(tight) >= dim and mat_rank(tight) == dim
+    assert poly.masks == tuple(
+        sum(1 << i for i, p in enumerate(poly.points) if dot(n, p) == c) for n, c in poly.facets
+    )
 
 
 def test_vertex_needs_tight_normals_of_full_rank():

@@ -352,6 +352,65 @@ def test_arrangement_validation():
         Arrangement(2, (LinearForm(0, (1, 0)),), ("s",))
 
 
+def first_proportional_pair(forms):
+    """The lexicographically first pair (i, j) of proportional forms, by a
+    ratio test on every pair, or None."""
+
+    def proportional(a, b):
+        pivot = next((i for i, v in enumerate(a) if v != 0), None)
+        if pivot is None:
+            return all(v == 0 for v in b)
+        if b[pivot] == 0:
+            return False
+        ratio = Fraction(b[pivot]) / Fraction(a[pivot])
+        return all(Fraction(y) == ratio * Fraction(x) for x, y in zip(a, b))
+
+    vectors = [(f.constant, *f.coeffs) for f in forms]
+    pairs = combinations(range(len(forms)), 2)
+    return next(((i, j) for i, j in pairs if proportional(vectors[i], vectors[j])), None)
+
+
+rationals = st.fractions(-3, 3, max_denominator=4)
+
+
+def gradients(dim):
+    return st.lists(rationals, min_size=dim, max_size=dim).filter(any)
+
+
+@st.composite
+def forms_with_copies(draw):
+    """Random forms in 1 to 3 variables with three or more copies planted,
+    each a copy of an earlier form scaled by a nonzero rational of either
+    sign and put in at a random place."""
+    dim = draw(st.integers(1, 3))
+    forms = [LinearForm(draw(rationals), draw(gradients(dim))) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(3, 5))):
+        form = forms[draw(st.integers(0, len(forms) - 1))]
+        scale = draw(rationals.filter(bool))
+        copy = LinearForm(scale * form.constant, [scale * c for c in form.coeffs])
+        forms.insert(draw(st.integers(0, len(forms))), copy)
+    return dim, forms
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms_with_copies())
+def test_arrangement_reports_the_first_proportional_pair(drawn):
+    dim, forms = drawn
+    i, j = first_proportional_pair(forms)
+    with pytest.raises(ValueError, match=rf"^forms {i} and {j} are proportional$"):
+        Arrangement(dim, forms, master_variable_names(dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    st.just(dim), gradients(dim), st.lists(rationals, min_size=1, max_size=6, unique=True))))
+def test_arrangement_accepts_forms_sharing_a_gradient(drawn):
+    dim, gradient, constants = drawn
+    forms = [LinearForm(c, gradient) for c in constants]
+    assert first_proportional_pair(forms) is None
+    assert Arrangement(dim, forms, master_variable_names(dim)).forms == tuple(forms)
+
+
 def test_is_essential():
     assert is_essential(worked_master().arrangement)
     slab = Arrangement(2, (LinearForm(0, (1, 0)), LinearForm(1, (1, 0))), ("s", "t"))
