@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     DegenerateDualError,
@@ -24,6 +23,8 @@ from .errors import (
 from .lattice import (
     ExponentMatrix,
     WeightBasis,
+    _kernel_and_index,
+    hnf,
     kernel_basis,
     lll_reduce,
     quotient_images,
@@ -35,7 +36,6 @@ from .systems import (
     LinearForm,
     MasterSystem,
     SparseSystem,
-    cleared_form,
     diagonalize,
     is_essential,
     master_variable_names,
@@ -108,17 +108,6 @@ class PairCheck:
         return tuple(f.name for f in fields(self) if getattr(self, f.name) is False)
 
 
-def require_support_primitive(support):
-    """Raise unless the support columns generate all of Z^torus_dim."""
-    index = saturation_index(support.matrix)
-    if index == 0:
-        raise DependentRowsError(
-            "support columns do not span the variable space over Q"
-        )
-    if index != 1:
-        raise NotPrimitiveError(index, what="support lattice")
-
-
 def _checked(pair):
     """The pair with its check attached, once check_gale_pair passes it;
     InvariantError otherwise."""
@@ -134,11 +123,18 @@ def dualize_poly_to_master(system):
     Diagonalizes on a deterministic pivot set, reads the pivot equations as
     degree-one forms in new variables (one per non-pivot monomial), appends
     the coordinate forms, and takes the lll_reduce basis of the support's
-    relation lattice as the weights. The z-coordinate order is pivots then
+    relation lattice as the weights. One Hermite elimination of the support
+    gives both that lattice (its saturated kernel) and the index that must
+    be 1: DependentRowsError or NotPrimitiveError is raised before the
+    equations are looked at. The z-coordinate order is pivots then
     non-pivots, each in stored support order. Raises DegenerateDualError
     when a pivot monomial equals a constant or a multiple of another's form.
     """
-    require_support_primitive(system.support)
+    kernel, index = _kernel_and_index(system.support.matrix)
+    if index == 0:
+        raise DependentRowsError("support columns do not span the variable space over Q")
+    if index != 1:
+        raise NotPrimitiveError(index, what="support lattice")
     diag = diagonalize(system)
     shape = system.shape
     z_cols = list(diag.pivots) + list(diag.nonpivots)
@@ -154,8 +150,8 @@ def dualize_poly_to_master(system):
     except ValueError as exc:
         raise DegenerateDualError(f"the dual forms are no hyperplane arrangement: {exc}") from None
 
-    z_support = system.support.matrix.submatrix_columns(z_cols)
-    weights = WeightBasis(shape, lll_reduce(kernel_basis(z_support)))
+    # hnf is canonical per lattice: these are kernel_basis's rows for the permuted support
+    weights = WeightBasis(shape, lll_reduce(hnf(kernel.submatrix_columns(z_cols))[0]))
     master = MasterSystem(arrangement, weights)
 
     k = shape.num_forms
@@ -185,25 +181,17 @@ def dualize_master_to_poly(master):
     the support depends only on the weight lattice, and its exponents are
     short, which keeps the cleared degree the solver sees low. The
     coefficient rows are the reduced basis of linear relations among 1 and
-    the forms. Non-primitive weights are reported before a non-essential
-    arrangement.
+    the forms. There are num_equations of them exactly when the forms and 1
+    span degree one, so their count is the essentiality test. Non-primitive
+    weights are reported before a non-essential arrangement.
     """
     shape = master.shape
     images = quotient_images(master.weights)
-    if not is_essential(master.arrangement):
-        raise NotEssentialError(
-            "forms plus the constant do not span degree one"
-        )
+    relations = right_kernel(_stacked(master.arrangement))
+    if len(relations) != shape.num_equations:
+        raise NotEssentialError("forms plus the constant do not span degree one")
     images = ExponentMatrix(shape, lll_reduce(images.matrix))
-
-    ambient = shape.master_dim
-    stacked = [[Fraction(1)] + [f.constant for f in master.arrangement.forms]]
-    for r in range(ambient):
-        stacked.append([Fraction(0)] + [f.coeffs[r] for f in master.arrangement.forms])
-    relations = right_kernel(stacked)
     reduced, _ = rref(relations)
-    if len(reduced) != shape.num_equations:
-        raise InvariantError(f"{len(reduced)} relations for {shape.num_equations} equations")
 
     coefficients = [tuple(row) for row in reduced]
     names = torus_variable_names(shape.torus_dim)
@@ -218,6 +206,15 @@ def dualize_master_to_poly(master):
         monomials,
     )
     return _checked(GalePair(poly, master, witness))
+
+
+def _stacked(arrangement):
+    """The rows (1 | form) of is_essential, transposed: 1 and the constants,
+    then 0 and each variable's coefficients."""
+    forms = arrangement.forms
+    return [[1, *(f.constant for f in forms)]] + [
+        [0, *(f.coeffs[r] for f in forms)] for r in range(arrangement.ambient_dim)
+    ]
 
 
 def saturate_weights(master):
@@ -236,9 +233,10 @@ def saturate_weights(master):
 def check_gale_pair(pair):
     """Exact certification of every pairing condition; returns a PairCheck.
 
-    The relations are checked in ints: the forms are scaled by one common
-    denominator and each witness row by its own, and each row must then
-    annihilate the rows (1 | form) as a combination.
+    The relations are checked in ints: each witness row and each column of
+    the rows (1 | form) is scaled to integers by its own denominators, which
+    changes no product's vanishing, and every row must annihilate every
+    column.
     """
     poly = pair.poly
     master = pair.master
@@ -266,11 +264,7 @@ def check_gale_pair(pair):
 
     relations_vanish = False
     if shapes_consistent:
-        # each witness row times the rows (1 | form), every row cleared to ints
-        cleared = [cleared_form(f) for f in master.arrangement.forms]
-        scale = lcm(*(d for d, _ in cleared))
-        lifted = [[scale] + [0] * shape.master_dim] + [[scale // d * v for v in q] for d, q in cleared]
-        columns = list(zip(*lifted))
+        columns = _integer_rows(_stacked(master.arrangement))[0]
         relations_vanish = not any(
             sum(w * v for w, v in zip(row, col))
             for row in _integer_rows(witness.linear_forms)[0]

@@ -14,9 +14,10 @@ General polynomial algebra (factoring, multivariate division) is out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InvariantError
+from .ratlinalg import _integer_rows
 # unused here; bench/spans.py looks these names up on this module to count calls
 from .ratlinalg import det_bareiss_int, mat_det  # noqa: F401
 
@@ -122,11 +123,8 @@ def _int_content(coeffs):
 
 def _to_int_primitive(coeffs):
     """Clear denominators and divide out integer content."""
-    c = utrim([Fraction(v) for v in coeffs])
-    if not c:
-        return []
-    denom = lcm(*(v.denominator for v in c))
-    return _primitive([v.numerator * (denom // v.denominator) for v in c])
+    [ints], _ = _integer_rows([utrim([Fraction(v) for v in coeffs])])
+    return _primitive(ints)
 
 
 def _prem(a, b):

@@ -2,14 +2,15 @@
 bounds derived from them.
 
 Hulls and volumes are computed in Python ints, and the facets of a hull are
-found once, by beneath-beyond: the normals of the first simplex come from one
-fraction-free Gauss-Jordan elimination of its edge rows beside the identity
-(the columns of the inverse and their sum), and each later facet is an
-integer combination of two earlier ones that meet in a ridge. The hull keeps
-each facet's incidence mask; vertices, and the faces of the pulling
-triangulation that ``normalized_volume`` sums |det| over, are read off those
-masks. Float only appears in the fewnomial bound values, which are
-transcendental anyway.
+found once, by beneath-beyond: the first simplex and its normals come from
+one fraction-free Gauss-Jordan elimination of the edges from the first
+point, as columns beside the identity (the pivot columns pick the simplex,
+and the identity block's rows and their sum are the normals), and each
+later facet is an integer combination of two earlier ones that meet in a
+ridge. The hull keeps each facet's incidence mask; vertices, and the faces
+of the pulling triangulation that ``normalized_volume`` sums |det| over,
+are read off those masks. Float only appears in the fewnomial bound values,
+which are transcendental anyway.
 """
 
 from __future__ import annotations
@@ -82,26 +83,27 @@ def _facets(pts):
     (primitive outward normal, offset) to its incidence mask, whose bit i is
     set when pts[i] lies on the facet.
 
-    The hull starts as a simplex on the first affinely independent points and
-    takes the others in order. A point q drops the facets it lies beyond. Each
-    ridge of a dropped facet v and a facet u that q lies strictly beneath
-    spans a new facet with q: (-side(u)) * v + side(v) * u, zero at q and on
-    the ridge. Two facets meet in a ridge when no third holds all their points.
+    The hull starts as a simplex on pts[0] and the first points whose edges
+    from it are independent, and takes the others in order. One Gauss-Jordan
+    elimination of the edges as columns, beside the identity, gives both:
+    its pivot columns are those edges, and the identity block ends as
+    c * D^-T, D the simplex's edge rows. A point q drops the facets it lies
+    beyond. Each ridge of a dropped facet v and a facet u that q lies
+    strictly beneath spans a new facet with q: (-side(u)) * v + side(v) * u,
+    zero at q and on the ridge. Two facets meet in a ridge when no third
+    holds all their points.
     """
-    dim = len(pts[0])
-    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts]
-    simplex = [0]
-    for i in range(1, len(pts)):
-        if len(simplex) <= dim and mat_rank([diffs[j] for j in simplex[1:] + [i]]) == len(simplex):
-            simplex.append(i)
-    if len(simplex) <= dim:
+    dim, edges = len(pts[0]), len(pts) - 1
+    rows = [[p[r] - pts[0][r] for p in pts[1:]] + [int(r == t) for t in range(dim)] for r in range(dim)]
+    reduced, pivots, _, _ = _bareiss(rows, True)
+    if pivots[-1] >= edges:
         raise ValueError("points do not affinely span the ambient space")
-    # the edge rows D beside I reduce to [c*I | c*D^-1]: column j of D^-1 is
-    # normal to the facet opposite simplex[j + 1], their sum to the one opposite pts[0]
-    rows = [diffs[j] + [int(r == t) for t in range(dim)] for r, j in enumerate(simplex[1:])]
-    inverse = [row[dim:] for row in _bareiss(rows, True)[0]]
+    # row j of c*D^-T is normal to the facet opposite simplex[j + 1], and
+    # the sum of the rows to the one opposite pts[0]
+    simplex = [0] + [c + 1 for c in pivots]
+    inverse = [row[edges:] for row in reduced]
     facets = {}
-    for k, normal in zip(simplex, [[sum(row) for row in inverse], *zip(*inverse)]):
+    for k, normal in zip(simplex, [[sum(col) for col in zip(*inverse)], *inverse]):
         g = math.gcd(*normal)
         normal = tuple(n // g for n in normal)
         rest = [j for j in simplex if j != k]

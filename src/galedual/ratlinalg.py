@@ -15,11 +15,6 @@ from fractions import Fraction
 from math import lcm
 
 
-def frac_rows(rows):
-    """Copy an iterable of row iterables into Fraction lists."""
-    return [[Fraction(v) for v in row] for row in rows]
-
-
 def mat_det(rows):
     """Determinant over Q: det_bareiss_int of the rows scaled to integers."""
     ints, scale = _integer_rows(rows)
@@ -28,7 +23,8 @@ def mat_det(rows):
 
 def _integer_rows(rows):
     """Each row times the lcm of its entries' denominators, and the product
-    of those lcms. Entries are ints or Fractions."""
+    of those lcms. Entries are ints or Fractions; every denominator that
+    galedual clears is cleared here."""
     ints, scale = [], 1
     for row in rows:
         den = lcm(*(v.denominator for v in row))

@@ -142,7 +142,10 @@ def _recentre(coeffs, z, state, group):
     a root of a k-cluster up to k-fold, so each chain of roots whose disks
     of k times that bound still overlap is recentred again at its own mean
     and diameter, as long as the diameter halves. Where the roots coincide,
-    the spacing of floats there stands for the diameter.
+    the spacing of floats there stands for the diameter. A group is left to
+    the exact tier when the shifted polynomial divided by its leading
+    coefficient is not finite in floats, as when that coefficient
+    underflows to 0.
     """
     n = len(coeffs) - 1
     settled, radii = np.zeros(n, dtype=bool), np.zeros(n)  # radii in z's units
@@ -158,6 +161,8 @@ def _recentre(coeffs, z, state, group):
         a = (round(math.ldexp(centre.real, e)), round(math.ldexp(centre.imag, e)))
         c, h = complex(math.ldexp(a[0], -e), math.ldexp(a[1], -e)), math.ldexp(1.0, m)
         asc = _floats(*_shifted(coeffs, a, e, 4))
+        if not np.isfinite(asc[:-1] / asc[-1]).all():
+            continue  # np.roots' companion matrix would not be finite
         s = (z - c) / h
         eigenvalues = np.roots(asc[::-1])
         s[group] = eigenvalues[np.argsort(np.abs(eigenvalues))[:len(group)]]
@@ -363,18 +368,13 @@ def _horner_exact(ints, z):
     """d**n * p(z) and d**n * p'(z) exactly, as (real, imaginary) integer
     pairs, where z = (a + b*i)/d is the float complex z with d a power of two
     and n + 1 is the length of the list."""
-    a, b, d = _dyadic(z)
-    tr, ti, ur, ui = ints[-1], 0, 0, 0
-    power = 1
-    for c in reversed(ints[:-1]):
-        power *= d
-        ur, ui = ur * a - ui * b + d * tr, ur * b + ui * a + d * ti
-        tr, ti = tr * a - ti * b + c * power, tr * b + ti * a
-    return (tr, ti), (ur, ui)
+    ur, ui = _value_exact(uderiv(ints), z)
+    d = _dyadic(z)[2]
+    return _value_exact(ints, z), (d * ur, d * ui)
 
 
 def _value_exact(ints, z):
-    """d**n * p(z) exactly, as in _horner_exact, without p'(z)."""
+    """d**n * p(z) exactly, as (real, imaginary) integers; see _horner_exact."""
     a, b, d = _dyadic(z)
     tr, ti = ints[-1], 0
     power = 1

@@ -37,8 +37,8 @@ from .polynomials import (
 )
 # unused here; bench/spans.py looks these names up on this module to count calls
 from .polynomials import bivariate_resultant, ugcd, usquarefree  # noqa: F401
-from .systems import cleared_form, cleared_polynomials, clear_denominators, evaluate_phi
-from .ratlinalg import frac_rows
+from .systems import cleared_polynomials, clear_denominators, evaluate_phi
+from .ratlinalg import _integer_rows
 from .roots import polynomial_roots, rational_values, real_root_count
 
 
@@ -323,7 +323,7 @@ def solve_master(master, config=None):
         )
     cleared = [clear_denominators(master, j) for j in range(shape.num_weights)]
     f, g = (cb.expand_difference(master.arrangement) for cb in cleared)
-    lines = tuple(tuple(cleared_form(form)[1]) for form in master.arrangement.forms)
+    lines = tuple(map(tuple, _integer_rows([(f.constant, *f.coeffs) for f in master.arrangement.forms])[0]))
     raw = solve_bivariate(f, g, config, exclude=lines)
     return _reverified(raw, "complement", master.residuals([s.point for s in raw.solutions]))
 
@@ -393,7 +393,7 @@ def verify_isomorphism(pair, config=None):
     master_sol = solve_master(pair.master, config)
 
     forms = pair.master.arrangement.forms
-    gradient = np.array(frac_rows([list(f.coeffs) for f in forms]), dtype=float)
+    gradient = np.array([f.coeffs for f in forms], dtype=float)
     constants = np.array([float(f.constant) for f in forms], dtype=float)
 
     z_cols = pair.witness.z_support_columns

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     DependentRowsError,
@@ -21,7 +21,7 @@ from .errors import (
 )
 from .lattice import ExponentMatrix, WeightBasis, solve_integer
 from .polynomials import IntPoly, monomial_string, term_sum
-from .ratlinalg import mat_rank, rref, solve_mod2
+from .ratlinalg import _integer_rows, mat_rank, rref, solve_mod2
 
 # unused here; bench/spans.py looks these names up on this module to count calls
 from .ratlinalg import mat_det, mat_inverse, mat_mul  # noqa: F401
@@ -58,11 +58,10 @@ def _fraction(value):
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _direction(form):
-    """The primitive int multiple of (constant, *coeffs) whose first nonzero
-    entry is positive: the same for two forms exactly when they are
-    proportional."""
-    q = cleared_form(form)[1]
+def _direction(q):
+    """The primitive multiple of a nonzero int row whose first nonzero entry
+    is positive: the same for the cleared (constant, *coeffs) rows of two
+    forms exactly when they are proportional."""
     g = gcd(*q) if next(v for v in q if v) > 0 else -gcd(*q)
     return tuple(v // g for v in q)
 
@@ -88,8 +87,8 @@ class Arrangement:
         # proportional forms share a direction; the first class of two or
         # more, by least index, holds the lexicographically first pair
         classes = {}
-        for i, f in enumerate(self.forms):
-            classes.setdefault(_direction(f), []).append(i)
+        for i, q in enumerate(_integer_rows([(f.constant, *f.coeffs) for f in self.forms])[0]):
+            classes.setdefault(_direction(q), []).append(i)
         pair = next((c for c in classes.values() if len(c) > 1), None)
         if pair:
             raise ValueError(f"forms {pair[0]} and {pair[1]} are proportional")
@@ -277,7 +276,7 @@ class ClearedBinomial:
         plus, minus = {(0, 0): 1}, {(0, 0): 1}
         plus_scale = minus_scale = 1
         for form, up, down in zip(arrangement.forms, self.plus, self.minus):
-            den, values = cleared_form(form)
+            [values], den = _integer_rows([(form.constant, *form.coeffs)])
             factor = [(m, v) for m, v in zip(((0, 0), (1, 0), (0, 1)), values) if v]
             for _ in range(up):
                 plus = _times(plus, factor)
@@ -289,14 +288,6 @@ class ClearedBinomial:
         for m, c in minus.items():
             terms[m] = terms.get(m, 0) - c * minus_scale
         return IntPoly(terms)
-
-
-def cleared_form(form):
-    """(d, q): the lcm d of a form's denominators, and the int list q of
-    d times its constant and coefficients."""
-    values = (form.constant, *form.coeffs)
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _times(terms, factor):
@@ -433,12 +424,11 @@ def cleared_polynomials(system):
     constant first, then the support columns.
     """
     out = []
-    for row in system.coefficients:
-        involved = [((0, 0), row[0])] if row[0] else []
-        involved += [(system.support.exponent(j), c) for j, c in enumerate(row[1:]) if c]
+    exponents = [(0, 0), *system.support.exponents()]
+    for row in _integer_rows(system.coefficients)[0]:
+        involved = [(e, c) for e, c in zip(exponents, row) if c]
         if not involved:
             raise ValueError("identically zero equation")
         sx, sy = (min(0, *(e[v] for e, _ in involved)) for v in (0, 1))
-        den = lcm(*(c.denominator for _, c in involved))
-        out.append(IntPoly({(a - sx, b - sy): c.numerator * (den // c.denominator) for (a, b), c in involved}))
+        out.append(IntPoly({(a - sx, b - sy): c for (a, b), c in involved}))
     return out

@@ -26,17 +26,14 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
-def nonprimitive_sparse(tmp_path):
+def nonprimitive_sparse(tmp_path, coefficients=(("1", "1", "2", "3", "4"), ("1", "4", "3", "2", "1"))):
     return write_json(
         tmp_path,
         "nonprimitive.json",
         {
             "variables": ["x", "y"],
             "support": [[2, 0], [0, 2], [2, 2], [4, 2]],
-            "coefficients": [
-                ["1", "1", "2", "3", "4"],
-                ["1", "4", "3", "2", "1"],
-            ],
+            "coefficients": coefficients,
         },
     )
 
@@ -334,6 +331,15 @@ def test_nonprimitive_support_is_diagnostic(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--input", path)
     assert code == 2
     assert "saturation index 4" in err
+    # reported before equations that are inconsistent (x^2 = -1 and x^2 = -2)
+    # or give a degenerate dual (x^2 = 3) are looked at
+    for coefficients in [[["1", "1", "0", "0", "0"], ["2", "1", "0", "0", "0"]],
+                         [["-3", "1", "0", "0", "0"], ["0", "0", "1", "-1", "0"]]]:
+        path = nonprimitive_sparse(tmp_path, coefficients)
+        assert run(capsys, "dualize", "--input", path) == (
+            2, "", "error: input is not primitive (saturation index 4); the dual system would miss solutions\n")
+        assert run(capsys, "verify", "--input", path) == (
+            2, "", "error: support lattice is not primitive: saturation index 4\n")
 
 
 def nonessential_master(tmp_path):
@@ -393,6 +399,32 @@ def test_unwritable_output_is_a_parse_error(capsys, tmp_path, command):
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in err
+
+
+def test_planar_master_whose_recentred_cluster_underflows_solves(capsys, tmp_path):
+    # the dual of a 3-variable system: a resultant factor of degree 41 has a
+    # cluster whose Taylor-shifted float image loses its leading coefficient
+    path = write_json(
+        tmp_path,
+        "underflow.json",
+        {
+            "variables": ["s", "t"],
+            "forms": [
+                {"constant": "-7/34", "coeffs": ["-11/34", "-3/34"]},
+                {"constant": "-39/68", "coeffs": ["-3/68", "-41/68"]},
+                {"constant": "-1/4", "coeffs": ["3/4", "1/4"]},
+                {"constant": "0", "coeffs": ["1", "0"]},
+                {"constant": "0", "coeffs": ["0", "1"]},
+            ],
+            "weights": [[2, 0, 4, -2, 1], [2, 4, -3, -1, 2]],
+        },
+    )
+    code, out, err = run(capsys, "solve", "--input", path)
+    assert (code, err) == (0, "")
+    solved = json.loads(out)
+    code, out, _ = run(capsys, "bound", "--input", path)
+    assert code == 0
+    assert solved["total_multiplicity"] + len(solved["excluded"]) <= json.loads(out)["kouchnirenko"]
 
 
 def test_common_component_is_solver_error(capsys, tmp_path):

@@ -24,7 +24,12 @@ from galedual.lattice import (
     snf,
     solve_integer,
 )
-from galedual.ratlinalg import det_bareiss_int, frac_rows, mat_det, mat_rank, rref
+from galedual.ratlinalg import det_bareiss_int, mat_det, mat_rank, rref
+
+
+def frac_rows(rows):
+    """Copy an iterable of row iterables into Fraction lists."""
+    return [[Fraction(v) for v in row] for row in rows]
 
 
 def solve_linear(rows, rhs):

@@ -6,7 +6,7 @@ from functools import cache, cmp_to_key
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from galedual.lattice import (
@@ -125,6 +125,8 @@ def test_hull_rejects_degenerate_input():
         convex_hull([(0, 0), (1, 1), (2, 2)])  # collinear
     with pytest.raises(ValueError):
         convex_hull([(0, 0), (1, 0)])  # does not span
+    with pytest.raises(ValueError):
+        convex_hull([(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 0), (0, 2, 5)])  # a plane
     with pytest.raises(ValueError):
         convex_hull([(0, 0), (1,)])
     with pytest.raises(ValueError):
@@ -307,6 +309,8 @@ def unimodular(draw, dim):
 
 @settings(deadline=None, max_examples=150)
 @given(spanning_points())
+# the first d + 1 sorted points are collinear, so the starting simplex skips some
+@example([(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 1), (0, 2, 2), (1, 0, 0), (1, 1, 1), (2, 1, 0)])
 def test_hull_and_volume_match_facet_coordinate_reference(pts):
     poly = convex_hull(pts)
     dim = poly.ambient_dim

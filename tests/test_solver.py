@@ -334,6 +334,23 @@ def exact_scaled_value(ints, scale, z):
     return Fraction(tr * gr + ti * gi, norm), Fraction(ti * gr - tr * gi, norm)
 
 
+def fraction_values(ints, z):
+    """d**n * p(z) and d**n * p'(z) at the dyadic z = (a + b*i)/d, summed term
+    by term in Fractions, as (real, imaginary) pairs."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    scale = max(x.denominator, y.denominator) ** (len(ints) - 1)
+
+    def value(coeffs):
+        re = im = Fraction(0)
+        pr, pi = Fraction(1), Fraction(0)  # z**k
+        for c in coeffs:
+            re, im = re + c * pr, im + c * pi
+            pr, pi = pr * x - pi * y, pr * y + pi * x
+        return re * scale, im * scale
+
+    return value(ints), value([k * c for k, c in enumerate(ints)][1:])
+
+
 def dyadic_points():
     part = st.builds(lambda k, j: k / 2 ** j, st.integers(-(2 ** 10), 2 ** 10), st.integers(0, 16))
     return st.lists(st.builds(complex, part, part), min_size=1, max_size=6)
@@ -364,7 +381,7 @@ def test_power_table_values_lie_within_the_rounding_bound(rows, points):
             er, ei = exact_scaled_value(row, scale, point)
             limit = 4 * n * Fraction(roots._EPS) * Fraction(b)
             assert (Fraction(v.real) - er) ** 2 + (Fraction(v.imag) - ei) ** 2 <= limit ** 2
-            assert roots._value_exact(row, point) == roots._horner_exact(row, point)[0]
+            assert roots._horner_exact(row, point) == fraction_values(row, point)
 
 
 def test_quotient_whose_float_denominator_cancels_is_evaluated_exactly():
