@@ -121,16 +121,20 @@ def _dual_pair(system):
     return dualize_master_to_poly(system)
 
 
+def _not_primitive(exc):
+    return _fail(
+        f"input is not primitive (saturation index {exc.index}); "
+        "the dual system would miss solutions",
+        EXIT_DIAGNOSTIC,
+    )
+
+
 def cmd_dualize(args):
     system = load_system(args.input)
     try:
         pair = _dual_pair(system)
     except NotPrimitiveError as exc:
-        return _fail(
-            f"input is not primitive (saturation index {exc.index}); "
-            "the dual system would miss solutions",
-            EXIT_DIAGNOSTIC,
-        )
+        return _not_primitive(exc)
     # dualization already checked the pair and raises unless every check passes
     if args.format == "json":
         _emit(args, dump_json(pair_to_dict(pair, pair.check)))
@@ -196,9 +200,9 @@ def cmd_verify(args):
     system = load_system(args.input)
     try:
         pair = _dual_pair(system)
-    except NotPrimitiveError:
+    except NotPrimitiveError as exc:
         if not isinstance(system, MasterSystem):
-            raise  # non-primitive support: the dual genuinely misses solutions
+            return _not_primitive(exc)
         # solve the original master side against the dual of its saturation;
         # the count mismatch shows up in the report instead of an exception
         base = dualize_master_to_poly(saturate_weights(system))

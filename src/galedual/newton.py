@@ -1,12 +1,13 @@
 """Newton refinement of many starts on a bivariate pair at once, in numpy.
 
 compile_pair turns two integer polynomials (polynomials.IntPoly) and their
-partial derivatives into exponent and coefficient arrays; refine runs
-Newton's method from every start in lockstep over a window of active
-starts, so the Python overhead of a step is paid once per pass instead of
-once per start. Values are summed term by term and complex arithmetic is
-rounded as in CPython, so each start gets the point that a one-at-a-time
-loop over Python complex numbers gives.
+partial derivatives into exponent and coefficient arrays. refine first
+evaluates f and g alone at every start and accepts the starts that already
+meet its target; from the others it runs Newton's method in lockstep over a
+window of active starts, so the Python overhead of a step is paid once per
+pass instead of once per start. Values are summed term by term and complex
+arithmetic is rounded as in CPython, so each start gets the point that a
+one-at-a-time loop over Python complex numbers gives.
 """
 
 from __future__ import annotations
@@ -91,24 +92,31 @@ def _abs(z):
     return np.hypot(z.real, z.imag)
 
 
-def _evaluate(compiled, z):
+def _evaluate(compiled, z, rows=3):
     """Rows f, f_x, f_y, g, g_x, g_y of values at the points z[:, k] = (x, y),
     and the rows sum |c * x**i * y**j| over the terms of f and of g.
 
+    With rows=1 only f and g are evaluated, and the values are the rows f, g.
     Each value is c * x**i * y**j summed over the terms in order (a
     cumulative sum), so it does not depend on how many points share the call.
     """
     xpow, ypow, groups = compiled
     xp, yp = z[0] ** xpow, z[1] ** ypow
-    rows, sizes = [], []
+    values, sizes = [], []
     for i, j, c in groups:
+        i, j, c = i[:rows], j[:rows], c[:rows]
         terms = xp[i]
         terms *= c
         _mul(terms, yp[j])
         sizes.append(np.cumsum(_abs(terms[0]), axis=0)[-1])
         np.cumsum(terms, axis=1, out=terms)
-        rows.append(terms[:, -1])
-    return np.concatenate(rows), np.array(sizes)
+        values.append(terms[:, -1])
+    return np.concatenate(values), np.array(sizes)
+
+
+def _backward_error(values, sizes):
+    """max(|f| / sum|f's terms|, |g| / sum|g's terms|) from the rows f, g."""
+    return (_abs(values) / np.where(sizes > 0, sizes, 1)).max(axis=0)
 
 
 # Rows of _evaluate whose products make the Newton step: fx*gy - fy*gx is the
@@ -125,36 +133,42 @@ def refine(compiled, z0, config):
     start. The residual of a point is its backward error, the larger of
     |f| / sum|terms of f| and |g| / sum|terms of g| there: unlike |f| it
     does not grow with the rounding error of evaluating f far out, where
-    an exact point has |f| of that size too. Each start keeps the point
-    with the best residual seen, and stops when the residual falls below
-    verify_tol*1e-3, when |det| of the Jacobian is below 1e-300, after a
-    relative step below 1e-16 (the point reached is evaluated once more) or
-    after _MAX_ITER steps; it has converged when its best residual is
-    below verify_tol. A non-finite iterate, value or Jacobian counts as
-    diverged.
+    an exact point has |f| of that size too.
 
-    Up to _BLOCK_ENTRIES // terms starts are active at once, and each one
-    that finishes is replaced by the next waiting start. Every operation acts
-    on each start alone, so a start's result does not depend on which others
-    share its passes.
+    A first pass evaluates f and g at every start. A finite start whose
+    residual is already below the target verify_tol*1e-3 is final: it keeps
+    its point and that residual and has converged, whatever its Jacobian.
+    Newton's method runs from the other starts. Each keeps the point with
+    the best residual seen, and stops when the residual falls below the
+    target, when |det| of the Jacobian is below 1e-300, after a relative
+    step below 1e-16 (the point reached is evaluated once more) or after
+    _MAX_ITER steps; it has converged when its best residual is below
+    verify_tol. A non-finite iterate, value or Jacobian counts as diverged.
+
+    Up to _BLOCK_ENTRIES // terms of these starts are active at once, and
+    each one that finishes is replaced by the next waiting start. Every
+    operation acts on each start alone, so a start's result does not depend
+    on which others share its passes.
     """
-    n = z0.shape[1]
-    best = z0.copy()
-    best_res = np.full(n, np.inf)
-    converged = np.zeros(n, dtype=bool)
     target = config.verify_tol * 1e-3
+    best = z0.copy()
+    with np.errstate(all="ignore"):  # overflow and 0/0 are caught by the finiteness test
+        best_res = _backward_error(*_evaluate(compiled, z0, rows=1))
+    # a residual below the target is finite; the start itself may not be
+    converged = np.isfinite(z0).all(axis=0) & (best_res < target)
+    best_res[~converged] = np.inf
+    pending = np.flatnonzero(~converged)
     _, _, groups = compiled
     width = max(1, _BLOCK_ENTRIES // max(c.size for _, _, c in groups))
-    idx = np.arange(min(width, n))
+    idx = pending[:width].copy()
     queued = len(idx)
     z = z0[:, idx]
     steps = np.zeros(len(idx), dtype=int)
     last = np.zeros(len(idx), dtype=bool)
-    with np.errstate(all="ignore"):  # overflow and 0/0 are caught by the finiteness test
+    with np.errstate(all="ignore"):
         while len(idx):
             values, sizes = _evaluate(compiled, z)
-            # backward error max(|f| / sum|f's terms|, |g| / sum|g's terms|)
-            res = (_abs(values[[0, 3]]) / np.where(sizes > 0, sizes, 1)).max(axis=0)
+            res = _backward_error(values[[0, 3]], sizes)
             products = _mul(values[_LEFT], values[_RIGHT])
             differences = products[0::2] - products[1::2]
             det = differences[0]
@@ -174,7 +188,7 @@ def refine(compiled, z0, config):
             converged[finished] = finite[done] & (best_res[finished] < config.verify_tol)
             # refill finished slots from the queue; once it is empty, drop them
             free = np.flatnonzero(done)
-            fresh = np.arange(queued, min(queued + len(free), n))
+            fresh = pending[queued:queued + len(free)]
             queued += len(fresh)
             slots = free[:len(fresh)]
             idx[slots], steps[slots], last[slots] = fresh, 0, False

@@ -152,8 +152,9 @@ def solve_bivariate(f, g, config=None, exclude=()):
         y = -rational_values(s10, s11, u)
         starts.extend(zip(u - lam * y, y))
         mults.extend([mult] * len(u))
-        nearest = np.argsort(np.abs(u.imag), kind="stable")[:real_root_count(factor, u)]
-        real.extend(np.isin(np.arange(len(u)), nearest))
+        nearest = np.zeros(len(u), dtype=bool)
+        nearest[np.argsort(np.abs(u.imag), kind="stable")[:real_root_count(factor, u)]] = True
+        real.extend(nearest)
     points, residuals, converged = refine(
         compile_pair(f, g), np.array(starts, dtype=complex).reshape(-1, 2).T, config
     )

@@ -586,6 +586,27 @@ def worked_pair():
     return cleared_polynomials(worked_sparse())
 
 
+def solution_starts(f, g):
+    """The solutions of the pair f, g as refine's starts."""
+    return np.array([s.point for s in solve_bivariate(f, g).solutions]).T
+
+
+def test_final_starts_take_no_step(monkeypatch):
+    # starts whose backward error is already below the target are accepted
+    # by one evaluation of f and g, without entering the Newton loop
+    def no_step(a, b):
+        raise AssertionError("a final start took a Newton step")
+
+    f, g = worked_pair()
+    config = SolverConfig()
+    starts = solution_starts(f, g)
+    monkeypatch.setattr("galedual.newton._div", no_step)
+    points, residuals, converged = refine(compile_pair(f, g), starts, config)
+    assert converged.all()
+    assert points.tobytes() == starts.tobytes()
+    assert (residuals < config.verify_tol * 1e-3).all()
+
+
 # whether CPython rounds a complex product's parts unfused, as refine does:
 # with a fused multiply-add the real part below keeps its 2**-60 term
 UNFUSED = (complex(1 + 2 ** -30, 1) * complex(1 + 2 ** -30, 1)).real == 2 ** -29
@@ -594,13 +615,14 @@ UNFUSED = (complex(1 + 2 ** -30, 1) * complex(1 + 2 ** -30, 1)).real == 2 ** -29
 @pytest.mark.skipif(not UNFUSED, reason="this CPython fuses multiply-adds in complex arithmetic")
 @pytest.mark.parametrize("max_iter", [0, 12, 50])
 def test_refinement_matches_scalar_newton(monkeypatch, max_iter):
-    # a cap of 12 stops about half the starts short of convergence
+    # a cap of 12 stops about half the starts short of convergence; the
+    # solutions of the pair are already final and take no step
     monkeypatch.setattr("galedual.newton._MAX_ITER", max_iter)
     f, g = worked_pair()
     config = SolverConfig()
-    starts = seeded_starts(300, 5)
+    starts = np.hstack([seeded_starts(300, 5), solution_starts(f, g)])
     points, residuals, converged = refine(compile_pair(f, g), starts, config)
-    for k in range(300):
+    for k in range(starts.shape[1]):
         start = tuple(complex(v) for v in starts[:, k])
         point, residual, ok = scalar_newton(f, g, start, config, max_iter)
         assert (complex(points[0, k]), complex(points[1, k])) == point
