@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 
-# candidate-term products a refinement pass evaluates at once: this bounds the
-# (candidates x terms) temporaries at 64 KiB each
+# candidate-term products a refinement pass evaluates at once, in the value
+# pass and in each Newton pass: this bounds the (candidates x terms)
+# temporaries at 64 KiB each
 _BLOCK_ENTRIES = 1 << 12
 
 # Newton steps a start takes at most
@@ -135,31 +136,37 @@ def refine(compiled, z0, config):
     does not grow with the rounding error of evaluating f far out, where
     an exact point has |f| of that size too.
 
-    A first pass evaluates f and g at every start. A finite start whose
-    residual is already below the target verify_tol*1e-3 is final: it keeps
-    its point and that residual and has converged, whatever its Jacobian.
-    Newton's method runs from the other starts. Each keeps the point with
-    the best residual seen, and stops when the residual falls below the
-    target, when |det| of the Jacobian is below 1e-300, after a relative
-    step below 1e-16 (the point reached is evaluated once more) or after
-    _MAX_ITER steps; it has converged when its best residual is below
+    A first pass evaluates f and g at every start, _BLOCK_ENTRIES // terms
+    starts at a time, terms being the longer equation's count. A finite
+    start whose residual is already below the target verify_tol*1e-3 is
+    final: it keeps its point and that residual and has converged, whatever
+    its Jacobian. Newton's method runs from the other starts. Each keeps the
+    point with the best residual seen, and stops when the residual falls
+    below the target, when |det| of the Jacobian is below 1e-300, after a
+    relative step below 1e-16 (the point reached is evaluated once more) or
+    after _MAX_ITER steps; it has converged when its best residual is below
     verify_tol. A non-finite iterate, value or Jacobian counts as diverged.
 
-    Up to _BLOCK_ENTRIES // terms of these starts are active at once, and
-    each one that finishes is replaced by the next waiting start. Every
-    operation acts on each start alone, so a start's result does not depend
-    on which others share its passes.
+    Up to _BLOCK_ENTRIES // (3 * terms) of these starts, which also evaluate
+    the partial derivatives, are active at once, and each one that finishes
+    is replaced by the next waiting start. Every operation acts on each start
+    alone, so a start's result does not depend on which others share its
+    passes.
     """
+    _, _, groups = compiled
+    terms = max(c.shape[1] for _, _, c in groups)
     target = config.verify_tol * 1e-3
     best = z0.copy()
+    best_res = np.empty(z0.shape[1])
+    block = max(1, _BLOCK_ENTRIES // terms)
     with np.errstate(all="ignore"):  # overflow and 0/0 are caught by the finiteness test
-        best_res = _backward_error(*_evaluate(compiled, z0, rows=1))
+        for k in range(0, len(best_res), block):
+            best_res[k:k + block] = _backward_error(*_evaluate(compiled, z0[:, k:k + block], rows=1))
     # a residual below the target is finite; the start itself may not be
     converged = np.isfinite(z0).all(axis=0) & (best_res < target)
     best_res[~converged] = np.inf
     pending = np.flatnonzero(~converged)
-    _, _, groups = compiled
-    width = max(1, _BLOCK_ENTRIES // max(c.size for _, _, c in groups))
+    width = max(1, _BLOCK_ENTRIES // (3 * terms))
     idx = pending[:width].copy()
     queued = len(idx)
     z = z0[:, idx]
