@@ -137,9 +137,9 @@ def cmd_dualize(args):
         return _not_primitive(exc)
     # dualization already checked the pair and raises unless every check passes
     if args.format == "json":
-        _emit(args, dump_json(pair_to_dict(pair, pair.check)))
+        _emit(args, dump_json(pair_to_dict(pair)))
     else:
-        _emit(args, render_pair_text(pair, pair.check))
+        _emit(args, render_pair_text(pair))
     return EXIT_OK
 
 
@@ -159,21 +159,11 @@ def cmd_bound(args):
         },
         "kouchnirenko": volume,
         "euler_characteristic": euler_from_volume(shape, volume),
-        "fewnomial": [],
-    }
-    variants = [("positive", {}), ("all_real", {})]
-    if shape.excess_dim > 0:
-        variants.append(("betti", {"excess_dim": shape.excess_dim}))
-    for variant, extra in variants:
-        b = fewnomial_bound(
-            shape.num_weights,
-            num_equations=None if variant == "betti" else shape.num_equations,
-            variant=variant,
-            **extra,
-        )
-        bounds["fewnomial"].append(
+        "fewnomial": [
             {"variant": b.variant, "value": b.value, "formula": b.formula}
-        )
+            for b in fewnomial_bound(shape)
+        ],
+    }
     if args.format == "json":
         _emit(args, dump_json(bounds))
     else:

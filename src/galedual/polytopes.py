@@ -213,32 +213,22 @@ class BoundValue:
     formula: str
 
 
-def fewnomial_bound(num_weights, num_equations=None, variant="positive", excess_dim=None):
-    """Fewnomial-type solution bounds depending only on the shape numbers.
+def fewnomial_bound(shape):
+    """Fewnomial-type solution bounds that depend only on the shape numbers.
 
-    variant "positive": bound on positive real solutions, needs num_equations.
-    variant "all_real": bound on all real solutions, needs num_equations.
-    variant "betti": bound on the sum of Betti numbers of the (excess_dim > 0)
-    solution set, needs excess_dim.
+    A list of BoundValues: "positive" bounds the positive real solutions,
+    "all_real" all real solutions, and, when excess_dim > 0, "betti" the sum
+    of Betti numbers of the solution set.
     """
-    l = int(num_weights)
-    if l < 0:
-        raise ValueError("num_weights must be nonnegative")
-    variant = variant.replace("-", "_")
+    l, m, n = shape
     pairs = math.comb(l, 2)
-    if variant in ("positive", "all_real"):
-        if num_equations is None:
-            raise ValueError(f"variant {variant!r} needs num_equations")
-        n = int(num_equations)
-        e_power = 2 if variant == "positive" else 4
+    bounds = []
+    for variant, e_power in (("positive", 2), ("all_real", 4)):
         value = (math.e**e_power + 3) / 4 * 2**pairs * n**l
         formula = f"(e^{e_power} + 3)/4 * 2^{pairs} * {n}^{l}"
-        return BoundValue(variant, value, formula)
-    if variant == "betti":
-        if excess_dim is None:
-            raise ValueError("variant 'betti' needs excess_dim")
-        m = int(excess_dim)
+        bounds.append(BoundValue(variant, value, formula))
+    if m > 0:
         value = (math.e**2 + 3) / 4 * 2**pairs * (m + 1) ** l * 2 ** (m + 1)
         formula = f"(e^2 + 3)/4 * 2^{pairs} * {m + 1}^{l} * 2^{m + 1}"
-        return BoundValue(variant, value, formula)
-    raise ValueError(f"unknown variant {variant!r}")
+        bounds.append(BoundValue("betti", value, formula))
+    return bounds

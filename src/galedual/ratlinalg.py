@@ -115,16 +115,14 @@ def mat_mul(a, b):
     ]
 
 
-def right_kernel(rows, ncols=None):
-    """Basis of {v : A v = 0} over Q, one kernel vector per returned row.
+def right_kernel(rows):
+    """Basis of {v : A v = 0} over Q for a nonempty matrix A, one kernel
+    vector per returned row.
 
     The basis is the standard reduced one: each vector has a 1 in its free
     column and zeros in the other free columns.
     """
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
-        raise ValueError("empty matrix needs an explicit column count")
+    ncols = len(rows[0])
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -183,12 +183,15 @@ def parse_system(data):
 
 
 def load_system(path):
+    """The system in the UTF-8 JSON file at path; SchemaError if it cannot be
+    read, is not UTF-8 (a ValueError, as is a JSON syntax error) or nests too
+    deeply to decode."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from None
     return parse_system(data)
 
@@ -221,7 +224,7 @@ def check_to_dict(check):
     return asdict(check) | {"all_pass": check.all_pass, "failures": list(check.failures())}
 
 
-def pair_to_dict(pair, check):
+def pair_to_dict(pair):
     return {
         "sparse": sparse_to_dict(pair.poly),
         "master": master_to_dict(pair.master),
@@ -229,7 +232,7 @@ def pair_to_dict(pair, check):
             "z_support_columns": list(pair.witness.z_support_columns),
             "z_monomials": list(pair.witness.z_monomials),
         },
-        "check": check_to_dict(check),
+        "check": check_to_dict(pair.check),
     }
 
 
@@ -343,7 +346,7 @@ def render_master_text(master):
     return "\n".join(lines) + "\n"
 
 
-def render_pair_text(pair, check):
+def render_pair_text(pair):
     parts = [render_sparse_text(pair.poly), render_master_text(pair.master)]
     witness = pair.witness
     parts.append(
@@ -353,6 +356,7 @@ def render_pair_text(pair, check):
         )
         + "\n"
     )
+    check = pair.check
     status = "all checks pass" if check.all_pass else "FAILED: " + ", ".join(check.failures())
     parts.append(f"verification: {status}\n")
     return "".join(parts)

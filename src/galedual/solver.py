@@ -101,13 +101,14 @@ def solve_bivariate(f, g, config=None, exclude=()):
     x -> x - lam*y for lam = 1, 2, ..., and eliminated again.
 
     Roots and the lift to y are computed by roots.polynomial_roots and
-    roots.rational_values, and each point is then polished by Newton's
-    method on the pair (newton.refine); a point whose backward error stays
-    at or above verify_tol is dropped and counted as diverged. A factor with
-    r real roots marks its r roots nearest the real axis real, and those
-    lift to real points: S10, S11 and lam are integral. r is proved from
-    inclusion disks around the roots already found (roots.real_root_count),
-    and by Sturm's theorem only where the disks overlap.
+    roots.rational_values, and each point is then polished, one at a
+    time, by Newton's method on the pair (newton.refine); a point whose
+    backward error stays at or above verify_tol is dropped and counted as
+    diverged. A factor with r real roots marks its r roots nearest the real
+    axis real, and those lift to real points: S10, S11 and lam are
+    integral. r is proved from inclusion disks around the roots already
+    found (roots.real_root_count), and by Sturm's theorem only where the
+    disks overlap.
 
     Raises CommonComponentError when the pair shares a curve, DegreeCapError
     above _DEGREE_CAP, and SeparationError when no shear up to
@@ -150,26 +151,23 @@ def solve_bivariate(f, g, config=None, exclude=()):
     for factor, mult in factors:
         u = polynomial_roots(factor)
         y = -rational_values(s10, s11, u)
-        starts.extend(zip(u - lam * y, y))
+        starts.extend(zip((u - lam * y).tolist(), y.tolist()))
         mults.extend([mult] * len(u))
         nearest = np.zeros(len(u), dtype=bool)
         nearest[np.argsort(np.abs(u.imag), kind="stable")[:real_root_count(factor, u)]] = True
-        real.extend(nearest)
-    points, residuals, converged = refine(
-        compile_pair(f, g), np.array(starts, dtype=complex).reshape(-1, 2).T, config
-    )
-    newton_failures = len(starts) - int(converged.sum())
+        real.extend(nearest.tolist())
+    compiled = compile_pair(f, g)
+    solutions = []
+    for start, mult, is_real in zip(starts, mults, real):
+        point, residual, converged = refine(compiled, start, config)
+        if not converged:
+            continue
+        if is_real:
+            point = (complex(point[0].real, 0.0), complex(point[1].real, 0.0))
+        solutions.append(NumericSolution(point, residual, mult, is_real, "ambient"))
+    newton_failures = len(starts) - len(solutions)
     if newton_failures:
         diagnostics.append(f"newton diverged on {newton_failures} candidate(s)")
-
-    solutions = []
-    for k in np.flatnonzero(converged):
-        point = (complex(points[0, k]), complex(points[1, k]))
-        if real[k]:
-            point = (complex(point[0].real, 0.0), complex(point[1].real, 0.0))
-        solutions.append(
-            NumericSolution(point, float(residuals[k]), mults[k], bool(real[k]), "ambient")
-        )
     solutions.sort(key=_sort_key)
     return SolutionSet(tuple(solutions), (), tuple(diagnostics), config)
 

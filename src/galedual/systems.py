@@ -166,7 +166,6 @@ class DiagonalizedSystem:
     ``nonpivots``.
     """
 
-    base: SparseSystem
     pivots: tuple
     nonpivots: tuple
     rhs: tuple
@@ -196,7 +195,7 @@ def diagonalize(system):
     pivots = tuple(sorted(rows))
     nonpivots = tuple(j for j in range(k) if j not in rows)
     rhs = tuple(LinearForm(-rows[p][0], [-rows[p][j + 1] for j in nonpivots]) for p in pivots)
-    return DiagonalizedSystem(base=system, pivots=pivots, nonpivots=nonpivots, rhs=rhs)
+    return DiagonalizedSystem(pivots=pivots, nonpivots=nonpivots, rhs=rhs)
 
 
 @dataclass(frozen=True)

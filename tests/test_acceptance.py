@@ -277,9 +277,9 @@ def test_criterion_7_randomized_invariants():
 
 def test_criterion_8_fewnomial_values():
     start = time.perf_counter()
-    positive = fewnomial_bound(2, num_equations=2, variant="positive")
+    positive = fewnomial_bound(SystemShape(2, 0, 2))[0]
     assert abs(positive.value / E2_BOUND - 1) < 1e-12
-    betti = fewnomial_bound(1, variant="betti", excess_dim=1)
+    betti = fewnomial_bound(SystemShape(1, 1, 1))[2]
     assert abs(betti.value / E2_BOUND - 1) < 1e-12
     announce(8, "fewnomial bounds agree with the closed forms to 12 digits",
              time.perf_counter() - start, 1.0)

@@ -288,6 +288,16 @@ def test_unreadable_and_invalid_json(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--input", str(broken))
     assert code == 1
     assert "invalid JSON" in err
+    # bytes that are not UTF-8, and arrays nested past the recursion limit
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00\x7b")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for path in (not_utf8, deep):
+        code, out, err = run(capsys, "dualize", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid input: invalid JSON: ")
 
 
 def test_dependent_rows_is_parse_error(capsys, tmp_path):

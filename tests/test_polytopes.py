@@ -500,30 +500,24 @@ def test_euler_characteristic_worked_basis():
 
 
 def test_fewnomial_positive_two_by_two():
-    bound = fewnomial_bound(2, num_equations=2, variant="positive")
+    bound = fewnomial_bound(SystemShape(2, 0, 2))[0]
     assert abs(bound.value / (2 * (math.e ** 2 + 3)) - 1) < 1e-15
     assert bound.variant == "positive"
     assert "e^2" in bound.formula
 
 
 def test_fewnomial_all_real():
-    bound = fewnomial_bound(2, num_equations=2, variant="all_real")
-    assert abs(bound.value / (2 * (math.e ** 4 + 3)) - 1) < 1e-15
-    alias = fewnomial_bound(2, num_equations=2, variant="all-real")
-    assert alias.value == bound.value
+    bounds = fewnomial_bound(SystemShape(2, 0, 2))
+    assert [b.variant for b in bounds] == ["positive", "all_real"]
+    assert abs(bounds[1].value / (2 * (math.e ** 4 + 3)) - 1) < 1e-15
 
 
 def test_fewnomial_betti():
-    bound = fewnomial_bound(1, variant="betti", excess_dim=1)
-    assert abs(bound.value / (2 * (math.e ** 2 + 3)) - 1) < 1e-15
+    bounds = fewnomial_bound(SystemShape(1, 1, 1))
+    assert [b.variant for b in bounds] == ["positive", "all_real", "betti"]
+    assert abs(bounds[2].value / (2 * (math.e ** 2 + 3)) - 1) < 1e-15
 
 
 def test_fewnomial_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        fewnomial_bound(2, variant="positive")
-    with pytest.raises(ValueError):
-        fewnomial_bound(2, variant="betti")
-    with pytest.raises(ValueError):
-        fewnomial_bound(2, num_equations=2, variant="mystery")
-    with pytest.raises(ValueError):
-        fewnomial_bound(-1, num_equations=2)
+        fewnomial_bound(SystemShape(-1, 0, 2))

@@ -136,10 +136,9 @@ def test_diagonalize_worked_system():
     assert diag.rhs[1].coeffs == (1, 1)
 
 
-def diagonal_rows(diag):
-    """The diagonalized coefficient rows: 1 on the row's pivot column, 0 on
-    the other pivots, the negated rhs elsewhere."""
-    k = diag.base.shape.num_forms
+def diagonal_rows(diag, k):
+    """The diagonalized coefficient rows over k monomials: 1 on the row's
+    pivot column, 0 on the other pivots, the negated rhs elsewhere."""
     rows = []
     for i, pivot in enumerate(diag.pivots):
         row = [-diag.rhs[i].constant] + [Fraction(0)] * k
@@ -155,8 +154,9 @@ def test_diagonalize_is_row_equivalence():
     # systems have the same solutions
     system = worked_sparse()
     diag = diagonalize(system)
-    assert row_space_equal(diagonal_rows(diag), [list(r) for r in system.coefficients])
-    perturbed = diagonal_rows(diag)
+    k = system.shape.num_forms
+    assert row_space_equal(diagonal_rows(diag, k), [list(r) for r in system.coefficients])
+    perturbed = diagonal_rows(diag, k)
     perturbed[0][0] += 1
     assert not row_space_equal(perturbed, [list(r) for r in system.coefficients])
 
@@ -173,11 +173,12 @@ def test_diagonalize_pivot_choice_ignores_storage_order():
     coefficients = tuple(
         (row[0],) + tuple(row[j + 1] for j in perm) for row in system.coefficients
     )
-    shuffled = diagonalize(SparseSystem(support, coefficients, ("x", "y")))
+    shuffled_system = SparseSystem(support, coefficients, ("x", "y"))
+    shuffled = diagonalize(shuffled_system)
     base = diagonalize(system)
-    base_pivot_vectors = {base.base.support.exponent(j) for j in base.pivots}
+    base_pivot_vectors = {system.support.exponent(j) for j in base.pivots}
     shuffled_pivot_vectors = {
-        shuffled.base.support.exponent(j) for j in shuffled.pivots
+        shuffled_system.support.exponent(j) for j in shuffled.pivots
     }
     assert base_pivot_vectors == shuffled_pivot_vectors
 
