@@ -52,7 +52,8 @@ def _value(terms, xp, yp):
 
 
 def _backward_error(terms, xp, yp):
-    """The value of the terms and |value| / sum |c * x**i * y**j| (|value| where every term is 0)."""
+    """The value of the terms, and its backward error |value| / sum |c * x**i * y**j|
+    (|value| where every term is 0)."""
     total, size = 0j, 0.0
     for i, j, c in terms:
         term = c * xp[i] * yp[j]
