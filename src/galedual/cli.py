@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 
 from .duality import (
     GalePair,
@@ -193,10 +194,10 @@ def cmd_verify(args):
     except NotPrimitiveError as exc:
         if not isinstance(system, MasterSystem):
             return _not_primitive(exc)
-        # solve the original master side against the dual of its saturation;
-        # the count mismatch shows up in the report instead of an exception
+        # solve the original master side against the dual of its saturation, whose
+        # weight inverse does not fit it; the count mismatch shows up in the report
         base = dualize_master_to_poly(saturate_weights(system))
-        pair = GalePair(base.poly, system, base.witness)
+        pair = GalePair(base.poly, system, replace(base.witness, weight_inverse=None))
     report = verify_isomorphism(pair, _config(args))
     bound = kouchnirenko_bound(pair.poly.support)
     payload = report_to_dict(report)

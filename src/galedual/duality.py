@@ -5,7 +5,8 @@ sparse support becomes the quotient data for the weights, the diagonalized
 coefficient rows become degree-one forms, and back. A GalePair carries both
 systems plus the witness linking their coordinates; check_gale_pair verifies
 every pairing condition exactly and reports rather than throws. A pair that
-dualization returns carries the check it passed.
+dualization returns carries the check it passed, and right inverses of its
+support and weights that the check multiplies instead of eliminating again.
 """
 
 from __future__ import annotations
@@ -13,21 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
-from .errors import (
-    DegenerateDualError,
-    DependentRowsError,
-    InvariantError,
-    NotEssentialError,
-    NotPrimitiveError,
-)
+from .errors import DegenerateDualError, InvariantError, NotEssentialError
 from .lattice import (
     ExponentMatrix,
+    IntMatrix,
     WeightBasis,
     _kernel_and_index,
+    _primitive_kernel,
     hnf,
     kernel_basis,
     lll_reduce,
-    quotient_images,
     saturation_index,
 )
 from .ratlinalg import _integer_rows, right_kernel, row_space_equal, rref
@@ -36,6 +32,7 @@ from .systems import (
     LinearForm,
     MasterSystem,
     SparseSystem,
+    _stacked,
     diagonalize,
     is_essential,
     master_variable_names,
@@ -43,8 +40,8 @@ from .systems import (
     torus_variable_names,
 )
 
-# unused here; bench/spans.py looks this name up on this module to count calls
-from .lattice import smith_diagonal  # noqa: F401
+# unused here; bench/spans.py looks these names up on this module to count calls
+from .lattice import quotient_images, smith_diagonal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,11 +57,18 @@ class GaleWitness:
     always corresponds to z_{i+1}.
 
     ``z_monomials``: rendering of each z coordinate's monomial, cosmetic.
+
+    ``support_inverse``, ``weight_inverse``: integer C with A @ C = I_n for
+    the stored support A, and C_W with W @ C_W = I_l for the weights, or
+    None. Each proves its lattice primitive. C maps back: with z_c the value
+    of stored support column c's monomial, x_i = prod_c z_c ** C[c][i].
     """
 
     linear_forms: tuple
     z_support_columns: tuple
     z_monomials: tuple
+    support_inverse: IntMatrix | None = None
+    weight_inverse: IntMatrix | None = None
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,8 @@ class PairCheck:
     """Exact verification results for a GalePair; nothing here throws.
 
     Every bool field is one check, and the pair passes when all of them
-    hold; the two indices are reported beside them.
+    hold; the two indices are reported beside them. A ``*_primitive`` field
+    is false when its carried inverse fails, even at index 1.
     """
 
     shapes_consistent: bool
@@ -124,17 +129,13 @@ def dualize_poly_to_master(system):
     degree-one forms in new variables (one per non-pivot monomial), appends
     the coordinate forms, and takes the lll_reduce basis of the support's
     relation lattice as the weights. One Hermite elimination of the support
-    gives both that lattice (its saturated kernel) and the index that must
-    be 1: DependentRowsError or NotPrimitiveError is raised before the
-    equations are looked at. The z-coordinate order is pivots then
+    gives that lattice (its saturated kernel), its right inverse and the
+    index that must be 1: DependentRowsError or NotPrimitiveError is raised
+    before the equations are looked at. The z-coordinate order is pivots then
     non-pivots, each in stored support order. Raises DegenerateDualError
     when a pivot monomial equals a constant or a multiple of another's form.
     """
-    kernel, index = _kernel_and_index(system.support.matrix)
-    if index == 0:
-        raise DependentRowsError("support columns do not span the variable space over Q")
-    if index != 1:
-        raise NotPrimitiveError(index, what="support lattice")
+    kernel, support_inverse = _primitive_kernel(system.support.matrix, "support")
     diag = diagonalize(system)
     shape = system.shape
     z_cols = list(diag.pivots) + list(diag.nonpivots)
@@ -168,6 +169,8 @@ def dualize_poly_to_master(system):
         tuple(relation_rows),
         tuple(z_cols),
         tuple(monomials[j] for j in z_cols),
+        support_inverse,
+        _kernel_and_index(weights.matrix)[2],
     )
     return _checked(GalePair(system, master, witness))
 
@@ -186,11 +189,11 @@ def dualize_master_to_poly(master):
     weights are reported before a non-essential arrangement.
     """
     shape = master.shape
-    images = quotient_images(master.weights)
+    kernel, weight_inverse = _primitive_kernel(master.weights.matrix, "weight")
     relations = right_kernel(_stacked(master.arrangement))
     if len(relations) != shape.num_equations:
         raise NotEssentialError("forms plus the constant do not span degree one")
-    images = ExponentMatrix(shape, lll_reduce(images.matrix))
+    images = ExponentMatrix(shape, lll_reduce(hnf(kernel)[0]))
     reduced, _ = rref(relations)
 
     coefficients = [tuple(row) for row in reduced]
@@ -204,17 +207,10 @@ def dualize_master_to_poly(master):
         tuple(tuple(row) for row in reduced),
         tuple(range(shape.num_forms)),
         monomials,
+        _kernel_and_index(images.matrix)[2],
+        weight_inverse,
     )
     return _checked(GalePair(poly, master, witness))
-
-
-def _stacked(arrangement):
-    """The rows (1 | form) of is_essential, transposed: 1 and the constants,
-    then 0 and each variable's coefficients."""
-    forms = arrangement.forms
-    return [[1, *(f.constant for f in forms)]] + [
-        [0, *(f.coeffs[r] for f in forms)] for r in range(arrangement.ambient_dim)
-    ]
 
 
 def saturate_weights(master):
@@ -252,8 +248,8 @@ def check_gale_pair(pair):
         and len(witness.z_monomials) == k
     )
 
-    support_index = saturation_index(poly.support.matrix)
-    weight_index = saturation_index(master.weights.matrix)
+    support_primitive, support_index = _primitivity(poly.support.matrix, witness.support_inverse)
+    weights_primitive, weight_index = _primitivity(master.weights.matrix, witness.weight_inverse)
 
     annihilates = False
     if shapes_consistent:
@@ -283,12 +279,20 @@ def check_gale_pair(pair):
 
     return PairCheck(
         shapes_consistent=shapes_consistent,
-        support_primitive=support_index == 1,
+        support_primitive=support_primitive,
         support_index=support_index,
-        weights_primitive=weight_index == 1,
+        weights_primitive=weights_primitive,
         weight_index=weight_index,
         annihilates=annihilates,
         forms_essential=forms_essential,
         relations_vanish=relations_vanish,
         spans_match=spans_match,
     )
+
+
+def _primitivity(mat, inverse):
+    """(primitive, index), by one product when ``inverse`` is a right inverse."""
+    if inverse is not None and inverse.rows == mat.cols and mat @ inverse == IntMatrix.identity(mat.rows):
+        return True, 1
+    index = saturation_index(mat)
+    return index == 1 and inverse is None, index

@@ -1,16 +1,17 @@
 """Exact integer lattice algebra.
 
 One Hermite elimination (``_hermite``) serves the Hermite normal form, the
-saturated kernel bases and saturation indices (one pass on the transpose gives
-both), the quotient-image matrices, and the Smith normal form (alternating row
-and column passes). LLL reduction is the other algorithm here. All in Python
-int; nothing here rounds or overflows.
+saturated kernel bases, saturation indices and right inverses (one pass on the
+transpose gives all three), the quotient-image matrices, and the Smith normal
+form (alternating row and column passes). LLL reduction is the other algorithm
+here. All in Python int; nothing here rounds or overflows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DependentRowsError, NotPrimitiveError
@@ -80,12 +81,9 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[t] * other.at(t, j) for t in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        columns = [other.data[j :: other.cols] for j in range(other.cols)]
+        out = tuple(_dot(self.row(i), col) for i in range(self.rows) for col in columns)
+        return IntMatrix(self.rows, other.cols, out)
 
     def is_zero(self):
         return all(v == 0 for v in self.data)
@@ -294,20 +292,36 @@ def smith_diagonal(mat):
 
 
 def _kernel_and_index(mat):
-    """Rows spanning the saturated kernel of ``mat``, and the saturation index
-    of its rows, from one Hermite elimination of the transpose.
+    """Saturated kernel rows of ``mat``, the saturation index of its rows and,
+    at index 1, a right inverse (else None), from one elimination of mat^T.
 
     U @ mat^T = H with U unimodular and H of rank r. The rows of U past r
     annihilate mat and span every integer solution. The first r rows of U^-T
     span the saturation, and mat is the transposed leading r x r block of H
     times them, so the index is the product of H's pivots (0 when r is short
-    of mat.rows).
+    of mat.rows). At index 1 that block is I, so C = U[:r]^T has mat @ C = I.
     """
     a = mat.transpose().to_rows()
     u = IntMatrix.identity(mat.cols).to_rows()
     r = _hermite(a, u)
     index = math.prod(next(x for x in row if x) for row in a[:r]) if r == mat.rows else 0
-    return IntMatrix.from_rows(u[r:], cols=mat.cols), index
+    inverse = IntMatrix(mat.cols, r, tuple(x for col in zip(*u[:r]) for x in col)) if index == 1 else None
+    return IntMatrix.from_rows(u[r:], cols=mat.cols), index, inverse
+
+
+_DEPENDENT = {"support": "support columns do not span the variable space over Q",
+              "weight": "weight rows are dependent over Q"}
+
+
+def _primitive_kernel(mat, what):
+    """_kernel_and_index's kernel and inverse of a primitive support or weight
+    matrix; DependentRowsError or NotPrimitiveError for any other."""
+    kernel, index, inverse = _kernel_and_index(mat)
+    if index == 0:
+        raise DependentRowsError(_DEPENDENT[what])
+    if index != 1:
+        raise NotPrimitiveError(index, what=f"{what} lattice")
+    return kernel, inverse
 
 
 def kernel_basis(mat):
@@ -404,7 +418,7 @@ def _lll(rows):
 
 
 def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def quotient_images(basis):
@@ -423,11 +437,7 @@ def quotient_images(basis):
     Raises DependentRowsError or NotPrimitiveError when B is not a primitive
     basis.
     """
-    kernel, index = _kernel_and_index(basis.matrix)
-    if index == 0:
-        raise DependentRowsError("weight rows are dependent over Q")
-    if index != 1:
-        raise NotPrimitiveError(index, what="weight lattice")
+    kernel, _ = _primitive_kernel(basis.matrix, "weight")
     return ExponentMatrix(basis.shape, hnf(kernel)[0])
 
 

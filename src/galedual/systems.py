@@ -98,12 +98,15 @@ def is_essential(arrangement):
     """Whether the forms together with the constant 1 span all of degree one.
 
     Equivalent to the gradients spanning the ambient space; stated and checked
-    on the stacked (constant | gradient) rows.
+    as the rank of the stacked (1 | form) matrix.
     """
-    rows = [[Fraction(1)] + [Fraction(0)] * arrangement.ambient_dim]
-    for f in arrangement.forms:
-        rows.append([f.constant, *f.coeffs])
-    return mat_rank(rows) == arrangement.ambient_dim + 1
+    return mat_rank(_stacked(arrangement)) == arrangement.ambient_dim + 1
+
+
+def _stacked(arrangement):
+    """The rows (1 | form) transposed: 1 and the constants, then 0 and each coefficient."""
+    forms = arrangement.forms
+    return [[1, *(f.constant for f in forms)]] + [[0, *col] for col in zip(*(f.coeffs for f in forms))]
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ from importlib.resources import files
 
 import pytest
 
-from galedual import roots
+from galedual import cli, roots
 from galedual.cli import main
+from galedual.lattice import IntMatrix
 
 FIXTURES = files("galedual") / "fixtures"
 SPARSE = str(FIXTURES / "example22_sparse.json")
@@ -254,8 +255,16 @@ def test_reduced_weights_verify_every_solution(capsys, tmp_path):
     assert len(payload["pairs"]) == 21 and payload["bijective"] is True
 
 
-def test_verify_doubled_weights_mismatch(capsys, tmp_path):
+def test_verify_doubled_weights_mismatch(capsys, tmp_path, monkeypatch):
+    # the pair pits the input master against the dual of its saturation, so
+    # the weight inverse of that dual certifies other weights and is dropped
+    pairs = []
+    verify = cli.verify_isomorphism
+    monkeypatch.setattr(cli, "verify_isomorphism", lambda pair, config: pairs.append(pair) or verify(pair, config))
     code, out, _ = run(capsys, "verify", "--input", doubled_weights_master(tmp_path))
+    assert [pair.witness.weight_inverse for pair in pairs] == [None]
+    support = pairs[0].poly.support.matrix
+    assert support @ pairs[0].witness.support_inverse == IntMatrix.identity(support.rows)
     assert code == 4
     payload = json.loads(out)
     assert payload["poly_count"] == 17

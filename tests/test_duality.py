@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import galedual
+import galedual.lattice
 
 from galedual.duality import (
     GalePair,
@@ -280,6 +281,59 @@ def test_check_flags_tampering_with_any_relation_entry(drawn, data):
     witness = replace(pair.witness, linear_forms=tuple(map(tuple, rows)))
     tampered = GalePair(pair.poly, replace(pair.master, arrangement=arrangement), witness)
     assert not check_gale_pair(tampered).relations_vanish
+
+
+@settings(max_examples=40, deadline=None)
+@given(dualizable_systems(), st.data())
+def test_dualized_pairs_carry_inverses_the_check_trusts_only_by_product(drawn, data):
+    """Both directions carry both right inverses. The check gives the same
+    result with them as without them, and one changed entry of either, in a
+    row that meets a nonzero column, fails exactly its primitivity field."""
+    for pair in (drawn[1], dualize_master_to_poly(drawn[1].master)):
+        witness = pair.witness
+        sides = {
+            "support": (pair.poly.support.matrix, witness.support_inverse),
+            "weights": (pair.master.weights.matrix, witness.weight_inverse),
+        }
+        for mat, inverse in sides.values():
+            assert inverse is not None
+            assert mat @ inverse == IntMatrix.identity(mat.rows)
+        check = check_gale_pair(pair)
+        assert check.all_pass
+        stripped = replace(witness, support_inverse=None, weight_inverse=None)
+        assert check_gale_pair(GalePair(pair.poly, pair.master, stripped)) == check
+
+        side = data.draw(st.sampled_from(sorted(sides)))
+        mat, inverse = sides[side]
+        rows = inverse.to_rows()
+        r = data.draw(st.sampled_from([c for c in range(mat.cols) if any(mat.column(c))]))
+        rows[r][data.draw(st.integers(0, inverse.cols - 1))] += data.draw(st.integers(-3, 3).filter(bool))
+        forged = IntMatrix.from_rows(rows, cols=inverse.cols)
+        name = "support_inverse" if side == "support" else "weight_inverse"
+        tampered = GalePair(pair.poly, pair.master, replace(witness, **{name: forged}))
+        assert check_gale_pair(tampered) == replace(check, **{f"{side}_primitive": False})
+
+
+@pytest.mark.parametrize("dualize, system", [
+    (dualize_poly_to_master, worked_sparse()),
+    (dualize_master_to_poly, worked_master()),
+])
+def test_check_of_a_dualized_pair_eliminates_nothing(monkeypatch, dualize, system):
+    # the carried inverses replace the two eliminations of saturation_index
+    pair = dualize(system)
+    stripped = replace(pair.witness, support_inverse=None, weight_inverse=None)
+    eliminated = []
+    hermite = galedual.lattice._hermite
+
+    def counting(a, u):
+        eliminated.append(len(a))
+        return hermite(a, u)
+
+    monkeypatch.setattr("galedual.lattice._hermite", counting)
+    assert check_gale_pair(pair).all_pass
+    assert eliminated == []
+    assert check_gale_pair(GalePair(pair.poly, pair.master, stripped)).all_pass
+    assert len(eliminated) == 2
 
 
 def test_check_flags_shape_mismatch():

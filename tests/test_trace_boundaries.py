@@ -66,7 +66,7 @@ def test_unused_import_is_a_traced_name(module, name):
 
 def test_size_observers_read_the_real_return_values(monkeypatch, tmp_path):
     # the tracer installed as bench/run.py --trace 1 installs it, on verify
-    # and bound of the example22 fixtures; the two observed functions those
+    # and bound of the example22 fixtures; the three observed functions those
     # commands do not reach are called on the fixtures directly
     spans = load_spans()
     modules = {caller: importlib.import_module(f"galedual.{caller}") for caller, _, _, _ in spans.BOUNDARIES}
@@ -92,6 +92,7 @@ def test_size_observers_read_the_real_return_values(monkeypatch, tmp_path):
             assert main([command, "--input", path, "--output", str(tmp_path / "out.json")]) == 0
     modules["solver"].bivariate_resultant(*cleared_polynomials(load_system(paths["example22_sparse"])), 1)
     modules["polytopes"].euler_characteristic(load_system(paths["example22_master"]).weights)
+    modules["duality"].quotient_images(load_system(paths["example22_master"]).weights)
     assert set(observed) == {(caller, attr) for caller, attr, _, observe in load_spans().BOUNDARIES if observe}
     # the sizes of the integer pairs: the torus sides, the master sides, and the resultant
     assert tracer.sizes["systems.cleared_degree_poly"] == [6, 6]
