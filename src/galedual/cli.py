@@ -194,8 +194,9 @@ def cmd_verify(args):
     except NotPrimitiveError as exc:
         if not isinstance(system, MasterSystem):
             return _not_primitive(exc)
-        # solve the original master side against the dual of its saturation, whose
-        # weight inverse does not fit it; the count mismatch shows up in the report
+        # solve the original master against the dual of its saturation, without
+        # that dual's weight inverse (it certifies the saturated weights); the
+        # count mismatch shows up in the report instead of an exception
         base = dualize_master_to_poly(saturate_weights(system))
         pair = GalePair(base.poly, system, replace(base.witness, weight_inverse=None))
     report = verify_isomorphism(pair, _config(args))
