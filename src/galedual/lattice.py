@@ -42,9 +42,10 @@ class IntMatrix:
         """Build from an iterable of row iterables.
 
         ``cols`` is required when ``rows`` is empty, so the column count of an
-        empty matrix stays meaningful.
+        empty matrix stays meaningful. Entries pass through unchanged, so that
+        ``__post_init__`` rejects any that is not an int.
         """
-        rows = [tuple(int(v) for v in r) for r in rows]
+        rows = [tuple(r) for r in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

@@ -1,29 +1,28 @@
 """Exact lattice polytopes: convex hulls, normalized volumes, and the counting
 bounds derived from them.
 
-Hulls and volumes are computed in Python ints, and the facets of a hull are
-found once, by beneath-beyond: the first simplex and its normals come from
-one fraction-free Gauss-Jordan elimination of the edges from the first
-point, as columns beside the identity (the pivot columns pick the simplex,
+Hulls and volumes are computed in Python ints, in one beneath-beyond pass:
+the first simplex and its normals come from one fraction-free Gauss-Jordan
+elimination of the edges from the first point, as columns beside the
+identity (the pivot columns pick the simplex, the last pivot is its volume,
 and the identity block's rows and their sum are the normals), and each
 later facet is an integer combination of two earlier ones that meet in a
-ridge. The hull keeps each facet's incidence mask; vertices, and the faces
-of the pulling triangulation that ``normalized_volume`` sums |det| over,
-are read off those masks. Float only appears in the fewnomial bound values,
-which are transcendental anyway.
+ridge. The hull keeps each facet's incidence mask, which gives the vertices,
+and a placing triangulation of its boundary, which gives the volume without
+a determinant. Float only appears in the fewnomial bound values, which are
+transcendental anyway.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
-from itertools import product
+from functools import reduce
 from operator import and_
 
 from .errors import DependentRowsError, DimensionCapError, InvariantError
-from .lattice import quotient_images
-from .ratlinalg import _bareiss, det_bareiss_int, mat_rank
+from .lattice import _dot, quotient_images
+from .ratlinalg import _bareiss, mat_rank
 
 # unused here; bench/spans.py looks these names up on this module to count calls
 from .lattice import kernel_basis, solve_integer  # noqa: F401
@@ -40,6 +39,7 @@ class LatticePolytope:
     (primitive outward normal, offset) pairs: every point p has
     normal . p <= offset, with equality on the facet. ``masks[i]`` is the
     incidence mask of ``facets[i]``: bit j is set when points[j] lies on it.
+    ``volume`` is the normalized volume, summed while the hull was built.
     """
 
     ambient_dim: int
@@ -47,6 +47,7 @@ class LatticePolytope:
     vertices: tuple
     facets: tuple
     masks: tuple
+    volume: int
 
 
 def convex_hull(points):
@@ -54,7 +55,8 @@ def convex_hull(points):
 
     Supports ambient dimension 1 through 6. Raises ValueError when the points
     do not affinely span the ambient space (the volume of a lower-dimensional
-    hull would be 0 and callers that want that should not be here).
+    hull would be 0 and callers that want that should not be here). The
+    volume comes from the same pass as the facets (see ``_facets``).
     """
     pts = sorted({tuple(int(v) for v in p) for p in points})
     if not pts:
@@ -64,99 +66,109 @@ def convex_hull(points):
         raise ValueError("points of mixed dimension")
     if dim < 1 or dim > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension {dim} outside supported range 1..{MAX_AMBIENT_DIM}")
-    facets = _facets(pts)
+    facets, volume = _facets(pts)
     # a vertex is the only point on every facet through it
     verts = [
         p for i, p in enumerate(pts)
         if reduce(and_, (m for m in facets.values() if m >> i & 1), -1) == 1 << i
     ]
     keys = tuple(sorted(facets))
-    return LatticePolytope(dim, tuple(pts), tuple(verts), keys, tuple(map(facets.get, keys)))
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return LatticePolytope(dim, tuple(pts), tuple(verts), keys, tuple(map(facets.get, keys)), volume)
 
 
 def _facets(pts):
     """Beneath-beyond hull of sorted distinct points: a dict from each facet's
     (primitive outward normal, offset) to its incidence mask, whose bit i is
-    set when pts[i] lies on the facet.
+    set when pts[i] lies on the facet, and the hull's normalized volume.
 
     The hull starts as a simplex on pts[0] and the first points whose edges
     from it are independent, and takes the others in order. One Gauss-Jordan
     elimination of the edges as columns, beside the identity, gives both:
-    its pivot columns are those edges, and the identity block ends as
-    c * D^-T, D the simplex's edge rows. A point q drops the facets it lies
-    beyond. Each ridge of a dropped facet v and a facet u that q lies
-    strictly beneath spans a new facet with q: (-side(u)) * v + side(v) * u,
-    zero at q and on the ridge. Two facets meet in a ridge when no third
-    holds all their points.
+    its pivot columns are those edges, its last pivot is +-c, c the
+    simplex's volume, and the identity block ends as c * D^-T, D the
+    simplex's edge rows.
+
+    The hull keeps a placing triangulation of its boundary: ``cells`` maps
+    sorted tuples of d point indices to their facet and nu, their lattice
+    volume in its hyperplane, and ``owners`` each ridge (d - 1 indices) to
+    its two cells. The facet opposite simplex vertex k starts as one cell,
+    nu = c / dist(k). A point q beyond a facet v drops v's cells and adds
+    side_v(q) * nu(s) for each cell s, the pyramid from q over s. A ridge of
+    s = ridge + (a,) whose other cell lies in a facet u that q is not beyond
+    gives the new cell ridge + (q,): in u when side_u(q) = 0, else in the
+    facet (-side_u(q)) * v + side_v(q) * u, zero at q and on the ridge. As
+    conv(s, q) is also the pyramid from a over the new cell, its nu is
+    side_v(q) * nu(s) / dist(a), an exact division.
     """
     dim, edges = len(pts[0]), len(pts) - 1
     rows = [[p[r] - pts[0][r] for p in pts[1:]] + [int(r == t) for t in range(dim)] for r in range(dim)]
-    reduced, pivots, _, _ = _bareiss(rows, True)
+    reduced, pivots, last, _ = _bareiss(rows, True)
     if pivots[-1] >= edges:
         raise ValueError("points do not affinely span the ambient space")
+    volume = abs(last)
+    facets, cells, owners = {}, {}, {}
+
+    def place(cell, facet, nu):
+        cells[cell] = facet, nu
+        for k in range(dim):
+            owners.setdefault(cell[:k] + cell[k + 1 :], []).append(cell)
+
     # row j of c*D^-T is normal to the facet opposite simplex[j + 1], and
     # the sum of the rows to the one opposite pts[0]
     simplex = [0] + [c + 1 for c in pivots]
     inverse = [row[edges:] for row in reduced]
-    facets = {}
     for k, normal in zip(simplex, [[sum(col) for col in zip(*inverse)], *inverse]):
         g = math.gcd(*normal)
         normal = tuple(n // g for n in normal)
-        rest = [j for j in simplex if j != k]
+        rest = tuple(j for j in simplex if j != k)
         offset = _dot(normal, pts[rest[0]])
-        if _dot(normal, pts[k]) > offset:
+        height = _dot(normal, pts[k]) - offset
+        if height > 0:
             normal, offset = tuple(-n for n in normal), -offset
         facets[normal, offset] = sum(1 << j for j in rest)
+        place(rest, (normal, offset), volume // abs(height))
     for i in (i for i in range(len(pts)) if i not in simplex):
         bit = 1 << i
         side = {f: _dot(f[0], pts[i]) - f[1] for f in facets}
-        added = {}
-        for v, u in product([f for f in facets if side[f] > 0], [f for f in facets if side[f] < 0]):
-            ridge = facets[v] & facets[u]
-            if ridge.bit_count() < dim - 1 or sum(m & ridge == ridge for m in facets.values()) > 2:
-                continue
-            sv, su = side[v], -side[u]
-            normal = [su * a + sv * b for a, b in zip(v[0], u[0])]
-            g = math.gcd(*normal)
-            added[tuple(n // g for n in normal), (su * v[1] + sv * u[1]) // g] = ridge | bit
+        dropped = [cell for cell, (f, _) in cells.items() if side[f] > 0]
+        added, horizon = {}, []
+        for cell in dropped:
+            v, nu = cells[cell]
+            volume += side[v] * nu
+            for k, a in enumerate(cell):
+                ridge = cell[:k] + cell[k + 1 :]
+                first, second = owners[ridge]
+                u = cells[second if first == cell else first][0]
+                if side[u] > 0:
+                    continue
+                w = u
+                if side[u] < 0:
+                    sv, su = side[v], -side[u]
+                    normal = [su * x + sv * y for x, y in zip(v[0], u[0])]
+                    g = math.gcd(*normal)
+                    w = tuple(n // g for n in normal), (su * v[1] + sv * u[1]) // g
+                    added[w] = facets[v] & facets[u] | bit
+                horizon.append((tuple(sorted(ridge + (i,))), w, side[v] * nu // (w[1] - _dot(w[0], pts[a]))))
+        for cell in dropped:  # a ridge left with no cell is inside the hull and never read again
+            del cells[cell]
+            for k in range(dim):
+                owners[cell[:k] + cell[k + 1 :]].remove(cell)
         facets = {f: m | bit if side[f] == 0 else m for f, m in facets.items() if side[f] <= 0}
         facets.update(added)
-    return facets
+        for cell in horizon:
+            place(*cell)
+    return facets, volume
 
 
 def normalized_volume(polytope):
     """dim! times the Euclidean volume; always a positive integer.
 
-    The sum of |det| over a pulling triangulation, all in ints. Each face is
-    coned from its lexicographically least point over the facets of the face
-    that miss that point. A face is an incidence mask over ``points``, and its
-    facets are the inclusion-maximal proper nonempty intersections of the
-    face with the hull's ``masks``.
+    Read off the hull: ``_facets`` sums it while it places the points, as
+    the first simplex's volume plus side_v(q) * NVol(v) for each facet v that
+    a later point q lies beyond, NVol(v) the sum of the lattice volumes nu of
+    v's cells in the boundary triangulation.
     """
-    pts, masks = polytope.points, polytope.masks
-
-    @cache
-    def simplices(face):
-        low = face & -face
-        apex = pts[low.bit_length() - 1]
-        if face == low:
-            return [(apex,)]
-        subs = {face & m for m in masks} - {0, face}
-        return [
-            (apex,) + s
-            for sub in subs
-            if not sub & low and not any(sub != t and sub & t == sub for t in subs)
-            for s in simplices(sub)
-        ]
-
-    vol = sum(
-        abs(det_bareiss_int([[a - b for a, b in zip(p, s[0])] for p in s[1:]]))
-        for s in simplices((1 << len(pts)) - 1)
-    )
+    vol = polytope.volume
     if vol <= 0:
         raise InvariantError(f"normalized volume {vol!r} of a full-dimensional hull is not positive")
     return vol

@@ -94,6 +94,12 @@ def test_intmatrix_basics():
         IntMatrix.from_rows([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 2.9], ids=["fraction", "float"])
+def test_from_rows_rejects_non_int_entries_instead_of_truncating(entry):
+    with pytest.raises(ValueError, match="must be int"):
+        IntMatrix.from_rows([[entry, 2]])
+
+
 def test_hnf_transform_witness():
     rng = random.Random(11)
     for _ in range(200):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from galedual import polytopes, ratlinalg
 from galedual.lattice import (
     ExponentMatrix,
     IntMatrix,
@@ -447,6 +448,58 @@ def test_hull_matches_brute_force_facets_on_crowded_grids(pts):
     assert normalized_volume(poly) == vol
 
 
+# -- reference: the pulling triangulation over the incidence masks ------------
+#
+# The volume as the sum of |det| over a pulling triangulation, with faces read
+# off the hull's incidence masks. It shares the facets with the hull under
+# test, but not the placing triangulation or its volume sum, and unlike the
+# brute-force references it reaches two dozen points in dimension 6.
+
+
+def pulling_volume(poly):
+    """Each face, an incidence mask over ``points``, is coned from its
+    lexicographically least point over the facets of the face that miss that
+    point; those are the inclusion-maximal proper nonempty intersections of
+    the face with the hull's ``masks``."""
+    pts, masks = poly.points, poly.masks
+
+    @cache
+    def simplices(face):
+        low = face & -face
+        apex = pts[low.bit_length() - 1]
+        if face == low:
+            return [(apex,)]
+        subs = {face & m for m in masks} - {0, face}
+        return [
+            (apex,) + s
+            for sub in subs
+            if not sub & low and not any(sub != t and sub & t == sub for t in subs)
+            for s in simplices(sub)
+        ]
+
+    return sum(
+        abs(det_bareiss_int([[a - b for a, b in zip(p, s[0])] for p in s[1:]]))
+        for s in simplices((1 << len(pts)) - 1)
+    )
+
+
+@st.composite
+def larger_points(draw):
+    dim = draw(st.integers(2, 6))
+    coord = st.integers(-3, 3)
+    count = draw(st.integers(dim + 1, 24))
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=count, max_size=count))
+    assume(affine_rank(pts) == dim)
+    return pts
+
+
+@settings(deadline=None, max_examples=100)
+@given(larger_points())
+def test_volume_matches_pulling_triangulation_on_larger_sets(pts):
+    poly = convex_hull(pts)
+    assert normalized_volume(poly) == pulling_volume(poly)
+
+
 @pytest.mark.parametrize(
     "pts, facets, vertices, volume",
     [
@@ -484,6 +537,31 @@ def test_kouchnirenko_adds_origin():
     assert kouchnirenko_bound(support) == 1
     bigger = ExponentMatrix(shape, IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]]))
     assert kouchnirenko_bound(bigger) == 2
+
+
+def test_kouchnirenko_bound_eliminates_once_and_takes_no_determinant(monkeypatch):
+    # the volume is summed while the hull is built: the one elimination of
+    # the first simplex and no determinant per cell
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    for module in (polytopes, ratlinalg):
+        for name in ("_bareiss", "det_bareiss_int"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    shape = SystemShape(4, 0, 4)
+    columns = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+               (1, 1, 1, 1), (2, -1, 0, 1), (-1, 2, 1, 0), (0, 1, -1, 2)]
+    support = ExponentMatrix(shape, IntMatrix.from_rows([list(c) for c in zip(*columns)]))
+    bound = kouchnirenko_bound(support)
+    assert calls == ["_bareiss"]
+    assert bound == pulling_volume(convex_hull([(0, 0, 0, 0)] + columns))
 
 
 def test_euler_from_volume_signs():
