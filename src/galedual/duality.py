@@ -141,7 +141,7 @@ def dualize_poly_to_master(system):
     z_cols = list(diag.pivots) + list(diag.nonpivots)
 
     names = master_variable_names(shape.master_dim)
-    forms = [LinearForm(rhs.constant, rhs.coeffs) for rhs in diag.rhs]
+    forms = list(diag.rhs)
     for t in range(shape.master_dim):
         forms.append(
             LinearForm(0, tuple(1 if j == t else 0 for j in range(shape.master_dim)))

@@ -56,10 +56,6 @@ class NotEssentialError(GaleDualError):
     """Arrangement forms together with 1 do not span the degree-one space."""
 
 
-class NoRationalScalingError(GaleDualError):
-    """No rational rescaling of the forms absorbs the requested targets."""
-
-
 class CommonComponentError(GaleDualError):
     """The two curves share a component; the solution set is not finite."""
 

@@ -55,10 +55,14 @@ def convex_hull(points):
 
     Supports ambient dimension 1 through 6. Raises ValueError when the points
     do not affinely span the ambient space (the volume of a lower-dimensional
-    hull would be 0 and callers that want that should not be here). The
-    volume comes from the same pass as the facets (see ``_facets``).
+    hull would be 0 and callers that want that should not be here), and on
+    a coordinate that is not an int, as ``IntMatrix`` does. The volume
+    comes from the same pass as the facets (see ``_facets``).
     """
-    pts = sorted({tuple(int(v) for v in p) for p in points})
+    pts = [tuple(p) for p in points]
+    if not all(isinstance(v, int) for p in pts for v in p):
+        raise ValueError("point coordinates must be int")
+    pts = sorted(set(pts))
     if not pts:
         raise ValueError("no points given")
     dim = len(pts[0])

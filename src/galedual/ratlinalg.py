@@ -143,33 +143,3 @@ def row_space_equal(rows_a, rows_b):
     keep_b = [row for row in rb if any(row)]
     return keep_a == keep_b
 
-
-def solve_mod2(rows, rhs):
-    """One solution of A x = rhs over GF(2), or None.
-
-    Inputs are plain ints; only parity matters.
-    """
-    m = len(rows)
-    a = [[v & 1 for v in row] + [rhs[i] & 1] for i, row in enumerate(rows)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(m):
-            if i != r and a[i][c]:
-                a[i] = [x ^ y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if a[i][ncols]:
-            return None
-    x = [0] * ncols
-    for r_i, c in enumerate(pivots):
-        x[c] = a[r_i][ncols]
-    return x

@@ -2,8 +2,7 @@
 
 Sparse Laurent polynomial systems on the torus, hyperplane arrangements with
 integer weights on the arrangement complement, exact diagonalization of the
-sparse side, and the binomial clearing / constant absorption operations on the
-master side.
+sparse side, and the binomial clearing of the master side.
 """
 
 from __future__ import annotations
@@ -12,18 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    DependentRowsError,
-    DimensionCapError,
-    InvariantError,
-    NoPivotError,
-    NoRationalScalingError,
-)
-from .lattice import ExponentMatrix, WeightBasis, solve_integer
+from .errors import DependentRowsError, DimensionCapError, NoPivotError
+from .lattice import ExponentMatrix, WeightBasis
 from .polynomials import IntPoly, monomial_string, term_sum
-from .ratlinalg import _integer_rows, mat_rank, rref, solve_mod2
+from .ratlinalg import _integer_rows, mat_rank, rref
 
 # unused here; bench/spans.py looks these names up on this module to count calls
+from .lattice import solve_integer  # noqa: F401
 from .ratlinalg import mat_det, mat_inverse, mat_mul  # noqa: F401
 
 
@@ -308,87 +302,6 @@ def clear_denominators(master, row):
     plus = tuple(max(e, 0) for e in w)
     minus = tuple(max(-e, 0) for e in w)
     return ClearedBinomial(plus, minus)
-
-
-def _factor_rational(value):
-    """Sign and prime exponent map of a nonzero rational, by trial division."""
-    value = Fraction(value)
-    if value == 0:
-        raise ValueError("cannot factor zero")
-    sign = -1 if value < 0 else 1
-    exps = {}
-
-    def accumulate(n, direction):
-        n = abs(int(n))
-        p = 2
-        while p * p <= n:
-            while n % p == 0:
-                exps[p] = exps.get(p, 0) + direction
-                n //= p
-            p += 1 if p == 2 else 2
-        if n > 1:
-            exps[n] = exps.get(n, 0) + direction
-
-    accumulate(value.numerator, 1)
-    accumulate(value.denominator, -1)
-    return sign, {p: e for p, e in exps.items() if e}
-
-
-def absorb_constants(master, targets):
-    """Rescale the forms so that solving (scaled forms)^weights = 1 is the same
-    as solving (original forms)^weights = targets.
-
-    Finds nonzero rationals lambda_i with product(lambda_i^{weight_ji}) equal
-    to 1/target_j for every row, one prime at a time plus a sign system over
-    GF(2). Raises NoRationalScalingError when no rational rescaling exists
-    (impossible for a primitive weight basis, possible otherwise).
-    """
-    shape = master.shape
-    targets = [Fraction(t) for t in targets]
-    if len(targets) != shape.num_weights:
-        raise ValueError(f"expected {shape.num_weights} targets")
-    if any(t == 0 for t in targets):
-        raise ValueError("targets must be nonzero")
-
-    factored = [_factor_rational(t) for t in targets]
-    primes = sorted({p for _, exps in factored for p in exps})
-    k = shape.num_forms
-    prime_exponents = {}
-    for p in primes:
-        rhs = [-exps.get(p, 0) for _, exps in factored]
-        solution = solve_integer(master.weights.matrix, rhs)
-        if solution is None:
-            raise NoRationalScalingError(
-                f"no integer exponent vector absorbs prime {p}"
-            )
-        prime_exponents[p] = solution
-
-    sign_rhs = [0 if sign > 0 else 1 for sign, _ in factored]
-    sign_solution = solve_mod2(master.weights.matrix.to_rows(), sign_rhs)
-    if sign_solution is None:
-        raise NoRationalScalingError("no sign pattern absorbs the target signs")
-
-    scales = []
-    for i in range(k):
-        lam = Fraction(-1 if sign_solution[i] else 1)
-        for p in primes:
-            e = prime_exponents[p][i]
-            lam *= Fraction(p) ** e
-        scales.append(lam)
-
-    for j in range(shape.num_weights):
-        check = Fraction(1)
-        for lam, e in zip(scales, master.weights.weight(j)):
-            check *= lam**e
-        if check * targets[j] != 1:
-            raise InvariantError(f"scaling does not absorb target {j}")
-
-    forms = tuple(
-        LinearForm(f.constant * lam, tuple(c * lam for c in f.coeffs))
-        for f, lam in zip(master.arrangement.forms, scales)
-    )
-    arrangement = Arrangement(master.arrangement.ambient_dim, forms, master.arrangement.variables)
-    return MasterSystem(arrangement, master.weights)
 
 
 def evaluate_phi(support, point):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from functools import cache, cmp_to_key
 from itertools import combinations, product
 
@@ -133,6 +134,14 @@ def test_hull_rejects_degenerate_input():
     with pytest.raises(ValueError):
         convex_hull([tuple([0] * 7), tuple([1] * 7)])
     assert MAX_AMBIENT_DIM == 6
+
+
+def test_hull_rejects_non_int_coordinates():
+    # int() would truncate these to (1, 0) and (2, 2), a hull of volume 4
+    with pytest.raises(ValueError, match="must be int"):
+        convex_hull([(Fraction(3, 2), 0), (0, 1), (0, 0), (2.9, 2.9)])
+    with pytest.raises(ValueError, match="must be int"):
+        convex_hull([(0, 0), (1, 0), (Fraction(0), 1)])  # equal to an int, still not one
 
 
 # -- volumes ------------------------------------------------------------------

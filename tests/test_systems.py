@@ -10,12 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bivariate import Q, x, y
-from galedual.errors import (
-    DependentRowsError,
-    DimensionCapError,
-    NoPivotError,
-    NoRationalScalingError,
-)
+from galedual.errors import DependentRowsError, DimensionCapError, NoPivotError
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from galedual.ratlinalg import mat_det, mat_inverse, mat_mul, row_space_equal
 from galedual.systems import (
@@ -24,7 +19,6 @@ from galedual.systems import (
     LinearForm,
     MasterSystem,
     SparseSystem,
-    absorb_constants,
     clear_denominators,
     cleared_polynomials,
     diagonalize,
@@ -557,63 +551,6 @@ def test_expand_difference_matches_the_fraction_expansion(arrangement, data):
         plus = plus * q ** up * d ** down
         minus = minus * q ** down * d ** up
     assert cleared.expand_difference(arrangement).terms == (plus - minus).int().terms
-
-
-# -- constant absorption --------------------------------------------------------------
-
-
-def extract_scales(original, scaled):
-    out = []
-    for f, g in zip(original.arrangement.forms, scaled.arrangement.forms):
-        ratio = None
-        for a, b in zip((f.constant, *f.coeffs), (g.constant, *g.coeffs)):
-            if a != 0:
-                ratio = b / a
-                break
-        assert ratio is not None
-        assert all(b == ratio * a for a, b in zip((f.constant, *f.coeffs), (g.constant, *g.coeffs)))
-        out.append(ratio)
-    return out
-
-
-def test_absorb_constants_row_products():
-    master = worked_master()
-    targets = (Fraction(2), Fraction(-9, 4))
-    scaled = absorb_constants(master, targets)
-    lams = extract_scales(master, scaled)
-    for j in range(2):
-        product = Fraction(1)
-        for lam, w in zip(lams, master.weights.weight(j)):
-            product *= lam ** w
-        assert product * targets[j] == 1
-
-
-def test_absorb_constants_identity_targets():
-    master = worked_master()
-    scaled = absorb_constants(master, (1, 1))
-    lams = extract_scales(master, scaled)
-    for j in range(2):
-        product = Fraction(1)
-        for lam, w in zip(lams, master.weights.weight(j)):
-            product *= lam ** w
-        assert product == 1
-
-
-def test_absorb_constants_obstructions():
-    shape = SystemShape(1, 1, 1)
-    arrangement = Arrangement(
-        2, (LinearForm(0, (1, 0)), LinearForm(0, (0, 1)), LinearForm(-1, (1, 1))), ("s", "t")
-    )
-    master = MasterSystem(arrangement, WeightBasis(shape, IntMatrix.from_rows([[2, -2, 2]])))
-    assert absorb_constants(master, (4,))  # 2-adic valuation is even: fine
-    with pytest.raises(NoRationalScalingError):
-        absorb_constants(master, (8,))
-    with pytest.raises(NoRationalScalingError):
-        absorb_constants(master, (-4,))
-    with pytest.raises(ValueError):
-        absorb_constants(master, (0,))
-    with pytest.raises(ValueError):
-        absorb_constants(master, (1, 1))
 
 
 # -- evaluation maps --------------------------------------------------------------------
