@@ -101,11 +101,18 @@ def _config(args):
 
 
 def _emit(args, payload):
+    """Write the payload to --output as UTF-8, as load_system reads input, or
+    to stdout in its own encoding; OutputError when either fails."""
     if not args.output:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+        except UnicodeEncodeError as exc:
+            raise OutputError(
+                f"stdout's encoding {exc.encoding} cannot encode the output; --output writes UTF-8"
+            ) from None
         return
     try:
-        with open(args.output, "w") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
         raise OutputError(f"cannot write {args.output}: {exc}") from None

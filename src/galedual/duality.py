@@ -5,20 +5,23 @@ sparse support becomes the quotient data for the weights, the diagonalized
 coefficient rows become degree-one forms, and back. A GalePair carries both
 systems plus the witness linking their coordinates; check_gale_pair verifies
 every pairing condition exactly and reports rather than throws. A pair that
-dualization returns carries the check it passed, and right inverses of its
-support and weights that the check multiplies instead of eliminating again.
+dualization returns carries the check it passed, right inverses of its
+support and weights that the check multiplies instead of eliminating again,
+and the rows of (1 | form) whose determinant proves the forms essential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateDualError, InvariantError, NotEssentialError
 from .lattice import (
     ExponentMatrix,
     IntMatrix,
     WeightBasis,
+    _dot,
     _kernel_and_index,
     _primitive_kernel,
     hnf,
@@ -26,7 +29,7 @@ from .lattice import (
     lll_reduce,
     saturation_index,
 )
-from .ratlinalg import _integer_rows, right_kernel, row_space_equal, rref
+from .ratlinalg import _integer_rows, det_bareiss_int, right_kernel, row_space_equal, rref
 from .systems import (
     Arrangement,
     LinearForm,
@@ -62,6 +65,12 @@ class GaleWitness:
     the stored support A, and C_W with W @ C_W = I_l for the weights, or
     None. Each proves its lattice primitive. C maps back: with z_c the value
     of stored support column c's monomial, x_i = prod_c z_c ** C[c][i].
+
+    ``essential_rows``: master_dim + 1 indices into (1, form_1..form_k),
+    index 0 the constant, whose rows (1 | form) have a nonzero determinant,
+    or None. They prove the forms essential, and ``linear_forms`` holds the
+    identity at the other num_equations columns, which proves the spans
+    equal by one product.
     """
 
     linear_forms: tuple
@@ -69,6 +78,7 @@ class GaleWitness:
     z_monomials: tuple
     support_inverse: IntMatrix | None = None
     weight_inverse: IntMatrix | None = None
+    essential_rows: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,8 @@ class PairCheck:
 
     Every bool field is one check, and the pair passes when all of them
     hold; the two indices are reported beside them. A ``*_primitive`` field
-    is false when its carried inverse fails, even at index 1.
+    is false when its carried inverse fails, even at index 1, and
+    ``forms_essential`` when its carried rows fail, even on essential forms.
     """
 
     shapes_consistent: bool
@@ -171,6 +182,8 @@ def dualize_poly_to_master(system):
         tuple(monomials[j] for j in z_cols),
         support_inverse,
         _kernel_and_index(weights.matrix)[2],
+        # 1 and the coordinate forms
+        (0, *range(shape.num_equations + 1, k + 1)),
     )
     return _checked(GalePair(system, master, witness))
 
@@ -194,7 +207,7 @@ def dualize_master_to_poly(master):
     if len(relations) != shape.num_equations:
         raise NotEssentialError("forms plus the constant do not span degree one")
     images = ExponentMatrix(shape, lll_reduce(hnf(kernel)[0]))
-    reduced, _ = rref(relations)
+    reduced, pivots = rref(relations)
 
     coefficients = [tuple(row) for row in reduced]
     names = torus_variable_names(shape.torus_dim)
@@ -209,6 +222,8 @@ def dualize_master_to_poly(master):
         monomials,
         _kernel_and_index(images.matrix)[2],
         weight_inverse,
+        # a relation supported off the pivots is zero, so these rows are independent
+        tuple(c for c in range(shape.num_forms + 1) if c not in pivots),
     )
     return _checked(GalePair(poly, master, witness))
 
@@ -232,13 +247,19 @@ def check_gale_pair(pair):
     The relations are checked in ints: each witness row and each column of
     the rows (1 | form) is scaled to integers by its own denominators, which
     changes no product's vanishing, and every row must annihilate every
-    column.
+    column. With ``essential_rows`` carried, one determinant of those rows
+    proves the forms essential, and the spans follow from the identity block
+    of the relation rows L at the other columns P: the permuted coefficient
+    rows M span the same space exactly when M = M[:, P] @ L and
+    det M[:, P] != 0. Without them the forms are ranked, and without them or
+    that block the spans are eliminated.
     """
     poly = pair.poly
     master = pair.master
     witness = pair.witness
     shape = poly.shape
     k = shape.num_forms
+    rows = witness.essential_rows
 
     shapes_consistent = (
         shape == master.shape
@@ -256,26 +277,31 @@ def check_gale_pair(pair):
         z_support = poly.support.matrix.submatrix_columns(witness.z_support_columns)
         annihilates = (z_support @ master.weights.matrix.transpose()).is_zero()
 
-    forms_essential = is_essential(master.arrangement)
-
-    relations_vanish = False
-    if shapes_consistent:
-        columns = _integer_rows(_stacked(master.arrangement))[0]
-        relations_vanish = not any(
-            sum(w * v for w, v in zip(row, col))
-            for row in _integer_rows(witness.linear_forms)[0]
-            for col in columns
+    columns = _integer_rows(_stacked(master.arrangement))[0]
+    if rows is None:
+        forms_essential = is_essential(master.arrangement)
+    else:
+        forms_essential = (
+            len(rows) == len(columns)
+            and all(0 <= r < len(columns[0]) for r in rows)
+            and det_bareiss_int([[col[r] for r in rows] for col in columns]) != 0
         )
 
-    spans_match = False
+    relations_vanish = spans_match = False
     if shapes_consistent:
+        relations = _integer_rows(witness.linear_forms)[0]
+        relations_vanish = not any(_dot(row, col) for row in relations for col in columns)
         permuted = [
             [row[0]] + [row[col + 1] for col in witness.z_support_columns]
             for row in poly.coefficients
         ]
-        spans_match = row_space_equal(
-            [list(row) for row in witness.linear_forms], permuted
-        )
+        pivots = [] if rows is None else [c for c in range(k + 1) if c not in rows]
+        if len(pivots) == len(relations) and all(
+            row[p] == (i == j) for i, row in enumerate(witness.linear_forms) for j, p in enumerate(pivots)
+        ):
+            spans_match = _spans_by_product(_integer_rows(permuted)[0], relations, pivots)
+        else:
+            spans_match = row_space_equal([list(row) for row in witness.linear_forms], permuted)
 
     return PairCheck(
         shapes_consistent=shapes_consistent,
@@ -288,6 +314,21 @@ def check_gale_pair(pair):
         relations_vanish=relations_vanish,
         spans_match=spans_match,
     )
+
+
+def _spans_by_product(coefficients, relations, pivots):
+    """Whether integer rows M span what the integer rows L span, when L is
+    d_i times the identity at the columns ``pivots`` (d_i > 0): each row m
+    must be sum_i m[p_i] / d_i * L_i, in ints times D = lcm(d_i), and
+    det M[:, pivots] nonzero."""
+    scales = [row[p] for row, p in zip(relations, pivots)]
+    common = lcm(*scales)
+    columns = list(zip(*relations))
+    for m in coefficients:
+        lead = [m[p] * (common // d) for p, d in zip(pivots, scales)]
+        if any(common * v != _dot(lead, col) for v, col in zip(m, columns)):
+            return False
+    return det_bareiss_int([[m[p] for p in pivots] for m in coefficients]) != 0
 
 
 def _primitivity(mat, inverse):

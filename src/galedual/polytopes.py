@@ -86,21 +86,26 @@ def _facets(pts):
     set when pts[i] lies on the facet, and the hull's normalized volume.
 
     The hull starts as a simplex on pts[0] and the first points whose edges
-    from it are independent, and takes the others in order. One Gauss-Jordan
-    elimination of the edges as columns, beside the identity, gives both:
-    its pivot columns are those edges, its last pivot is +-c, c the
-    simplex's volume, and the identity block ends as c * D^-T, D the
-    simplex's edge rows.
+    from it are independent. One Gauss-Jordan elimination of the edges as
+    columns, beside the identity, gives both: its pivot columns are those
+    edges, its last pivot is +-c, c the simplex's volume, and the identity
+    block ends as c * D^-T, D the simplex's edge rows. The other points are
+    placed farthest from the simplex's centroid first, as Quickhull inserts
+    (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996): the hull grows to
+    near its final size early, fewer cells are made only to be dropped, and
+    a point strictly inside, which changes nothing, is skipped. Facets,
+    masks and volume do not depend on the order.
 
     The hull keeps a placing triangulation of its boundary: ``cells`` maps
-    sorted tuples of d point indices to their facet and nu, their lattice
-    volume in its hyperplane, and ``owners`` each ridge (d - 1 indices) to
-    its two cells. The facet opposite simplex vertex k starts as one cell,
-    nu = c / dist(k). A point q beyond a facet v drops v's cells and adds
-    side_v(q) * nu(s) for each cell s, the pyramid from q over s. A ridge of
-    s = ridge + (a,) whose other cell lies in a facet u that q is not beyond
-    gives the new cell ridge + (q,): in u when side_u(q) = 0, else in the
-    facet (-side_u(q)) * v + side_v(q) * u, zero at q and on the ridge. As
+    the bitmask of a cell's d point indices to its facet and nu, its lattice
+    volume in its hyperplane, and ``owners`` each ridge (a mask of d - 1
+    indices) to the sum of the bits that complete it to its two cells. The
+    facet opposite simplex vertex k starts as one cell, nu = c / dist(k). A
+    point q beyond a facet v drops v's cells and adds side_v(q) * nu(s) for
+    each cell s, the pyramid from q over s. A ridge of s = ridge + a whose
+    other cell lies in a facet u that q is not beyond gives the new cell
+    ridge + q: in u when side_u(q) = 0, else in the facet
+    (-side_u(q)) * v + side_v(q) * u, zero at q and on the ridge. As
     conv(s, q) is also the pyramid from a over the new cell, its nu is
     side_v(q) * nu(s) / dist(a), an exact division.
     """
@@ -114,35 +119,39 @@ def _facets(pts):
 
     def place(cell, facet, nu):
         cells[cell] = facet, nu
-        for k in range(dim):
-            owners.setdefault(cell[:k] + cell[k + 1 :], []).append(cell)
+        for low in _bits(cell):
+            owners[cell ^ low] = owners.get(cell ^ low, 0) ^ low
 
     # row j of c*D^-T is normal to the facet opposite simplex[j + 1], and
     # the sum of the rows to the one opposite pts[0]
     simplex = [0] + [c + 1 for c in pivots]
+    corners = sum(1 << j for j in simplex)
     inverse = [row[edges:] for row in reduced]
     for k, normal in zip(simplex, [[sum(col) for col in zip(*inverse)], *inverse]):
         g = math.gcd(*normal)
         normal = tuple(n // g for n in normal)
-        rest = tuple(j for j in simplex if j != k)
-        offset = _dot(normal, pts[rest[0]])
+        offset = _dot(normal, pts[simplex[k == 0]])
         height = _dot(normal, pts[k]) - offset
         if height > 0:
             normal, offset = tuple(-n for n in normal), -offset
-        facets[normal, offset] = sum(1 << j for j in rest)
-        place(rest, (normal, offset), volume // abs(height))
-    for i in (i for i in range(len(pts)) if i not in simplex):
-        bit = 1 << i
+        facets[normal, offset] = corners ^ 1 << k
+        place(corners ^ 1 << k, (normal, offset), volume // abs(height))
+    # squared distances from the centroid, times (d + 1)^2
+    centre = [sum(pts[j][r] for j in simplex) for r in range(dim)]
+    spread = [sum(((dim + 1) * x - c) ** 2 for x, c in zip(p, centre)) for p in pts]
+    for i in sorted((i for i in range(len(pts)) if not corners >> i & 1), key=lambda i: (-spread[i], i)):
         side = {f: _dot(f[0], pts[i]) - f[1] for f in facets}
+        if max(side.values()) < 0:
+            continue
+        bit = 1 << i
         dropped = [cell for cell, (f, _) in cells.items() if side[f] > 0]
         added, horizon = {}, []
         for cell in dropped:
             v, nu = cells[cell]
             volume += side[v] * nu
-            for k, a in enumerate(cell):
-                ridge = cell[:k] + cell[k + 1 :]
-                first, second = owners[ridge]
-                u = cells[second if first == cell else first][0]
+            for low in _bits(cell):
+                ridge = cell ^ low
+                u = cells[ridge | owners[ridge] ^ low][0]  # the ridge's other cell
                 if side[u] > 0:
                     continue
                 w = u
@@ -152,16 +161,25 @@ def _facets(pts):
                     g = math.gcd(*normal)
                     w = tuple(n // g for n in normal), (su * v[1] + sv * u[1]) // g
                     added[w] = facets[v] & facets[u] | bit
-                horizon.append((tuple(sorted(ridge + (i,))), w, side[v] * nu // (w[1] - _dot(w[0], pts[a]))))
+                apex = pts[low.bit_length() - 1]
+                horizon.append((ridge | bit, w, side[v] * nu // (w[1] - _dot(w[0], apex))))
         for cell in dropped:  # a ridge left with no cell is inside the hull and never read again
             del cells[cell]
-            for k in range(dim):
-                owners[cell[:k] + cell[k + 1 :]].remove(cell)
+            for low in _bits(cell):
+                owners[cell ^ low] ^= low
         facets = {f: m | bit if side[f] == 0 else m for f, m in facets.items() if side[f] <= 0}
         facets.update(added)
         for cell in horizon:
             place(*cell)
     return facets, volume
+
+
+def _bits(mask):
+    """The set bits of a nonnegative int, lowest first, each as its own power of two."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def normalized_volume(polytope):

@@ -8,6 +8,7 @@ sorted solution lists makes identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -16,19 +17,31 @@ from .lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from .systems import Arrangement, LinearForm, MasterSystem, SparseSystem
 
 
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_to_string(value):
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def parse_rational(value, field):
-    """Fraction from a "p/q" string (or a bare int); SchemaError otherwise."""
+    """Fraction from a "p/q" string (or a bare int); SchemaError otherwise.
+
+    A plain "p" or "p/q" in ASCII digits goes through ``int``, about twice
+    as fast as ``Fraction``'s string parser; any other string goes through
+    that parser and gets the same value or error.
+    """
     if isinstance(value, bool):
         raise SchemaError(field, "expected a rational string, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            plain = _PLAIN_RATIONAL.fullmatch(value)
+            if plain is None:
+                return Fraction(value)
+            num, den = plain.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError):
             raise SchemaError(field, f"not a rational: {value!r}") from None
     raise SchemaError(field, f"expected a rational string, got {type(value).__name__}")

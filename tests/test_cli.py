@@ -1,7 +1,11 @@
 """End-to-end command line behavior, run in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -403,6 +407,36 @@ def test_nonprimitive_is_reported_before_nonessential(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "input is not primitive (saturation index 2)" in err
+
+
+def test_non_ascii_names_under_an_ascii_locale(capsys, tmp_path):
+    # --output is UTF-8 whatever the locale, and a stdout that cannot encode
+    # the payload is an output error instead of a traceback
+    payload = json.loads(Path(SPARSE).read_text(encoding="utf-8"))
+    payload["variables"] = ["\u03b1", "\u03b2"]
+    path = tmp_path / "greek.json"
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env |= {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def ascii_cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "galedual.cli", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+
+    out = tmp_path / "pair.json"
+    done = ascii_cli("dualize", "--input", str(path), "--output", str(out))
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    expected = tmp_path / "expected.json"
+    assert run(capsys, "dualize", "--input", str(path), "--output", str(expected))[0] == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert json.loads(out.read_bytes().decode("utf-8"))["sparse"]["variables"] == ["\u03b1", "\u03b2"]
+
+    done = ascii_cli("dualize", "--input", str(path), "--format", "text")
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.startswith(b"error: stdout's encoding ")
+    assert done.stderr.count(b"\n") == 1
 
 
 @pytest.mark.parametrize("command", ["dualize", "bound", "solve", "verify"])

@@ -9,11 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import galedual
+import galedual.duality
 import galedual.lattice
+import galedual.ratlinalg
+import galedual.systems
 
 from galedual.duality import (
     GalePair,
@@ -24,7 +27,7 @@ from galedual.duality import (
     dualize_poly_to_master,
     saturate_weights,
 )
-from galedual.errors import NotEssentialError, NotPrimitiveError
+from galedual.errors import DependentRowsError, NotEssentialError, NotPrimitiveError
 from galedual.lattice import (
     ExponentMatrix,
     IntMatrix,
@@ -37,8 +40,9 @@ from galedual.lattice import (
     smith_diagonal,
 )
 from galedual.polytopes import kouchnirenko_bound
+from galedual.ratlinalg import mat_rank
 from galedual.serialize import check_to_dict
-from galedual.systems import Arrangement, LinearForm, MasterSystem, SparseSystem
+from galedual.systems import Arrangement, LinearForm, MasterSystem, SparseSystem, _stacked
 from test_properties import dualizable_systems
 
 
@@ -314,26 +318,113 @@ def test_dualized_pairs_carry_inverses_the_check_trusts_only_by_product(drawn, d
         assert check_gale_pair(tampered) == replace(check, **{f"{side}_primitive": False})
 
 
+@settings(max_examples=40, deadline=None)
+@given(dualizable_systems(), st.data())
+def test_dualized_pairs_carry_essential_rows_the_check_trusts_only_by_determinant(drawn, data):
+    """Both directions carry master_dim + 1 independent rows of (1 | form),
+    and their relation rows hold the identity at the other columns. Stripped
+    of every certificate, a pair gets the same check by elimination. An entry
+    of the rows changed to a repeated or out-of-range index fails exactly
+    forms_essential, and a changed coefficient gets the same check by the
+    product as by elimination."""
+    for pair in (drawn[1], dualize_master_to_poly(drawn[1].master)):
+        witness = pair.witness
+        rows = witness.essential_rows
+        stacked = _stacked(pair.master.arrangement)
+        assert len(rows) == len(stacked) == mat_rank([[col[r] for r in rows] for col in stacked])
+        others = [c for c in range(len(stacked[0])) if c not in rows]
+        n = len(witness.linear_forms)
+        assert [[row[c] for c in others] for row in witness.linear_forms] == [
+            [int(i == j) for j in range(n)] for i in range(n)
+        ]
+        check = check_gale_pair(pair)
+        assert check.all_pass
+        stripped = replace(witness, support_inverse=None, weight_inverse=None, essential_rows=None)
+        assert check_gale_pair(GalePair(pair.poly, pair.master, stripped)) == check
+
+        r = data.draw(st.integers(0, len(rows) - 1))
+        top = len(stacked[0])
+        value = data.draw(st.sampled_from([v for v in rows if v != rows[r]] + [-1, -top, top, top + 5]))
+        forged = rows[:r] + (value,) + rows[r + 1 :]
+        tampered = GalePair(pair.poly, pair.master, replace(witness, essential_rows=forged))
+        assert check_gale_pair(tampered) == replace(check, forms_essential=False)
+
+        coefficients = [list(row) for row in pair.poly.coefficients]
+        i = data.draw(st.integers(0, len(coefficients) - 1))
+        j = data.draw(st.integers(0, len(coefficients[i]) - 1))
+        coefficients[i][j] += Fraction(data.draw(st.integers(-9, 9).filter(bool)), data.draw(st.integers(1, 4)))
+        try:
+            poly = SparseSystem(pair.poly.support, coefficients, pair.poly.variables)
+        except DependentRowsError:
+            assume(False)
+        changed = check_gale_pair(GalePair(poly, pair.master, witness))
+        assert not changed.spans_match
+        assert changed == check_gale_pair(GalePair(poly, pair.master, stripped))
+
+
+def test_check_flags_dependent_essential_rows():
+    # three forms through the origin: carried rows t, s + t, s are distinct and in range but dependent
+    shape = SystemShape(2, 0, 2)
+    forms = (LinearForm(0, (1, 0)), LinearForm(0, (0, 1)), LinearForm(0, (1, 1)), LinearForm(-1, (1, -1)))
+    master = MasterSystem(
+        Arrangement(2, forms, ("s", "t")),
+        WeightBasis(shape, IntMatrix.from_rows([[-1, 3, 2, -2], [3, -1, 1, -3]])),
+    )
+    pair = dualize_master_to_poly(master)
+    assert pair.witness.essential_rows == (2, 3, 4)
+    forged = replace(pair.witness, essential_rows=(2, 3, 1))
+    check = check_gale_pair(GalePair(pair.poly, pair.master, forged))
+    assert check == replace(pair.check, forms_essential=False)
+
+
+@pytest.mark.parametrize("dualize, system", [
+    (dualize_poly_to_master, worked_sparse()),
+    (dualize_master_to_poly, worked_master()),
+])
+def test_check_flags_dependent_coefficient_rows(dualize, system):
+    # rows that each lie in the relations' span but span less of it; only a
+    # system changed after construction has them, as SparseSystem rejects them
+    pair = dualize(system)
+    poly = SparseSystem(pair.poly.support, pair.poly.coefficients, pair.poly.variables)
+    first = pair.poly.coefficients[0]
+    object.__setattr__(poly, "coefficients", (first, tuple(2 * v for v in first)))
+    stripped = replace(pair.witness, support_inverse=None, weight_inverse=None, essential_rows=None)
+    check = check_gale_pair(GalePair(poly, pair.master, pair.witness))
+    assert check == replace(pair.check, spans_match=False)
+    assert check_gale_pair(GalePair(poly, pair.master, stripped)) == check
+
+
 @pytest.mark.parametrize("dualize, system", [
     (dualize_poly_to_master, worked_sparse()),
     (dualize_master_to_poly, worked_master()),
 ])
 def test_check_of_a_dualized_pair_eliminates_nothing(monkeypatch, dualize, system):
-    # the carried inverses replace the two eliminations of saturation_index
+    # the carried inverses replace the two eliminations of saturation_index,
+    # and the essential rows the rank of the forms and the two rrefs of the spans
     pair = dualize(system)
-    stripped = replace(pair.witness, support_inverse=None, weight_inverse=None)
-    eliminated = []
-    hermite = galedual.lattice._hermite
+    stripped = replace(pair.witness, support_inverse=None, weight_inverse=None, essential_rows=None)
+    calls = []
 
-    def counting(a, u):
-        eliminated.append(len(a))
-        return hermite(a, u)
+    def counting(module, name):
+        inner = getattr(module, name)
 
-    monkeypatch.setattr("galedual.lattice._hermite", counting)
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(galedual.lattice, "_hermite")
+    for module in (galedual.duality, galedual.systems, galedual.ratlinalg):
+        for name in ("mat_rank", "rref", "row_space_equal", "is_essential"):
+            if hasattr(module, name):
+                counting(module, name)
     assert check_gale_pair(pair).all_pass
-    assert eliminated == []
+    assert calls == []
     assert check_gale_pair(GalePair(pair.poly, pair.master, stripped)).all_pass
-    assert len(eliminated) == 2
+    assert calls.count("_hermite") == 2
+    assert calls.count("is_essential") == calls.count("row_space_equal") == 1
+    assert calls.count("mat_rank") >= 1 and calls.count("rref") >= 2
 
 
 def test_check_flags_shape_mismatch():

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galedual.duality import dualize_poly_to_master
 from galedual.errors import SchemaError
@@ -89,6 +91,31 @@ def test_parse_rational():
     for bad in (True, 1.5, "abc", "1/0", None, [1]):
         with pytest.raises(SchemaError):
             parse_rational(bad, "f")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789\u0663\u0660+-/._e \t", max_size=8))
+@example("1/0")
+@example("-0")
+@example("--3")
+@example("3/-4")
+@example("/3")
+@example("-")
+@example("3/04")
+@example("\u0663/\u0664")
+def test_parse_rational_agrees_with_fraction(text):
+    """The int path for plain "p" and "p/q" gives what Fraction's string
+    parser gives, value or error, on any string."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(SchemaError) as err:
+            parse_rational(text, "f")
+        assert str(err.value) == f"f: not a rational: {text!r}"
+    else:
+        parsed = parse_rational(text, "f")
+        assert type(parsed) is Fraction
+        assert parsed == expected
 
 
 # -- parsing and round trips -------------------------------------------------------
