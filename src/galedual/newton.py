@@ -1,10 +1,10 @@
 """Newton refinement of one start on a bivariate pair, in Python complex arithmetic.
 
-compile_pair turns two integer polynomials (polynomials.IntPoly) and their
-partial derivatives into term lists. refine evaluates f and g at a start,
-keeps the start when it already meets its target, and otherwise runs
-Newton's method from it; the partial derivatives are evaluated only where a
-step is taken.
+compile_pair turns two integer polynomials (polynomials.IntPoly) into term
+lists. refine evaluates f and g at a start, keeps the start when it already
+meets its target, and otherwise runs Newton's method from it; the partial
+derivatives' term lists are built at a pair's first step, and evaluated
+only where a step is taken.
 """
 
 from __future__ import annotations
@@ -16,31 +16,48 @@ import math
 _MAX_ITER = 50
 
 
-def compile_pair(f, g):
-    """IntPolys f, g and their partial derivatives as term lists.
+class CompiledPair:
+    """Two IntPolys as term lists for refine (compile_pair).
 
-    Returns (xdeg, ydeg, (f, f_x, f_y), (g, g_x, g_y)): the largest exponents
-    of x and y in f and g, and six lists of (i, j, c), term c * x**i * y**j
-    with c complex. The terms are in IntPoly.terms order, and the
-    derivatives' terms follow the polynomial's. Each coefficient is divided
-    by the largest absolute coefficient of its polynomial by an int true
-    division, which rounds the exact quotient once, so that the
-    coefficients stay in range.
+    ``xdeg`` and ``ydeg`` are the largest exponents of x and y in f and g,
+    and ``f`` and ``g`` are lists of (i, j, c), term c * x**i * y**j with c
+    complex, in IntPoly.terms order. Each coefficient is the integer one
+    divided by the largest absolute coefficient of its polynomial by an
+    int true division, which rounds the exact quotient once, so that the
+    coefficients stay in range. The partial derivatives, rounded the same
+    way from the integers, are built at the first Newton step of any start
+    and kept for the pair's other starts (derivatives).
     """
-    groups = []
-    for p in (f, g):
-        norm = max(map(abs, p.terms.values()))
-        value, d_x, d_y = [], [], []
-        for (a, b), coeff in p.terms.items():
-            value.append((a, b, complex(coeff / norm)))
-            if a:
-                d_x.append((a - 1, b, complex(coeff * a / norm)))
-            if b:
-                d_y.append((a, b - 1, complex(coeff * b / norm)))
-        groups.append((value, d_x, d_y))
-    xdeg = max(len(row) for p in (f, g) for row in p.rows) - 1
-    ydeg = max(len(f.rows), len(g.rows)) - 1
-    return xdeg, ydeg, *groups
+
+    __slots__ = ("xdeg", "ydeg", "f", "g", "_scaled", "_derivatives")
+
+    def __init__(self, f, g):
+        self._scaled = [(p, max(map(abs, p.terms.values()))) for p in (f, g)]
+        self.f, self.g = ([(a, b, complex(c / norm)) for (a, b), c in p.terms.items()] for p, norm in self._scaled)
+        self.xdeg = max(len(row) for p in (f, g) for row in p.rows) - 1
+        self.ydeg = max(len(f.rows), len(g.rows)) - 1
+        self._derivatives = None
+
+    def derivatives(self):
+        """(f_x, f_y, g_x, g_y) as term lists, each in the order of its
+        polynomial's terms."""
+        if self._derivatives is None:
+            out = []
+            for p, norm in self._scaled:
+                d_x, d_y = [], []
+                for (a, b), coeff in p.terms.items():
+                    if a:
+                        d_x.append((a - 1, b, complex(coeff * a / norm)))
+                    if b:
+                        d_y.append((a, b - 1, complex(coeff * b / norm)))
+                out += [d_x, d_y]
+            self._derivatives = tuple(out)
+        return self._derivatives
+
+
+def compile_pair(f, g):
+    """The CompiledPair of the IntPolys f and g."""
+    return CompiledPair(f, g)
 
 
 def _value(terms, xp, yp):
@@ -81,7 +98,7 @@ def refine(compiled, start, config):
     best residual is below verify_tol. A non-finite iterate, value or
     Jacobian, or an OverflowError, counts as diverged.
     """
-    xdeg, ydeg, (f, f_x, f_y), (g, g_x, g_y) = compiled
+    xdeg, ydeg, f, g = compiled.xdeg, compiled.ydeg, compiled.f, compiled.g
     target = config.verify_tol * 1e-3
     best, best_res = start, math.inf
     x, y = start
@@ -101,7 +118,7 @@ def refine(compiled, start, config):
                 best, best_res = (x, y), res
             if last or res < target or steps >= _MAX_ITER:
                 break
-            a, b, c, d = (_value(terms, xp, yp) for terms in (f_x, f_y, g_x, g_y))
+            a, b, c, d = (_value(terms, xp, yp) for terms in compiled.derivatives())
             det = a * d - b * c
             if not cmath.isfinite(det):
                 return best, best_res, False

@@ -53,7 +53,7 @@ def polynomial_roots(coeffs):
     """
     n = len(coeffs) - 1
     asc = _floats(coeffs)
-    z = np.roots(asc[::-1]).astype(complex)
+    z = _companion_roots(asc)
     state = np.zeros(n, dtype=int)  # 0 floating point, 1 exact, 2 final
     spread = np.zeros(n)  # rounding radius of an uncertain root not yet grouped
     with np.errstate(all="ignore"):
@@ -76,6 +76,23 @@ def polynomial_roots(coeffs):
                     _recentre(coeffs, z, state, group)
     if (state < 2).any():
         raise ConvergenceError(f"roots still move after {_ABERTH_STEPS} Aberth passes")
+    return z
+
+
+def _companion_roots(asc):
+    """np.roots(asc[::-1]) as a complex array, bit for bit, for ascending
+    float coefficients asc, not all zero: the eigenvalues of the same
+    companion matrix of the list stripped of its zero ends, and a 0 for
+    each zero constant. It leaves out np.roots' checks and conversions."""
+    nonzero = np.flatnonzero(asc)
+    low, high = nonzero[0], nonzero[-1]
+    desc = asc[low:high + 1][::-1]
+    n = len(desc) - 1
+    z = np.zeros(n + low, dtype=complex)
+    if n:
+        companion = np.eye(n, k=-1, dtype=desc.dtype)
+        companion[0] = -desc[1:] / desc[0]
+        z[:n] = np.linalg.eigvals(companion)
     return z
 
 
@@ -142,30 +159,36 @@ def _recentre(coeffs, z, state, group):
     a root of a k-cluster up to k-fold, so each chain of roots whose disks
     of k times that bound still overlap is recentred again at its own mean
     and diameter, as long as the diameter halves. Where the roots coincide,
-    the spacing of floats there stands for the diameter. A group is left to
-    the exact tier when the shifted polynomial divided by its leading
-    coefficient is not finite in floats, as when that coefficient
-    underflows to 0.
+    the spacing of floats there stands for the diameter; at 0, where floats
+    reach far below that spacing, a bound on the roots of p's lowest k + 1
+    terms does (_low_root_bound), and the k roots restart from theirs. A
+    group is left to the exact tier when the shifted polynomial divided by
+    its leading coefficient is not finite in floats, as when that
+    coefficient underflows to 0.
     """
     n = len(coeffs) - 1
     settled, radii = np.zeros(n, dtype=bool), np.zeros(n)  # radii in z's units
     todo = [(group, math.inf)]
     while todo:
         group, diameter = todo.pop()
-        centre = z[group].mean()
-        width = 2 * np.abs(z[group] - centre).max() or _EPS * max(1, abs(centre))
+        k, centre = len(group), z[group].mean()
+        width = 2 * np.abs(z[group] - centre).max()
+        low = not (width or centre) and coeffs[k] != 0  # k roots at 0 start from p's lowest terms
+        if not width:
+            width = _low_root_bound(coeffs, k) if low else _EPS * max(1, abs(centre))
         if not width < diameter / 2:
             continue
         m = math.frexp(width)[1]
         e = 4 - m  # c on the grid of h/16
         a = (round(math.ldexp(centre.real, e)), round(math.ldexp(centre.imag, e)))
         c, h = complex(math.ldexp(a[0], -e), math.ldexp(a[1], -e)), math.ldexp(1.0, m)
-        asc = _floats(*_shifted(coeffs, a, e, 4))
+        shifted = _shifted(coeffs, a, e, 4)
+        asc = _floats(*shifted)
         if not np.isfinite(asc[:-1] / asc[-1]).all():
-            continue  # np.roots' companion matrix would not be finite
+            continue  # the companion matrix would not be finite
         s = (z - c) / h
-        eigenvalues = np.roots(asc[::-1])
-        s[group] = eigenvalues[np.argsort(np.abs(eigenvalues))[:len(group)]]
+        eigenvalues = _companion_roots(_floats(*(v[:k + 1] for v in shifted)) if low else asc)
+        s[group] = eigenvalues[np.argsort(np.abs(eigenvalues))[:k]]
         moving, radii[group] = group, np.inf
         for _ in range(_ABERTH_STEPS):
             ratio, radius = _ratios(asc, s[moving])
@@ -176,8 +199,20 @@ def _recentre(coeffs, z, state, group):
                 break
         z[group] = c + h * s[group]
         settled[group] = radii[group] <= _tolerance(z[group], 1)
-        todo += [(chain, width) for chain in _chains(z, len(group) * radii, group)]
+        todo += [(chain, width) for chain in _chains(z, k * radii, group)]
     state[settled] = 2
+
+
+def _low_root_bound(coeffs, k):
+    """A power of two at or above the diameter of the disk about 0 of
+    Fujiwara's radius 2 * max_j |a_{k-j} / a_k|**(1/j), which holds the
+    roots of the lowest k + 1 terms of the integer list p, a_k != 0. When
+    p's other roots lie far out, those terms stand for the k roots near 0.
+    Taken from the integers, since p's float coefficients may underflow;
+    at this scale a_k's term is the largest of them."""
+    top = math.log2(abs(coeffs[k]))
+    bound = max((math.log2(abs(c)) - top) / j for j, c in enumerate(reversed(coeffs[:k]), 1) if c)
+    return max(math.ldexp(1.0, math.ceil(bound) + 2), np.finfo(float).tiny)
 
 
 def _shifted(coeffs, a, e, g):

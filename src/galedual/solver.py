@@ -6,13 +6,15 @@ substitution), gives the resultant in x and the first subresultant, which
 recovers y from x. Excluded points (off the torus or on the arrangement)
 are divided out of the resultant, and separation is checked, before any
 root is found, so every root of the resultant gives one solution with an
-exact multiplicity. Floats enter only at root finding (galedual.roots) and
-Newton polishing (galedual.newton).
+exact multiplicity. Most excluded points sit where excluded lines cross,
+at rational abscissas that the lines alone fix, and their linear factors
+leave the resultant before its squarefree split. Floats enter only at
+root finding (galedual.roots) and Newton polishing (galedual.newton).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb, gcd
 
 import numpy as np
@@ -93,8 +95,11 @@ def solve_bivariate(f, g, config=None, exclude=()):
     c + a*x + b*y; common zeros on them are not solutions. One integer
     subresultant chain (polynomials.bivariate_subresultants) gives
     R(x) = Res_y(f, g) and the first subresultant S1 = S11(x)*y + S10(x).
-    From R's squarefree factors the roots under excluded zeros are divided
-    out, and separation is checked exactly: each factor must be coprime to
+    The roots under excluded zeros are divided out of R
+    (_separated_factors): those at crossings of the lines, rational, before
+    R's squarefree split, and any others from its squarefree factors. Each
+    root taken out is certified to carry excluded zeros only, and
+    separation is checked exactly: each factor left must be coprime to
     S11. Then every root x0 lies under exactly one common zero,
     (x0, -S10(x0)/S11(x0)), whose intersection multiplicity is x0's
     multiplicity in R. A pair that fails the check is sheared,
@@ -198,23 +203,41 @@ def _separated_factors(res, s11, rows, lines):
     under common zeros on the lines; None unless each factor left is coprime
     to s11 and each root taken out is certified.
 
-    The common zeros on a line c + a*x + b*y = 0 lie over the roots of the
-    gcd of the pair's restrictions to it (line_restriction), or over
-    x = -c/a for a vertical line; a line where that gcd is constant is
-    skipped. Taking out a root is safe when its fiber holds excluded zeros
-    only: so when the fiber is separated there (one common zero), and
-    _only_excluded checks the other roots. The work is in primitive integer
-    lists, and the factors have positive leading coefficients; rows are the
-    pair's rows in y, as the elimination read them.
+    The common zeros on a line c + a*x + b*y = 0 lie over the common roots
+    of the pair's restrictions to it (line_restriction), or over x = -c/a
+    for a vertical line. Where the lines cross (_crossings), at rational
+    abscissas x0 = num/den that the lines alone fix, each line's two
+    restrictions are tested exactly, and where both vanish x0 is excluded
+    and (den*x - num) is divided out of both; only the rest goes to a gcd,
+    whose roots are excluded too. Before the squarefree split, res is
+    divided by (den*x - num) as often as it divides at each excluded x0,
+    so Yun's steps see no root there. Taking out a root is safe when its
+    fiber holds excluded zeros only: so when the fiber is separated there,
+    s11(x0) != 0 (one common zero), and _only_excluded checks the other
+    roots. The work is in primitive integer lists, and the factors have
+    positive leading coefficients; rows are the pair's rows in y, as the
+    elimination read them.
     """
-    excluded = []
+    crossings = _crossings(lines)
+    excluded = dict.fromkeys(_lowest(-c, a) for c, a, b in lines if not b)
+    rest = []  # gcds of the restrictions' parts with no root at a crossing
     for line in lines:
-        h = _gcd_int(*(line_restriction(r, line) for r in rows)) if line[2] else _primitive(list(line[:2]))
-        if len(h) > 1:
-            excluded.append(h)
+        if line[2]:
+            parts = [line_restriction(r, line) for r in rows]
+            for x0 in crossings:
+                if not any(_scaled_value(p, *x0) for p in parts):
+                    excluded[x0] = None
+                    parts = [_deflated(p, *x0)[0] for p in parts]
+            h = _gcd_int(*parts)
+            if len(h) > 1:
+                rest.append(h)
+    for num, den in excluded:
+        res, mult = _deflated(res, num, den)
+        if mult and not _scaled_value(s11, num, den) and not _only_excluded([-num, den], rows, lines):
+            return None
     out = []
     for factor, mult in usquarefree_int(res):
-        for h in excluded:
+        for h in rest:
             common = _gcd_int(factor, h)
             if len(common) > 1:
                 unseparated = _gcd_int(common, s11)
@@ -232,33 +255,26 @@ def _only_excluded(roots, rows, lines):
     """Whether each fiber x = x0 over a root of the squarefree integer list
     ``roots`` holds zeros of the lines only; rows are the pair's rows in y.
 
-    Decided exactly at each x0 = num/den where two lines cross, in lowest
-    terms with den > 0: there every common root in y of the pair must be a
-    root of some line's form on the fiber (a vertical line through x0 takes
-    the whole fiber). Any other root is not certified.
+    Decided exactly at each x0 = num/den where two lines cross
+    (_crossings): there every common root in y of the pair must be a root
+    of some line's form on the fiber (a vertical line through x0 takes the
+    whole fiber). Any other root is not certified.
     """
-    certified, xrows = set(), None
-    for i, (c1, a1, b1) in enumerate(lines):
-        for c2, a2, b2 in lines[i + 1:]:
-            det = a1 * b2 - a2 * b1
-            if not det:
-                continue
-            num = b1 * c2 - b2 * c1
-            divisor = gcd(num, det) if det > 0 else -gcd(num, det)
-            num, den = num // divisor, det // divisor
-            if (num, den) in certified or _scaled_value(roots, num, den):
-                continue
-            on_lines = [1]
-            for c, a, b in lines:
-                on_lines = umul(on_lines, [c * den + a * num, b * den])
-            if on_lines:  # otherwise a vertical line is the fiber
-                xrows = xrows or [transposed(r) for r in rows]  # in x, for vertical lines
-                common = _gcd_int(*(line_restriction(r, (-num, den, 0)) for r in xrows))
-                on_lines = _primitive(on_lines)
-                if any(len(_gcd_int(h, on_lines)) < len(h) for h, _ in usquarefree_int(common)):
-                    return False
-            certified.add((num, den))
-    return len(certified) == len(roots) - 1
+    certified, xrows = 0, None
+    for num, den in _crossings(lines):
+        if _scaled_value(roots, num, den):
+            continue
+        on_lines = [1]
+        for c, a, b in lines:
+            on_lines = umul(on_lines, [c * den + a * num, b * den])
+        if on_lines:  # otherwise a vertical line is the fiber
+            xrows = xrows or [transposed(r) for r in rows]  # in x, for vertical lines
+            common = _gcd_int(*(line_restriction(r, (-num, den, 0)) for r in xrows))
+            on_lines = _primitive(on_lines)
+            if any(len(_gcd_int(h, on_lines)) < len(h) for h, _ in usquarefree_int(common)):
+                return False
+        certified += 1
+    return certified == len(roots) - 1
 
 
 def _scaled_value(coeffs, num, den):
@@ -268,6 +284,37 @@ def _scaled_value(coeffs, num, den):
         value = value * num + c * power
         power *= den
     return value
+
+
+def _crossings(lines):
+    """The abscissas (num, den) = num/den, in lowest terms with den > 0,
+    where two of the lines cross, each once, in the order first met."""
+    out = {}
+    for i, (c1, a1, b1) in enumerate(lines):
+        for c2, a2, b2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det:
+                out[_lowest(b1 * c2 - b2 * c1, det)] = None
+    return list(out)
+
+
+def _lowest(num, den):
+    """(num, den) for num/den in lowest terms with den > 0; den != 0."""
+    divisor = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // divisor, den // divisor
+
+
+def _deflated(coeffs, num, den):
+    """(q, m): the integer list coeffs divided by (den*x - num), in lowest
+    terms, as often as it divides, and how often: m times."""
+    if not num:  # x itself: the zero constants go
+        mult = next((i for i, c in enumerate(coeffs) if c), 0)
+        return coeffs[mult:], mult
+    mult = 0
+    while coeffs and not _scaled_value(coeffs, num, den):
+        coeffs = udivexact(coeffs, [-num, den])
+        mult += 1
+    return coeffs, mult
 
 
 def solve_sparse(system, config=None):
@@ -334,11 +381,11 @@ def _reverified(raw, location, residuals, monomials=()):
     solutions, excluded, kept = [], [], []
     for k, (sol, r) in enumerate(zip(raw.solutions, residuals)):
         if r < raw.config.verify_tol:
-            solutions.append(replace(sol, location=location, residual=r))
+            solutions.append(NumericSolution(sol.point, r, sol.multiplicity, sol.is_real, location, sol.flags))
             kept.append(k)
         else:
             flags = sol.flags + ("defining-residual",)
-            excluded.append(replace(sol, location="excluded", residual=r, flags=flags))
+            excluded.append(NumericSolution(sol.point, r, sol.multiplicity, sol.is_real, "excluded", flags))
     monomials = tuple(monomials[k] for k in kept) if monomials else ()
     return SolutionSet(tuple(solutions), tuple(excluded), raw.diagnostics, raw.config, monomials)
 

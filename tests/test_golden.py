@@ -8,9 +8,11 @@ are pinned: counts, multiplicities, realness, locations, flags,
 diagnostics, the matching and the bound. A change that keeps results must
 keep all of these. Three random sparse systems of the benchmark corpus
 (tests/inputs), whose resultants have tight root clusters, have their
-verify pinned the same way. After a change meant to alter them, rewrite
-the pinned file with ``PYTHONPATH=src python tests/test_golden.py`` and
-review its diff.
+verify pinned the same way, and so do two random masters of the corpus,
+whose verify takes out two excluded roots over fibers that the first
+subresultant does not separate (solver._only_excluded certifies them).
+After a change meant to alter them, rewrite the pinned file with
+``PYTHONPATH=src python tests/test_golden.py`` and review its diff.
 """
 
 import contextlib
@@ -27,8 +29,9 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 FIXTURES = ("example22_sparse", "example22_master", "example3_second")
 CALLS = [(command, fixture, fmt) for command in ("dualize", "bound") for fixture in FIXTURES for fmt in ("json", "text")]
 CLUSTERED = ("sparse-b19-1", "sparse-b19-2", "sparse-b13-9")
+SHARED_FIBERS = ("master-b11-6", "master-b11-9")
 EXACT_CALLS = [(command, fixture) for command in ("solve", "verify") for fixture in FIXTURES]
-EXACT_CALLS += [("verify", name) for name in CLUSTERED]
+EXACT_CALLS += [("verify", name) for name in CLUSTERED + SHARED_FIBERS]
 
 
 def run(command, fixture, fmt):

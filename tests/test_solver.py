@@ -317,6 +317,38 @@ def test_roots_far_inside_the_unit_circle_are_relatively_accurate():
     assert real_root_count(coeffs, z) == ureal_root_count(coeffs) == 2
 
 
+def test_small_roots_beside_far_ones_are_not_zero():
+    # the eigenvalue starts of the three smallest roots coincide at 0, and
+    # they restart from the lowest terms at a scale taken from those
+    coeffs = umul(umul([5, 1, 2 ** 190 + 1], [1, -(2 ** 100), 3]), [-(2 ** 200) - 7, 2 ** 200 + 3])
+    z = polynomial_roots(coeffs)
+    with mpmath.workdps(100):
+        reference = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=1000)
+    assert len(z) == len(reference) == 5
+    for r in map(complex, reference):
+        assert np.abs(z - r).min() <= roots._RTOL * abs(r)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=9).filter(any),
+       st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=9), st.booleans(),
+       st.integers(0, 3), st.integers(0, 2))
+@example([1.0], [0.0], False, 2, 0)
+def test_companion_roots_are_np_roots_bit_for_bit(real, imag, complex_, low, high):
+    # zero constants become roots at 0 and leading zeros are dropped, as np.roots
+    # does; a companion matrix that is not finite fails in both alike
+    def outcome(roots_of):
+        try:
+            with np.errstate(all="ignore"):
+                return roots_of().tobytes()
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+
+    asc = np.array(real, dtype=complex) + 1j * np.resize(imag, len(real)) if complex_ else np.array(real)
+    asc = np.concatenate([np.zeros(low, dtype=asc.dtype), asc, np.zeros(high, dtype=asc.dtype)])
+    assert outcome(lambda: roots._companion_roots(asc)) == outcome(lambda: np.roots(asc[::-1]).astype(complex))
+
+
 # -- float evaluation from power tables, against exact values ----------------------
 
 
@@ -476,6 +508,107 @@ def test_zero_at_a_crossing_of_excluded_lines_sharing_a_fiber():
     assert sols.diagnostics == ("sheared x -> x - 1*y to separate the solutions",)
 
 
+def reference_separated_factors(res, s11, rows, lines):
+    """solver._separated_factors by gcds alone, its reference: each line's
+    excluded part is the gcd of the pair's restrictions to it (the line
+    itself if vertical), and each squarefree factor of the whole resultant
+    loses its gcd with each part, each fiber taken out certified as there."""
+    excluded = []
+    for line in lines:
+        if line[2]:
+            h = polynomials._gcd_int(*(polynomials.line_restriction(r, line) for r in rows))
+        else:
+            h = polynomials._primitive(list(line[:2]))
+        if len(h) > 1:
+            excluded.append(h)
+    out = []
+    for factor, mult in usquarefree_int(res):
+        for h in excluded:
+            common = polynomials._gcd_int(factor, h)
+            if len(common) > 1:
+                unseparated = polynomials._gcd_int(common, s11)
+                if len(unseparated) > 1 and not solver._only_excluded(unseparated, rows, lines):
+                    return None
+                factor = polynomials.udivexact(factor, common)
+        if len(factor) > 1:
+            if len(polynomials._gcd_int(factor, s11)) > 1:
+                return None
+            out.append((factor, mult))
+    return out
+
+
+PLANTS = ("crossing", "vertical", "axes", "irrational", "fiber")
+
+
+def planted_pair(seed, plants, lam):
+    """(res, s11, rows, lines) of a random integer pair with common zeros
+    planted at points of the given kinds, sheared by lam as solve_bivariate
+    shears, or None when the pair shares a curve. The lines are the axes, a
+    vertical line and two random lines. Kinds: a crossing of two lines; a
+    rational point of the vertical line; the origin; the points of a line
+    over the roots of an irreducible quadratic in x; and a crossing with a
+    second zero on its fiber, on a line or not (so s11 vanishes there)."""
+    rng = random.Random(seed)
+    x, y = x_y()
+    nonzero = [v for v in range(-3, 4) if v]
+    lines = [(0, 1, 0), (0, 0, 1), (rng.choice(nonzero), rng.choice(nonzero), 0)]
+    while len(lines) < 5:
+        line = (rng.randint(-3, 3), rng.choice(nonzero), rng.choice(nonzero))
+        if all(line[1] * b != line[2] * a or line[0] * b != c * line[2] for c, a, b in lines):
+            lines.append(line)
+    form = [Q({(0, 0): c, (1, 0): a, (0, 1): b}) for c, a, b in lines]
+    pairs = [(i, j) for i in range(5) for j in range(i) if lines[i][1] * lines[j][2] != lines[j][1] * lines[i][2]]
+
+    def crossing():
+        i, j = rng.choice(pairs)
+        (c1, a1, b1), (c2, a2, b2) = lines[i], lines[j]
+        det = a1 * b2 - a2 * b1
+        return i, j, Fraction(b1 * c2 - b2 * c1, det), Fraction(a2 * c1 - a1 * c2, det)
+
+    ideals = []
+    for kind in plants:
+        if kind == "crossing":
+            i, j, _, _ = crossing()
+            ideals.append([form[i], form[j]])
+        elif kind == "vertical":
+            ideals.append([form[2], y - Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+        elif kind == "axes":
+            ideals.append([x, y])
+        elif kind == "irrational":
+            p, q = rng.randint(-3, 3), rng.choice([2, 3, 5, 6, 7])
+            ideals.append([form[rng.randint(3, 4)], x * x + p * x + q * rng.choice([1, -1])])
+        else:
+            i, j, x0, y0 = crossing()
+            other = [k for k in range(1, 5) if lines[k][2] and k not in (i, j)]
+            k = rng.choice(other + [None])
+            y1 = y0 + rng.randint(1, 3) if k is None else -(lines[k][0] + lines[k][1] * x0) / lines[k][2]
+            ideals.append([x - x0, (y - y0) * (y - y1)])
+    generators = [Q({(0, 0): 1})]
+    for ideal in ideals:
+        generators = [g * h for g in generators for h in ideal]
+
+    def combination():
+        return sum((rng.choice(nonzero) + rng.randint(-2, 2) * x + rng.randint(-2, 2) * y) * g for g in generators)
+
+    rows = [solver._shear(p.int().rows, lam) for p in (combination(), combination())]
+    res, _, s11 = polynomials.bivariate_subresultants(*rows)
+    if not res:
+        return None
+    return res, s11, rows, [(c, a, b - a * lam) for c, a, b in lines]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32), st.lists(st.sampled_from(PLANTS), min_size=1, max_size=2), st.integers(0, 1))
+@example(0, ["fiber"], 0)
+def test_exclusion_matches_its_gcd_reference(seed, plants, lam):
+    # the abscissas that the lines fix are divided out before the
+    # squarefree split, and gcds see only the rest; the factors, their
+    # multiplicities and whether the pair is separated are the reference's
+    planted = planted_pair(seed, plants, lam)
+    if planted is not None:
+        assert solver._separated_factors(*planted) == reference_separated_factors(*planted)
+
+
 def test_non_curvilinear_zero_cannot_be_separated():
     # every fiber through the origin meets both curves to order two
     x, y = x_y()
@@ -593,15 +726,16 @@ def solution_starts(f, g):
 
 def test_final_starts_take_no_step(monkeypatch):
     # starts whose backward error is already below the target are accepted
-    # by one evaluation of f and g, without evaluating a derivative
-    def no_derivative(terms, xp, yp):
-        raise AssertionError("a final start evaluated a derivative")
+    # by one evaluation of f and g, without building or evaluating a derivative
+    def no_derivative(*args):
+        raise AssertionError("a final start built or evaluated a derivative")
 
     f, g = worked_pair()
     config = SolverConfig()
-    compiled = compile_pair(f, g)
     starts = solution_starts(f, g)
     monkeypatch.setattr("galedual.newton._value", no_derivative)
+    monkeypatch.setattr("galedual.newton.CompiledPair.derivatives", no_derivative)
+    compiled = compile_pair(f, g)
     for start in starts:
         point, residual, converged = refine(compiled, start, config)
         assert converged
@@ -646,10 +780,13 @@ def test_compile_pair_divides_by_the_max_norm(f, g):
     def bits(group):
         return [[(i, j, c.real.hex(), c.imag.hex()) for i, j, c in terms] for terms in group]
 
-    xdeg, ydeg, *groups = compile_pair(*ints(f, g))
+    compiled = compile_pair(*ints(f, g))
+    f_x, f_y, g_x, g_y = compiled.derivatives()
+    groups = [(compiled.f, f_x, f_y), (compiled.g, g_x, g_y)]
     assert list(map(bits, groups)) == [bits(reference(f)), bits(reference(g))]
     exponents = [(i, j) for p in (f, g) for i, j in p.terms]
-    assert (xdeg, ydeg) == tuple(max(e[k] for e in exponents) for k in (0, 1))
+    assert (compiled.xdeg, compiled.ydeg) == tuple(max(e[k] for e in exponents) for k in (0, 1))
+    assert compiled.derivatives() is compiled.derivatives()
 
 
 @settings(deadline=None, max_examples=100)
