@@ -235,14 +235,22 @@ def _gcd_heuristic(f, g):
 
 def _coprime_mod(f, g, p):
     """Whether f and g, whose leading coefficients p does not divide, are
-    coprime modulo the prime p: Euclid's algorithm over GF(p)."""
+    coprime modulo the prime p: Euclid's algorithm over GF(p). Each
+    division updates the remainder's list in place, from its top
+    coefficient down, and skips the steps whose quotient is 0. The
+    quotient is kept negated, so that each update adds nonnegative ints."""
     a, b = [c % p for c in f], [c % p for c in g]
     while len(b) > 1:
-        inv, db = pow(b[-1], -1, p), len(b) - 1
-        while len(a) > db:
-            q = a.pop() * inv % p
-            shift = len(a) - db
-            a[shift:] = [(u - q * v) % p for u, v in zip(a[shift:], b)]
+        minus_inv, db = p - pow(b[-1], -1, p), len(b) - 1
+        low = b[:-1]
+        for top in range(len(a) - 1, db - 1, -1):
+            q = a[top] * minus_inv % p
+            if q:
+                i = top - db
+                for v in low:
+                    a[i] = (a[i] + q * v) % p
+                    i += 1
+        del a[db:]
         while a and not a[-1]:
             a.pop()
         a, b = b, a
@@ -285,10 +293,11 @@ def usquarefree_int(coeffs):
     primitive integer list with a positive leading coefficient.
 
     A factor x**k is split off first, and x joins the factor of
-    multiplicity k or becomes one. Yun's steps run on the rest, with
-    primitive gcds and exact quotients. Scaling a gcd by a constant scales
-    the next b and c alike, so d = c - b' and every factor are the rational
-    algorithm's up to a constant.
+    multiplicity k or becomes one. When gcd(f, f') is 1 for the rest f, f
+    is squarefree and the only other factor. Otherwise Yun's steps run on
+    it, with primitive gcds and exact quotients. Scaling a gcd by a
+    constant scales the next b and c alike, so d = c - b' and every factor
+    are the rational algorithm's up to a constant.
     """
     f = _primitive(coeffs)
     k = next((i for i, c in enumerate(f) if c), 0)
@@ -297,16 +306,19 @@ def usquarefree_int(coeffs):
     if len(f) > 1:
         fp = uderiv(f)
         a = _gcd_int(f, fp)
-        b = udivexact(f, a)
-        d = _usub(udivexact(fp, a), uderiv(b))
-        mult = 1
-        while len(b) > 1:
-            g = _gcd_int(b, d)
-            if len(g) > 1:
-                parts[mult] = g
-            b = udivexact(b, g)
-            d = _usub(udivexact(d, g), uderiv(b))
-            mult += 1
+        if a == [1]:
+            parts[1] = f if f[-1] > 0 else [-c for c in f]
+        else:
+            b = udivexact(f, a)
+            d = _usub(udivexact(fp, a), uderiv(b))
+            mult = 1
+            while len(b) > 1:
+                g = _gcd_int(b, d)
+                if len(g) > 1:
+                    parts[mult] = g
+                b = udivexact(b, g)
+                d = _usub(udivexact(d, g), uderiv(b))
+                mult += 1
     if k:
         parts[k] = [0] + parts.get(k, [1])
     return [(parts[m], m) for m in sorted(parts)]
@@ -417,8 +429,18 @@ def line_restriction(rows, line):
     c, k, m = line[0], line[2 - var], line[1 + var]
     out, scale = rows[-1], 1
     for row in reversed(rows[:-1]):
+        # out <- scale * row - (c + k*v) * out, in one pass over out
         scale *= m
-        out = _usub([scale * r for r in row], umul(out, [c, k]))
+        step = [scale * r for r in row]
+        step += [0] * (len(out) + 1 - len(step))
+        below = 0
+        for i, u in enumerate(out):
+            step[i] -= c * u + k * below
+            below = u
+        step[len(out)] -= k * below
+        while step and not step[-1]:
+            step.pop()
+        out = step
     return _primitive(out)
 
 
@@ -472,7 +494,10 @@ def bivariate_subresultants(frows, grows):
     4-variable systems, one chain against the nodes: 4.5k packed bits 0.3
     against 1.0 ms, 11.8k bits 1.6 against 2.6 ms, 25.5k bits 5.5 against
     5.2 ms, 35k bits 14.7 against 7.3 ms, 158k bits 463 against 51 ms. The
-    pairs of the verify benchmark workloads stay below 6.3k bits.
+    pairs of the verify benchmark workloads stay below 6.3k bits. The digits
+    come off by shift and mask (_balanced_digits): the 318 read-outs of one
+    seed-1 pass over both verify corpora, of up to 4841 bits, take 0.95 ms
+    that way against 2.1-2.7 ms by divmod, measured alike.
     """
     d1, d2 = len(frows) - 1, len(grows) - 1
     fnorm, gnorm = (sum(abs(c) for row in rows for c in row) for rows in (frows, grows))
@@ -482,10 +507,22 @@ def bivariate_subresultants(frows, grows):
 
 
 def _balanced_digits(n, base):
-    """The ascending base-``base`` digits of n, each in [-base/2, base/2)."""
+    """The ascending base-``base`` digits of n, each in [-base/2, base/2):
+    by shift and mask for a power of two (the Kronecker read-out), by
+    divmod for other bases (GCDHEU's evaluation points)."""
     digits, half = [], (base + 1) // 2
+    if base & (base - 1):
+        while n:
+            n, digit = divmod(n, base)
+            if digit >= half:
+                digit -= base
+                n += 1
+            digits.append(digit)
+        return digits
+    k, mask = base.bit_length() - 1, base - 1
     while n:
-        n, digit = divmod(n, base)
+        digit = n & mask
+        n >>= k
         if digit >= half:
             digit -= base
             n += 1

@@ -49,10 +49,24 @@ def polynomial_roots(coeffs):
     recentred at it by an exact Taylor shift (_recentre), and only the roots
     that stay uncertain there go on with exact ratios.
 
-    Raises ConvergenceError when roots still move after _ABERTH_STEPS passes.
+    Where the leading coefficient underflows to 0 beside the largest in
+    floats, the roots come from p(2**s * t), with 2**s chosen from the end
+    coefficients; every other list keeps its floats. Raises
+    ConvergenceError when roots still move after _ABERTH_STEPS passes, or
+    when that scale leaves them beyond the range of floats.
     """
     n = len(coeffs) - 1
     asc = _floats(coeffs)
+    if not asc[-1]:
+        # the leading coefficient underflows beside the largest: find the
+        # roots t of p(2**s * t), 2**s where the end coefficients balance
+        low = next(k for k, c in enumerate(coeffs) if c)
+        s = round((abs(coeffs[low]).bit_length() - abs(coeffs[-1]).bit_length()) / (n - low))
+        scaled = [c << s * k if s >= 0 else c << -s * (n - k) for k, c in enumerate(coeffs)]
+        if not (_floats(scaled)[-1] and -1022 <= s <= 1023):
+            raise ConvergenceError("the roots lie beyond the range of floats")
+        return math.ldexp(1.0, s) * polynomial_roots(scaled)
+    derivative = uderiv(coeffs)  # for exact ratios
     z = _companion_roots(asc)
     state = np.zeros(n, dtype=int)  # 0 floating point, 1 exact, 2 final
     spread = np.zeros(n)  # rounding radius of an uncertain root not yet grouped
@@ -64,7 +78,7 @@ def polynomial_roots(coeffs):
             ratio, radius = _ratios(asc, z[active])
             exact = state[active] == 1
             radius[exact] = 0
-            ratio[exact] = [_quotient(*_horner_exact(coeffs, v)) for v in z[active[exact]]]
+            ratio[exact] = [_quotient(*_horner_exact(coeffs, derivative, v)) for v in z[active[exact]]]
             stopped = _aberth_step(z, active, ratio, radius, 1)
             state[active[stopped]] = np.where(radius <= _tolerance(z[active], 1), 2, 1)[stopped]
             uncertain = stopped & ~exact & (state[active] == 1)
@@ -399,23 +413,26 @@ def _horner(asc, z):
     return terms.sum(axis=-1), dp, np.abs(terms).sum(axis=-1)
 
 
-def _horner_exact(ints, z):
+def _horner_exact(ints, derivative, z):
     """d**n * p(z) and d**n * p'(z) exactly, as (real, imaginary) integer
-    pairs, where z = (a + b*i)/d is the float complex z with d a power of two
-    and n + 1 is the length of the list."""
-    ur, ui = _value_exact(uderiv(ints), z)
+    pairs, where z = (a + b*i)/d is the float complex z with d a power of two,
+    n + 1 is the length of the list and derivative is uderiv(ints)."""
+    ur, ui = _value_exact(derivative, z)
     d = _dyadic(z)[2]
     return _value_exact(ints, z), (d * ur, d * ui)
 
 
 def _value_exact(ints, z):
-    """d**n * p(z) exactly, as (real, imaginary) integers; see _horner_exact."""
+    """d**n * p(z) exactly, as (real, imaginary) integers; see _horner_exact.
+    Horner's rule in integers, where the coefficient k places below the top
+    enters times d**k = 2**(k*e), as a shift."""
     a, b, d = _dyadic(z)
+    e = d.bit_length() - 1
     tr, ti = ints[-1], 0
-    power = 1
+    shift = 0
     for c in reversed(ints[:-1]):
-        power *= d
-        tr, ti = tr * a - ti * b + c * power, tr * b + ti * a
+        shift += e
+        tr, ti = tr * a - ti * b + (c << shift), tr * b + ti * a
     return tr, ti
 
 

@@ -15,10 +15,13 @@ from galedual.errors import InvariantError
 from galedual.polynomials import (
     IntPoly,
     _PRIMES,
+    _balanced_digits,
+    _coprime_mod,
     _gcd_heuristic,
     _gcd_int,
     _prem,
     _primitive,
+    _usub,
     bivariate_resultant,
     bivariate_subresultants,
     line_restriction,
@@ -837,6 +840,52 @@ def test_usquarefree_matches_fraction_reference(factors, scale):
         assert [Fraction(c, g[-1]) for c in g] == monic
 
 
+def reference_usquarefree_int(coeffs):
+    """usquarefree_int with Yun's steps run on every input, squarefree or
+    not: the reference for its shortcut on squarefree inputs."""
+    f = _primitive(coeffs)
+    k = next((i for i, c in enumerate(f) if c), 0)
+    f = f[k:]
+    parts = {}
+    if len(f) > 1:
+        fp = uderiv(f)
+        a = _gcd_int(f, fp)
+        b = udivexact(f, a)
+        d = _usub(udivexact(fp, a), uderiv(b))
+        mult = 1
+        while len(b) > 1:
+            g = _gcd_int(b, d)
+            if len(g) > 1:
+                parts[mult] = g
+            b = udivexact(b, g)
+            d = _usub(udivexact(d, g), uderiv(b))
+            mult += 1
+    if k:
+        parts[k] = [0] + parts.get(k, [1])
+    return [(parts[m], m) for m in sorted(parts)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.tuples(int_upoly(max_deg=3, lo=-20, hi=20).filter(lambda c: len(c) > 1), st.integers(1, 3)),
+             max_size=3),
+    st.integers(0, 3),
+    st.integers(-6, 6).filter(bool),
+)
+@example([([1, 2, -3], 1)], 0, -1)  # squarefree, negative leading coefficient
+@example([([1, 2, -3], 1)], 2, 5)  # squarefree times x**2
+@example([([1, 2, -3], 1)], 1, 1)  # squarefree times x: x joins the factor
+@example([([3, -1], 2), ([1, 0, 1], 1)], 0, -2)  # a planted square
+@example([([0, 1], 1)], 0, 1)  # x alone
+@example([], 3, -4)  # x**3 alone
+def test_usquarefree_int_matches_its_reference(factors, k, lead):
+    target = [0] * k + [lead]
+    for factor, mult in factors:
+        for _ in range(mult):
+            target = umul(target, factor)
+    assert usquarefree_int(target) == reference_usquarefree_int(target)
+
+
 # -- integer gcd: coprimality modulo a prime ---------------------------------------
 
 
@@ -903,6 +952,43 @@ def test_unlucky_prime_falls_back_to_prs():
     assert _gcd_int([1, 1], [1 + p, 1]) == [1]
 
 
+def reference_coprime_mod(f, g, p):
+    """_coprime_mod with each division step rebuilding the remainder's top
+    part, zero quotients included: its reference."""
+    a, b = [c % p for c in f], [c % p for c in g]
+    while len(b) > 1:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:
+            q = a.pop() * inv % p
+            shift = len(a) - db
+            a[shift:] = [(u - q * v) % p for u, v in zip(a[shift:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(int_upoly(max_deg=7, lo=-2 ** 40, hi=2 ** 40), int_upoly(max_deg=7, lo=-2 ** 40, hi=2 ** 40),
+       int_upoly(max_deg=3).filter(lambda c: len(c) > 1), st.sampled_from(("none", "common", "mod p")),
+       st.sampled_from(_PRIMES + (3, 5, 7)), st.integers(-3, 3))
+@example([1], [1], [1, 1], "mod p", _PRIMES[0], 1)  # x + 1 against x + 1 + p
+@example([1], [1], [0, 1], "mod p", 3, -1)  # x against x - 3
+def test_coprime_mod_matches_its_reference(u, v, common, plant, p, shift):
+    """Planted common factors are never coprime; a factor common modulo p
+    only (its copy in g moved by shift * p) is never coprime modulo p."""
+    f, g = u, v
+    if plant == "common":
+        f, g = umul(common, u), umul(common, v)
+    elif plant == "mod p":
+        f, g = umul(common, u), umul([c + shift * p for c in common], v)
+    assume(f and g and f[-1] % p and g[-1] % p)
+    got = _coprime_mod(f, g, p)
+    assert got == reference_coprime_mod(f, g, p)
+    if plant != "none":
+        assert not got
+
+
 # -- integer gcd: the heuristic gcd (GCDHEU) ---------------------------------------
 
 big = st.integers(-2 ** 200, 2 ** 200)
@@ -952,6 +1038,36 @@ def test_heuristic_gcd_rejects_a_wrong_candidate(monkeypatch):
     assert bases[0] == 2 ** 71 + 12 and len(bases) > 1
 
 
+def reference_balanced_digits(n, base):
+    """_balanced_digits by divmod for every base: its reference."""
+    digits, half = [], (base + 1) // 2
+    while n:
+        n, digit = divmod(n, base)
+        if digit >= half:
+            digit -= base
+            n += 1
+        digits.append(digit)
+    return digits
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(-(2 ** 400), 2 ** 400),
+       st.one_of(st.integers(2, 90).map(lambda k: 1 << k), st.integers(3, 2 ** 80)))
+@example(0, 1 << 7)
+@example(0, 27)
+@example(-1, 4)
+@example(2 ** 300, 3)
+@example(-(2 ** 300) + 1, 1 << 2)
+@example(-(2 ** 120), 1 << 40)
+@example(2 ** 119, 1 << 40)  # a digit of exactly base/2 carries
+def test_balanced_digits_round_trip(n, base):
+    digits = _balanced_digits(n, base)
+    assert ueval(digits, base) == n
+    assert all(-base <= 2 * d < base for d in digits)
+    assert not digits or digits[-1]
+    assert digits == reference_balanced_digits(n, base)
+
+
 # -- restriction to a line ----------------------------------------------------------
 
 
@@ -961,6 +1077,18 @@ def proportional(u, v):
         return not u and not v
     ratio = Fraction(u[-1]) / v[-1]
     return len(u) == len(v) and all(Fraction(a) == ratio * b for a, b in zip(u, v))
+
+
+def reference_line_restriction(rows, line):
+    """line_restriction with each Horner step a product by the line's form
+    and a difference: its reference."""
+    var = 1 if line[2] else 0
+    c, k, m = line[0], line[2 - var], line[1 + var]
+    out, scale = rows[-1], 1
+    for row in reversed(rows[:-1]):
+        scale *= m
+        out = _usub([scale * r for r in row], umul(out, [c, k]))
+    return _primitive(out)
 
 
 lines = st.tuples(
@@ -976,6 +1104,9 @@ lines = st.tuples(
 @example(Q({(1, 1): 2, (0, 2): 1}), (Fraction(1), Fraction(3), Fraction(-1)), False)  # sheared
 @example(Q({(1, 1): 2, (0, 2): 1}), (Fraction(1), Fraction(3), Fraction(-1)), True)  # component
 @example(Q({(1, 2): 1, (0, 0): 4}), (Fraction(-7, 3), Fraction(1), Fraction(0)), False)  # vertical
+@example(Q({(1, 2): 1, (0, 0): 4}), (Fraction(0), Fraction(1), Fraction(0)), False)  # x = 0
+@example(Q({(1, 2): 3, (2, 0): -1}), (Fraction(0), Fraction(2), Fraction(-5)), False)  # through 0
+@example(Q({(1, 2): 3, (2, 0): -1}), (Fraction(0), Fraction(0), Fraction(1)), True)  # y = 0, a component
 def test_line_restriction_is_the_resultant_against_the_line(p, line, component):
     den = lcm(*(v.denominator for v in line))
     c, a, b = (int(v * den) for v in line)
@@ -985,6 +1116,7 @@ def test_line_restriction_is_the_resultant_against_the_line(p, line, component):
         p = p * form
     eliminate = 1 if b else 0
     got = line_restriction(rows_in(p, eliminate), (c, a, b))
+    assert got == reference_line_restriction(rows_in(p, eliminate), (c, a, b))
     assert all(type(v) is int for v in got)
     assert got == _primitive(got)
     assert proportional(got, bivariate_resultant(*ints(p, form), eliminate))

@@ -29,7 +29,7 @@ from galedual.errors import (
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
 from galedual.newton import compile_pair, refine
 from galedual import polynomials, roots, solver
-from galedual.polynomials import IntPoly, umul, usquarefree_int
+from galedual.polynomials import IntPoly, uderiv, umul, usquarefree_int
 from galedual.polytopes import kouchnirenko_bound
 from galedual.roots import polynomial_roots, real_root_count, ureal_root_count
 from galedual.serialize import load_system
@@ -329,6 +329,16 @@ def test_small_roots_beside_far_ones_are_not_zero():
         assert np.abs(z - r).min() <= roots._RTOL * abs(r)
 
 
+def test_tiny_leading_coefficient_keeps_every_root():
+    # beside 2**1100 the leading 1 underflows to 0 in floats; the roots
+    # are +-i * 2**550, found on p(2**550 * t)
+    coeffs = [2 ** 1100, 0, 1]
+    z = polynomial_roots(coeffs)
+    root = mpmath.sqrt(-mpmath.mpf(2) ** 1100)
+    assert sorted(z.tolist(), key=lambda v: v.imag) == [complex(root.conjugate()), complex(root)]
+    assert real_root_count(coeffs, z) == 0
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=9).filter(any),
        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=9), st.booleans(),
@@ -414,7 +424,34 @@ def test_power_table_values_lie_within_the_rounding_bound(rows, points):
             er, ei = exact_scaled_value(row, scale, point)
             limit = 4 * n * Fraction(roots._EPS) * Fraction(b)
             assert (Fraction(v.real) - er) ** 2 + (Fraction(v.imag) - ei) ** 2 <= limit ** 2
-            assert roots._horner_exact(row, point) == fraction_values(row, point)
+            assert roots._horner_exact(row, uderiv(row), point) == fraction_values(row, point)
+
+
+def reference_value_exact(ints, z):
+    """roots._value_exact with each power of d formed by a product: its
+    reference."""
+    a, b, d = roots._dyadic(z)
+    tr, ti = ints[-1], 0
+    power = 1
+    for c in reversed(ints[:-1]):
+        power *= d
+        tr, ti = tr * a - ti * b + c * power, tr * b + ti * a
+    return tr, ti
+
+
+def far_dyadic():
+    """Floats k * 2**j with j far above and far below 0, subnormals included."""
+    return st.builds(lambda k, j: math.ldexp(k, j), st.integers(-(2 ** 53), 2 ** 53), st.integers(-1126, 970))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.lists(st.integers(-(2 ** 100), 2 ** 100), min_size=1, max_size=12).filter(lambda c: c[-1]),
+       st.builds(complex, far_dyadic(), far_dyadic()))
+@example([3, -1, 2], complex(2.0 ** -1074, 2.0 ** 900))
+@example([1, 0, 0, 5], complex(-(2.0 ** 1000), 0))
+@example([7], 0j)
+def test_value_exact_matches_its_reference(ints, z):
+    assert roots._value_exact(ints, z) == reference_value_exact(ints, z)
 
 
 def test_quotient_whose_float_denominator_cancels_is_evaluated_exactly():
