@@ -3,8 +3,9 @@
 Either side determines the other up to unimodular coordinate changes: the
 sparse support becomes the quotient data for the weights, the diagonalized
 coefficient rows become degree-one forms, and back. A GalePair carries both
-systems plus the witness linking their coordinates; check_gale_pair verifies
-every pairing condition exactly and reports rather than throws. A pair that
+systems plus the witness linking their coordinates, and maps torus points to
+master points exactly (GalePair.to_master); check_gale_pair verifies every
+pairing condition exactly and reports rather than throws. A pair that
 dualization returns carries the check it passed, right inverses of its
 support and weights that the check multiplies instead of eliminating again,
 and the rows of (1 | form) whose determinant proves the forms essential.
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from .errors import DegenerateDualError, InvariantError, NotEssentialError
 from .lattice import (
@@ -29,7 +31,7 @@ from .lattice import (
     lll_reduce,
     saturation_index,
 )
-from .ratlinalg import _integer_rows, det_bareiss_int, right_kernel, row_space_equal, rref
+from .ratlinalg import _integer_rows, det_bareiss_int, mat_inverse, right_kernel, row_space_equal, rref
 from .systems import (
     Arrangement,
     LinearForm,
@@ -39,7 +41,6 @@ from .systems import (
     diagonalize,
     is_essential,
     master_variable_names,
-    monomial_string,
     torus_variable_names,
 )
 
@@ -59,8 +60,6 @@ class GaleWitness:
     of the sparse support holding that coordinate's monomial. Master form i
     always corresponds to z_{i+1}.
 
-    ``z_monomials``: rendering of each z coordinate's monomial, cosmetic.
-
     ``support_inverse``, ``weight_inverse``: integer C with A @ C = I_n for
     the stored support A, and C_W with W @ C_W = I_l for the weights, or
     None. Each proves its lattice primitive. C maps back: with z_c the value
@@ -68,14 +67,13 @@ class GaleWitness:
 
     ``essential_rows``: master_dim + 1 indices into (1, form_1..form_k),
     index 0 the constant, whose rows (1 | form) have a nonzero determinant,
-    or None. They prove the forms essential, and ``linear_forms`` holds the
-    identity at the other num_equations columns, which proves the spans
-    equal by one product.
+    or None. They prove the forms essential and invert the monomial map
+    (GalePair.to_master), and ``linear_forms`` holds the identity at the
+    other num_equations columns, which proves the spans equal by one product.
     """
 
     linear_forms: tuple
     z_support_columns: tuple
-    z_monomials: tuple
     support_inverse: IntMatrix | None = None
     weight_inverse: IntMatrix | None = None
     essential_rows: tuple | None = None
@@ -93,6 +91,30 @@ class GalePair:
     master: MasterSystem
     witness: GaleWitness
     check: PairCheck | None = field(default=None, compare=False)
+
+    def to_master(self, points):
+        """The master point y of each torus point x: (1, y) = E^-1 v, where E
+        is the block of rows (1 | form) at ``essential_rows`` (or at the
+        pivots of those rows) and v their values at x: 1 for row 0, and the
+        monomial of support column z_support_columns[r - 1] for row r. E^-1
+        is exact and computed once. Exact on Fractions, complex otherwise.
+        """
+        stacked = _stacked(self.master.arrangement)
+        rows = self.witness.essential_rows or rref(stacked)[1]
+        try:
+            inverse = mat_inverse([[col[r] for col in stacked] for r in rows])[1:]
+        except ValueError:
+            raise NotEssentialError("forms plus the constant do not span degree one") from None
+        exact = all(isinstance(v, (int, Fraction)) for x in points for v in x)
+        if not exact:
+            inverse = [[float(c) for c in row] for row in inverse]
+        exponents = [self.poly.support.exponent(self.witness.z_support_columns[r - 1]) if r else () for r in rows]
+        out = []
+        for x in points:
+            x = [Fraction(v) if exact else complex(v) for v in x]
+            values = [prod(v**k for v, k in zip(x, e) if k) for e in exponents]
+            out.append(tuple(sum(map(mul, row, values)) for row in inverse))
+        return out
 
 
 @dataclass(frozen=True)
@@ -175,11 +197,9 @@ def dualize_poly_to_master(system):
         for t, c in enumerate(diag.rhs[i].coeffs):
             row[shape.num_equations + 1 + t] = -c
         relation_rows.append(tuple(row))
-    monomials = system.monomial_strings()
     witness = GaleWitness(
         tuple(relation_rows),
         tuple(z_cols),
-        tuple(monomials[j] for j in z_cols),
         support_inverse,
         _kernel_and_index(weights.matrix)[2],
         # 1 and the coordinate forms
@@ -213,13 +233,9 @@ def dualize_master_to_poly(master):
     names = torus_variable_names(shape.torus_dim)
     poly = SparseSystem(images, coefficients, names)
 
-    monomials = tuple(
-        monomial_string(images.exponent(j), names) for j in range(shape.num_forms)
-    )
     witness = GaleWitness(
         tuple(tuple(row) for row in reduced),
         tuple(range(shape.num_forms)),
-        monomials,
         _kernel_and_index(images.matrix)[2],
         weight_inverse,
         # a relation supported off the pivots is zero, so these rows are independent
@@ -266,7 +282,6 @@ def check_gale_pair(pair):
         and sorted(witness.z_support_columns) == list(range(k))
         and len(witness.linear_forms) == shape.num_equations
         and all(len(row) == k + 1 for row in witness.linear_forms)
-        and len(witness.z_monomials) == k
     )
 
     support_primitive, support_index = _primitivity(poly.support.matrix, witness.support_inverse)

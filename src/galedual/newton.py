@@ -1,6 +1,6 @@
 """Newton refinement of one start on a bivariate pair, in Python complex arithmetic.
 
-compile_pair turns two integer polynomials (polynomials.IntPoly) into term
+CompiledPair turns two integer polynomials (polynomials.IntPoly) into term
 lists. refine evaluates f and g at a start, keeps the start when it already
 meets its target, and otherwise runs Newton's method from it; the partial
 derivatives' term lists are built at a pair's first step, and evaluated
@@ -17,7 +17,7 @@ _MAX_ITER = 50
 
 
 class CompiledPair:
-    """Two IntPolys as term lists for refine (compile_pair).
+    """Two IntPolys as term lists for refine.
 
     ``xdeg`` and ``ydeg`` are the largest exponents of x and y in f and g,
     and ``f`` and ``g`` are lists of (i, j, c), term c * x**i * y**j with c
@@ -53,11 +53,6 @@ class CompiledPair:
                 out += [d_x, d_y]
             self._derivatives = tuple(out)
         return self._derivatives
-
-
-def compile_pair(f, g):
-    """The CompiledPair of the IntPolys f and g."""
-    return CompiledPair(f, g)
 
 
 def _value(terms, xp, yp):

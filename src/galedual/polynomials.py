@@ -27,7 +27,7 @@ class IntPoly:
 
     ``terms`` maps the exponents (i, j) of each monomial x**i * y**j that
     occurs to its coefficient, in the order the terms were given:
-    newton.compile_pair sums them in that order. ``rows`` holds the same
+    newton.CompiledPair sums them in that order. ``rows`` holds the same
     coefficients by powers of y: rows[j] is the dense ascending list in x of
     the coefficient of y**j, trimmed (empty when y**j does not occur), and
     the last row is nonzero. The zero polynomial has no terms and no rows.
@@ -509,7 +509,10 @@ def bivariate_subresultants(frows, grows):
 def _balanced_digits(n, base):
     """The ascending base-``base`` digits of n, each in [-base/2, base/2):
     by shift and mask for a power of two (the Kronecker read-out), by
-    divmod for other bases (GCDHEU's evaluation points)."""
+    divmod for other bases (GCDHEU's evaluation points). ValueError for a
+    base below 3, whose digits cannot write every n: base 2's are -1 and 0."""
+    if base < 3:
+        raise ValueError(f"balanced digits need a base of at least 3, got {base}")
     digits, half = [], (base + 1) // 2
     if base & (base - 1):
         while n:

@@ -2,8 +2,8 @@
 
 Matrices are plain list-of-lists of ints and Fractions. They are small here
 (weight and support matrices, coordinate changes), so no attempt is made at
-asymptotic cleverness. Ranks, determinants and reduced row echelon forms
-all come from one fraction-free elimination (_bareiss) on the rows scaled
+asymptotic cleverness. Ranks, determinants, inverses and reduced row echelon
+forms all come from one fraction-free elimination (_bareiss) on the rows scaled
 to integers; Fractions appear only in the results over Q. Resultants do not
 come through this module: ``polynomials`` computes them with integer
 subresultant chains.
@@ -91,15 +91,17 @@ def _bareiss(a, full):
 
 
 def mat_inverse(rows):
-    """Exact inverse; raises ValueError when singular."""
+    """Exact inverse; raises ValueError when singular. Each row beside the
+    identity is scaled to integers, [D A | D], and _bareiss with every other
+    row cleared ends at [p I | p A^-1]."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("inverse needs a square matrix")
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
+    reduced, pivots, p, _ = _bareiss(_integer_rows(aug)[0], True)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[Fraction(v, p) for v in row[n:]] for row in reduced]
 
 
 def mat_mul(a, b):

@@ -237,13 +237,19 @@ def check_to_dict(check):
     return asdict(check) | {"all_pass": check.all_pass, "failures": list(check.failures())}
 
 
+def _z_monomials(pair):
+    """The monomial of each z coordinate, rendered: that of its support column."""
+    monomials = pair.poly.monomial_strings()
+    return (monomials[c] for c in pair.witness.z_support_columns)
+
+
 def pair_to_dict(pair):
     return {
         "sparse": sparse_to_dict(pair.poly),
         "master": master_to_dict(pair.master),
         "witness": {
             "z_support_columns": list(pair.witness.z_support_columns),
-            "z_monomials": list(pair.witness.z_monomials),
+            "z_monomials": list(_z_monomials(pair)),
         },
         "check": check_to_dict(pair.check),
     }
@@ -360,19 +366,11 @@ def render_master_text(master):
 
 
 def render_pair_text(pair):
-    parts = [render_sparse_text(pair.poly), render_master_text(pair.master)]
-    witness = pair.witness
-    parts.append(
-        "dual coordinates: "
-        + ", ".join(
-            f"z{i + 1} = {mono}" for i, mono in enumerate(witness.z_monomials)
-        )
-        + "\n"
-    )
+    coordinates = ", ".join(f"z{i + 1} = {mono}" for i, mono in enumerate(_z_monomials(pair)))
     check = pair.check
     status = "all checks pass" if check.all_pass else "FAILED: " + ", ".join(check.failures())
-    parts.append(f"verification: {status}\n")
-    return "".join(parts)
+    return (render_sparse_text(pair.poly) + render_master_text(pair.master)
+            + f"dual coordinates: {coordinates}\nverification: {status}\n")
 
 
 def render_bounds_text(bounds):

@@ -10,6 +10,9 @@ exact multiplicity. Most excluded points sit where excluded lines cross,
 at rational abscissas that the lines alone fix, and their linear factors
 leave the resultant before its squarefree split. Floats enter only at
 root finding (galedual.roots) and Newton polishing (galedual.newton).
+verify_isomorphism solves both sides of a pair and matches the torus
+solutions, mapped across by the pair (duality.GalePair.to_master), to the
+complement solutions.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     DimensionCapError,
     SeparationError,
 )
-from .newton import compile_pair, refine
+from .newton import CompiledPair, refine
 from .polynomials import (
     _gcd_int,
     _primitive,
@@ -65,8 +68,6 @@ class SolutionSet:
     excluded: tuple
     diagnostics: tuple
     config: SolverConfig
-    # solve_sparse: the monomial-map values at each solution, for the match
-    monomials: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def count(self):
@@ -161,7 +162,7 @@ def solve_bivariate(f, g, config=None, exclude=()):
         nearest = np.zeros(len(u), dtype=bool)
         nearest[np.argsort(np.abs(u.imag), kind="stable")[:real_root_count(factor, u)]] = True
         real.extend(nearest.tolist())
-    compiled = compile_pair(f, g)
+    compiled = CompiledPair(f, g)
     solutions = []
     for start, mult, is_real in zip(starts, mults, real):
         point, residual, converged = refine(compiled, start, config)
@@ -334,7 +335,7 @@ def solve_sparse(system, config=None):
     f, g = cleared_polynomials(system)
     raw = solve_bivariate(f, g, config, exclude=((0, 1, 0), (0, 0, 1)))
     monomials = [evaluate_phi(system.support, s.point) for s in raw.solutions]
-    return _reverified(raw, "torus", _sparse_residuals(system, monomials), monomials)
+    return _reverified(raw, "torus", _sparse_residuals(system, monomials))
 
 
 def _sparse_residuals(system, monomials):
@@ -374,20 +375,17 @@ def solve_master(master, config=None):
     return _reverified(raw, "complement", master.residuals([s.point for s in raw.solutions]))
 
 
-def _reverified(raw, location, residuals, monomials=()):
+def _reverified(raw, location, residuals):
     """Points of raw whose defining residual is below verify_tol, at that
-    residual, with their monomial-map values if given; the others are
-    excluded with the flag "defining-residual"."""
-    solutions, excluded, kept = [], [], []
-    for k, (sol, r) in enumerate(zip(raw.solutions, residuals)):
+    residual; the others are excluded with the flag "defining-residual"."""
+    solutions, excluded = [], []
+    for sol, r in zip(raw.solutions, residuals):
         if r < raw.config.verify_tol:
             solutions.append(NumericSolution(sol.point, r, sol.multiplicity, sol.is_real, location, sol.flags))
-            kept.append(k)
         else:
             flags = sol.flags + ("defining-residual",)
             excluded.append(NumericSolution(sol.point, r, sol.multiplicity, sol.is_real, "excluded", flags))
-    monomials = tuple(monomials[k] for k in kept) if monomials else ()
-    return SolutionSet(tuple(solutions), tuple(excluded), raw.diagnostics, raw.config, monomials)
+    return SolutionSet(tuple(solutions), tuple(excluded), raw.diagnostics, raw.config)
 
 
 # largest distance between a torus solution's image and its complement partner
@@ -428,52 +426,38 @@ class IsomorphismReport:
 def verify_isomorphism(pair, config=None):
     """Solve both sides of a pair and match solutions through the monomial map.
 
-    Every torus solution x is pushed to z = x^support (in witness z-order,
-    from the values solve_sparse kept) and the master point y is recovered
-    by least squares from the degree-one system forms(y) = z, all points in
-    one solve; the nearest unused complement solution within _MATCH_TOL is
-    its partner. Count or realness mismatches are reported, not raised.
+    Every torus solution x is mapped to its master point y by the pair's
+    exact inverse of the monomial map (GalePair.to_master: the forms at the
+    witness's essential rows equal their monomials at x); the nearest unused
+    complement solution within _MATCH_TOL is its partner. Count or realness
+    mismatches are reported, not raised.
     """
     config = config or SolverConfig()
     poly_sol = solve_sparse(pair.poly, config)
     master_sol = solve_master(pair.master, config)
 
-    forms = pair.master.arrangement.forms
-    gradient = np.array([f.coeffs for f in forms], dtype=float)
-    constants = np.array([float(f.constant) for f in forms], dtype=float)
-
-    z_cols = pair.witness.z_support_columns
-    targets = np.array([[complex(z[c]) for c in z_cols] for z in poly_sol.monomials],
-                       dtype=complex).reshape(-1, len(z_cols)) - constants
-    projected = np.linalg.lstsq(gradient.astype(complex), targets.T, rcond=None)[0].T
-    points = np.array([s.point for s in master_sol.solutions], dtype=complex).reshape(-1, 2)
+    dim = pair.master.shape.master_dim
+    projected = np.array(pair.to_master([s.point for s in poly_sol.solutions]), dtype=complex).reshape(-1, dim)
+    points = np.array([s.point for s in master_sol.solutions], dtype=complex).reshape(-1, dim)
     gaps = projected[:, None, :] - points[None, :, :]
     # np.hypot, as CPython's abs of a complex: np.abs may differ in the last bit
     distance = np.hypot(gaps.real, gaps.imag).max(axis=2)
     edges = sorted((float(distance[i, j]), int(i), int(j))
                    for i, j in zip(*np.nonzero(distance < _MATCH_TOL)))
-    used_poly = set()
-    used_master = set()
-    pairs = []
+    used_poly, used_master, pairs = set(), set(), []
     for d, i, j in edges:
-        if i in used_poly or j in used_master:
-            continue
-        used_poly.add(i)
-        used_master.add(j)
-        both_real = poly_sol.solutions[i].is_real and master_sol.solutions[j].is_real
-        pairs.append(MatchedPair(i, j, d, both_real))
-    unmatched_poly = tuple(i for i in range(poly_sol.count) if i not in used_poly)
-    unmatched_master = tuple(
-        j for j in range(len(master_sol.solutions)) if j not in used_master
-    )
+        if i not in used_poly and j not in used_master:
+            used_poly.add(i)
+            used_master.add(j)
+            pairs.append(MatchedPair(i, j, d, poly_sol.solutions[i].is_real and master_sol.solutions[j].is_real))
     real_consistent = all(
         poly_sol.solutions[p.poly_index].is_real == master_sol.solutions[p.master_index].is_real
         for p in pairs
     )
     return IsomorphismReport(
         pairs=tuple(pairs),
-        unmatched_poly=unmatched_poly,
-        unmatched_master=unmatched_master,
+        unmatched_poly=tuple(i for i in range(poly_sol.count) if i not in used_poly),
+        unmatched_master=tuple(j for j in range(master_sol.count) if j not in used_master),
         poly_count=poly_sol.count,
         master_count=master_sol.count,
         max_distance=max((p.distance for p in pairs), default=0.0),

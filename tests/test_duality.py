@@ -41,7 +41,7 @@ from galedual.lattice import (
 )
 from galedual.polytopes import kouchnirenko_bound
 from galedual.ratlinalg import mat_rank
-from galedual.serialize import check_to_dict
+from galedual.serialize import check_to_dict, pair_to_dict
 from galedual.systems import Arrangement, LinearForm, MasterSystem, SparseSystem, _stacked
 from test_properties import dualizable_systems
 
@@ -99,7 +99,8 @@ def test_dualize_poly_reproduces_known_master():
     ]
     expected_weights = IntMatrix.from_rows([[-1, 3, 2, -2], [3, -1, 1, -3]])
     assert same_lattice(pair.master.weights.matrix, expected_weights)
-    assert pair.witness.z_monomials == ("x^3*y^2", "x*y^2", "x^4*y^-1", "x^4*y")
+    monomials = pair.poly.monomial_strings()
+    assert [monomials[c] for c in pair.witness.z_support_columns] == ["x^3*y^2", "x*y^2", "x^4*y^-1", "x^4*y"]
     check = check_gale_pair(pair)
     assert check.all_pass, check.failures()
 
@@ -120,9 +121,10 @@ def test_dualize_poly_witness_is_permutation():
     cols = pair.witness.z_support_columns
     assert sorted(cols) == [0, 1, 2, 3]
     # z coordinate j renders the monomial of the support column it points at
+    rendered = pair_to_dict(pair)["witness"]["z_monomials"]
     for z_index, col in enumerate(cols):
         exps = pair.poly.support.exponent(col)
-        assert pair.witness.z_monomials[z_index] == (
+        assert rendered[z_index] == (
             "*".join(
                 n if e == 1 else f"{n}^{e}"
                 for n, e in zip(("x", "y"), exps)
@@ -254,7 +256,6 @@ def test_check_flags_witness_tampering():
     witness = GaleWitness(
         tuple(tuple(r) for r in forms),
         pair.witness.z_support_columns,
-        pair.witness.z_monomials,
     )
     check = check_gale_pair(GalePair(pair.poly, pair.master, witness))
     assert "relations_vanish" in check.failures()
@@ -375,6 +376,9 @@ def test_check_flags_dependent_essential_rows():
     forged = replace(pair.witness, essential_rows=(2, 3, 1))
     check = check_gale_pair(GalePair(pair.poly, pair.master, forged))
     assert check == replace(pair.check, forms_essential=False)
+    # no inverse of the monomial map comes from dependent rows
+    with pytest.raises(NotEssentialError):
+        GalePair(pair.poly, pair.master, forged).to_master([])
 
 
 @pytest.mark.parametrize("dualize, system", [
@@ -432,7 +436,6 @@ def test_check_flags_shape_mismatch():
     witness = GaleWitness(
         pair.witness.linear_forms,
         (0, 0, 2, 3),  # not a permutation
-        pair.witness.z_monomials,
     )
     check = check_gale_pair(GalePair(pair.poly, pair.master, witness))
     assert not check.shapes_consistent

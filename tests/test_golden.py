@@ -11,13 +11,21 @@ keep all of these. Three random sparse systems of the benchmark corpus
 verify pinned the same way, and so do two random masters of the corpus,
 whose verify takes out two excluded roots over fibers that the first
 subresultant does not separate (solver._only_excluded certifies them).
-After a change meant to alter them, rewrite the pinned file with
-``PYTHONPATH=src python tests/test_golden.py`` and review its diff.
+Every verify input of both benchmark corpora (bench/corpus.py, read from the
+checkout as tests/test_trace_boundaries.py reads bench/spans.py) has its
+verify pinned too, one line each in golden_corpus.json, failures included:
+an exit code and its stderr, or the exception that escapes main. The
+corpus's verify inputs do not change with its seed, so seed 1's are all of
+them. After a change meant to alter them, rewrite the pinned files with
+``PYTHONPATH=src python tests/test_golden.py`` and review their diff.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
+import sys
+import tempfile
 from importlib.resources import files
 from pathlib import Path
 
@@ -26,6 +34,8 @@ import pytest
 from galedual.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
+CORPUS_GOLDEN = Path(__file__).with_name("golden_corpus.json")
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
 FIXTURES = ("example22_sparse", "example22_master", "example3_second")
 CALLS = [(command, fixture, fmt) for command in ("dualize", "bound") for fixture in FIXTURES for fmt in ("json", "text")]
 CLUSTERED = ("sparse-b19-1", "sparse-b19-2", "sparse-b13-9")
@@ -34,21 +44,41 @@ EXACT_CALLS = [(command, fixture) for command in ("solve", "verify") for fixture
 EXACT_CALLS += [("verify", name) for name in CLUSTERED + SHARED_FIBERS]
 
 
-def run(command, fixture, fmt):
-    if fixture in FIXTURES:
-        path = str(files("galedual") / "fixtures" / f"{fixture}.json")
-    else:
-        path = str(Path(__file__).with_name("inputs") / f"{fixture}.json")
+def corpus_verify_inputs():
+    """{instance id: input} of every verify instance of both benchmark corpora."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclass looks its module up there
+    spec.loader.exec_module(corpus)
+    workloads = ("verify_sparse_origin", "verify_master_origin")
+    return {inst.iid: inst.payload for workload in workloads for inst in corpus.build(workload, 1)}
+
+
+CORPUS_INPUTS = corpus_verify_inputs()
+
+
+def run(command, fixture, fmt, path=None):
+    if path is None and fixture in FIXTURES:
+        path = files("galedual") / "fixtures" / f"{fixture}.json"
+    elif path is None:
+        path = Path(__file__).with_name("inputs") / f"{fixture}.json"
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--input", path, "--format", fmt])
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(path), "--format", fmt])
+    except ValueError as exc:  # escapes main on master-b1-8 and master-b1-10 (ROADMAP item 2)
+        code = f"{type(exc).__name__}: {exc}"
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def exact_fields(command, fixture):
-    """The platform-independent fields of a json solve or verify."""
-    out = run(command, fixture, "json")
-    data = json.loads(out.pop("stdout"))
+def exact_fields(command, fixture, path=None):
+    """The platform-independent fields of a json solve or verify; without
+    output, the exit and stderr alone."""
+    out = run(command, fixture, "json", path)
+    stdout = out.pop("stdout")
+    if not stdout:
+        return out
+    data = json.loads(stdout)
     if command == "solve":
         exact = {key: data[key] for key in ("count", "real_count", "total_multiplicity", "diagnostics")}
         exact["solutions"] = [
@@ -76,7 +106,23 @@ def test_fixture_exact_fields_are_pinned(command, fixture):
     assert exact_fields(command, fixture) == pinned[f"{command} {fixture} exact"]
 
 
+def corpus_exact_fields(iid, directory):
+    path = Path(directory) / f"{iid}.json"
+    path.write_text(json.dumps(CORPUS_INPUTS[iid]))
+    return exact_fields("verify", iid, path)
+
+
+@pytest.mark.parametrize("iid", sorted(CORPUS_INPUTS))
+def test_corpus_verify_exact_fields_are_pinned(iid, tmp_path):
+    pinned = json.loads(CORPUS_GOLDEN.read_text())
+    assert corpus_exact_fields(iid, tmp_path) == pinned[iid]
+
+
 if __name__ == "__main__":
     outputs = {" ".join(call): run(*call) for call in CALLS}
     outputs.update({f"{command} {fixture} exact": exact_fields(command, fixture) for command, fixture in EXACT_CALLS})
     GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as directory:
+        lines = [f"{json.dumps(iid)}: {json.dumps(corpus_exact_fields(iid, directory), sort_keys=True)}"
+                 for iid in sorted(CORPUS_INPUTS)]
+    CORPUS_GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -1068,6 +1068,13 @@ def test_balanced_digits_round_trip(n, base):
     assert digits == reference_balanced_digits(n, base)
 
 
+@pytest.mark.parametrize("base", [2, 1, 0, -4])
+def test_balanced_digits_reject_bases_below_3(base):
+    # base 2's digits, -1 and 0, cannot write a positive number: the loop used never to end
+    with pytest.raises(ValueError, match="at least 3"):
+        _balanced_digits(1, base)
+
+
 # -- restriction to a line ----------------------------------------------------------
 
 

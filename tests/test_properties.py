@@ -4,14 +4,21 @@ Round trips through the dual keep the relation lattice and the volume bound,
 and the torus side of a master depends only on its weight lattice; torus
 solution counts do not depend on the coordinates of the support and never
 exceed its bound; solution sets of real systems are closed under
-complex conjugation. The solving tests draw a fixed sequence of examples
-(``derandomize``), since their counts rest on floating-point root finding.
+complex conjugation; a pair's map from torus points to master points
+(GalePair.to_master) is exact on rational common points. The solving tests
+draw a fixed sequence of examples (``derandomize``), since their counts rest
+on floating-point root finding.
 """
+
+from dataclasses import replace
+from fractions import Fraction
+from math import prod
+from operator import mul
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galedual.duality import dualize_master_to_poly, dualize_poly_to_master
+from galedual.duality import GalePair, dualize_master_to_poly, dualize_poly_to_master
 from galedual.errors import (
     CommonComponentError,
     DegenerateDualError,
@@ -30,7 +37,7 @@ from galedual.lattice import (
 )
 from galedual.polytopes import kouchnirenko_bound
 from galedual.ratlinalg import row_space_equal
-from galedual.solver import solve_master, solve_sparse
+from galedual.solver import solve_master, solve_sparse, verify_isomorphism
 from galedual.systems import MasterSystem, SparseSystem, torus_variable_names
 
 
@@ -159,3 +166,76 @@ def test_solution_sets_closed_under_conjugation(vectors, rows):
     except (CommonComponentError, DegreeCapError, SeparationError):
         assume(False)
     assert_conjugation_closed(master)
+
+
+@st.composite
+def systems_through_a_point(draw):
+    """A sparse system in 2 or 3 variables that vanishes at a rational torus
+    point x0, with x0 and the pair dualize_poly_to_master returns: each
+    coefficient row's constant is minus the rest of the row at x0."""
+    dim = draw(st.integers(2, 3))
+    n = draw(st.integers(1, dim))
+    vectors = draw(supports(dim, dim + draw(st.integers(1, 2)), 2))
+    nonzero = st.integers(-3, 3).filter(bool)
+    x0 = tuple(draw(st.builds(Fraction, nonzero, st.integers(1, 3))) for _ in range(dim))
+    monomials = [prod(v ** e for v, e in zip(x0, vector)) for vector in vectors]
+    rows = [[-sum(map(mul, row, monomials)), *row] for row in draw(coefficient_rows(n, len(vectors) - 1))]
+    try:
+        system = sparse_system(vectors, rows)
+    except DependentRowsError:
+        assume(False)
+    return x0, dualized(system)
+
+
+def exact_master_point(pair, x):
+    """pair.to_master([x]) and the values of the forms there, checked: each
+    form equals its monomial at x and each weighted product is 1, exactly."""
+    (y,) = pair.to_master([x])
+    assert all(isinstance(v, Fraction) for v in y)
+    values = [f.constant + sum(map(mul, f.coeffs, y)) for f in pair.master.arrangement.forms]
+    support = pair.poly.support
+    assert values == [prod(v ** e for v, e in zip(x, support.exponent(c))) for c in pair.witness.z_support_columns]
+    weights = pair.master.weights
+    assert all(prod(v ** w for v, w in zip(values, weights.weight(j))) == 1 for j in range(pair.master.shape.num_weights))
+    return y, values
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_through_a_point())
+def test_to_master_maps_a_rational_common_point_exactly(drawn):
+    """On both dualization directions, and without the essential rows too.
+    The torus point of the master-to-poly pair is x = z^C, C its support's
+    right inverse and z the forms' values."""
+    x0, pair = drawn
+    y0, values = exact_master_point(pair, x0)
+    stripped = GalePair(pair.poly, pair.master, replace(pair.witness, essential_rows=None))
+    assert stripped.to_master([x0]) == [y0]
+    back = dualize_master_to_poly(pair.master)
+    inverse = back.witness.support_inverse.to_rows()
+    x1 = tuple(prod(z ** row[i] for z, row in zip(values, inverse)) for i in range(len(inverse[0])))
+    assert exact_master_point(back, x1)[0] == y0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(supports(2, 4, 2), coefficient_rows(2, 4))
+def test_verify_without_essential_rows_keeps_the_exact_fields(vectors, rows):
+    """The pivots of the rows (1 | form) give the map when the witness
+    carries no essential rows; only the distances may move, in their last
+    bits."""
+    try:
+        system = sparse_system(vectors, rows)
+    except DependentRowsError:
+        assume(False)
+    pair = dualized(system)
+    stripped = GalePair(pair.poly, pair.master, replace(pair.witness, essential_rows=None))
+    try:
+        reports = [verify_isomorphism(p) for p in (pair, stripped)]
+    except (CommonComponentError, DegreeCapError, SeparationError):
+        assume(False)
+
+    def exact(report):
+        pairs = sorted((p.poly_index, p.master_index, p.both_real) for p in report.pairs)
+        return (pairs, report.unmatched_poly, report.unmatched_master, report.poly_count, report.master_count,
+                report.real_consistent)
+
+    assert exact(reports[0]) == exact(reports[1])

@@ -27,7 +27,7 @@ from galedual.errors import (
     SeparationError,
 )
 from galedual.lattice import ExponentMatrix, IntMatrix, SystemShape, WeightBasis
-from galedual.newton import compile_pair, refine
+from galedual.newton import CompiledPair, refine
 from galedual import polynomials, roots, solver
 from galedual.polynomials import IntPoly, uderiv, umul, usquarefree_int
 from galedual.polytopes import kouchnirenko_bound
@@ -772,7 +772,7 @@ def test_final_starts_take_no_step(monkeypatch):
     starts = solution_starts(f, g)
     monkeypatch.setattr("galedual.newton._value", no_derivative)
     monkeypatch.setattr("galedual.newton.CompiledPair.derivatives", no_derivative)
-    compiled = compile_pair(f, g)
+    compiled = CompiledPair(f, g)
     for start in starts:
         point, residual, converged = refine(compiled, start, config)
         assert converged
@@ -786,7 +786,7 @@ def test_refinement_matches_scalar_newton(monkeypatch, max_iter):
     # solutions of the pair are already final and take no step
     monkeypatch.setattr("galedual.newton._MAX_ITER", max_iter)
     f, g = worked_pair()
-    compiled = compile_pair(f, g)
+    compiled = CompiledPair(f, g)
     config = SolverConfig()
     for start in seeded_starts(300, 5) + solution_starts(f, g):
         assert refine(compiled, start, config) == scalar_newton(f, g, start, config, max_iter)
@@ -803,7 +803,7 @@ def bivariate_polys():
 @settings(deadline=None, max_examples=100)
 @given(bivariate_polys(), bivariate_polys())
 @example(*map(Q.of, cleared_polynomials(worked_sparse())))
-def test_compile_pair_divides_by_the_max_norm(f, g):
+def test_compiled_pair_divides_by_the_max_norm(f, g):
     # each integer polynomial is divided by its largest absolute coefficient
     # exactly, then rounded once, so it compiles bit for bit as the rational
     # polynomial it was cleared from does when scaled by its own max norm,
@@ -817,7 +817,7 @@ def test_compile_pair_divides_by_the_max_norm(f, g):
     def bits(group):
         return [[(i, j, c.real.hex(), c.imag.hex()) for i, j, c in terms] for terms in group]
 
-    compiled = compile_pair(*ints(f, g))
+    compiled = CompiledPair(*ints(f, g))
     f_x, f_y, g_x, g_y = compiled.derivatives()
     groups = [(compiled.f, f_x, f_y), (compiled.g, g_x, g_y)]
     assert list(map(bits, groups)) == [bits(reference(f)), bits(reference(g))]
@@ -846,7 +846,7 @@ def test_overflowing_starts_count_as_diverged():
     sols = solve_bivariate(f, g)
     assert sols.count > 0
     assert all(s.residual < sols.config.verify_tol for s in sols.solutions)
-    compiled = compile_pair(f, g)
+    compiled = CompiledPair(f, g)
     starts = [sols.solutions[0].point, (1e40, 1e40), (1e300j, 1.0)]
     points, residuals, converged = zip(*(refine(compiled, start, SolverConfig()) for start in starts))
     assert list(converged) == [True, False, False]
