@@ -11,6 +11,10 @@ point again (Bini and Robol, JCAM 272, 2014, restart at clusters). How
 many roots are real is proved from inclusion disks around the roots found
 (real_root_count); Sturm's theorem in integers (ureal_root_count) decides
 only where the disks overlap.
+
+This is the package's float tier, and the only module that imports numpy
+at module level; galedual.solver imports it inside the functions that
+solve.
 """
 
 from __future__ import annotations
@@ -374,7 +378,7 @@ def rational_values(num, den, z):
         error = 4 * n * _EPS * (top_bound + np.abs(values) * bottom_bound) / np.abs(bottom)
     # a denominator that cancels to 0 in floats leaves an infinite value,
     # which the relative test alone would pass
-    for k in np.flatnonzero(~(error <= _RTOL * np.maximum(1, np.abs(values))) | np.isinf(values)):
+    for k in np.flatnonzero(~(error <= _RTOL * np.abs(values)) | np.isinf(values)):
         values[k] = _quotient(_value_exact(num, z[k]), _value_exact(den, z[k]))
     return values
 

@@ -13,14 +13,17 @@ root finding (galedual.roots) and Newton polishing (galedual.newton).
 verify_isomorphism solves both sides of a pair and matches the torus
 solutions, mapped across by the pair (duality.GalePair.to_master), to the
 complement solutions.
+
+numpy and galedual.roots are imported inside solve_bivariate and
+verify_isomorphism, the functions that compute with them, so importing
+this module loads no numpy: the exact commands (dualize, bound) never pay
+for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, gcd
-
-import numpy as np
 
 from .errors import (
     CommonComponentError,
@@ -44,7 +47,6 @@ from .polynomials import (
 from .polynomials import bivariate_resultant, ugcd, usquarefree  # noqa: F401
 from .systems import cleared_polynomials, clear_denominators, evaluate_phi
 from .ratlinalg import _integer_rows
-from .roots import polynomial_roots, rational_values, real_root_count
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,11 @@ def solve_bivariate(f, g, config=None, exclude=()):
     above _DEGREE_CAP, and SeparationError when no shear up to
     _MAX_SHEAR separates the common zeros.
     """
+    # here, not at module level, so that importing solver loads no numpy
+    import numpy as np
+
+    from .roots import polynomial_roots, rational_values, real_root_count
+
     config = config or SolverConfig()
     for p in (f, g):
         if not p.terms:
@@ -432,6 +439,8 @@ def verify_isomorphism(pair, config=None):
     complement solution within _MATCH_TOL is its partner. Count or realness
     mismatches are reported, not raised.
     """
+    import numpy as np
+
     config = config or SolverConfig()
     poly_sol = solve_sparse(pair.poly, config)
     master_sol = solve_master(pair.master, config)

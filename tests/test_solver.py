@@ -461,6 +461,14 @@ def test_quotient_whose_float_denominator_cancels_is_evaluated_exactly():
     assert values[1] == pytest.approx(-1 / (2 ** 60 - 1), rel=2.0 ** -30)
 
 
+def test_small_quotient_is_relatively_accurate():
+    # 2**60 + 1 - 2**60*x at x = 1 is 1, but 0 in floats; over 2**45 the
+    # value 2**-45 is below the tolerance in absolute terms, and an absolute
+    # test accepted the float 0
+    values = roots.rational_values([2 ** 60 + 1, -(2 ** 60)], [2 ** 45, 0], np.array([1 + 0j]))
+    assert values[0] == pytest.approx(2.0 ** -45, rel=roots._RTOL)
+
+
 @settings(deadline=None, max_examples=100, derandomize=True)
 @given(coefficient_stacks(), dyadic_points(), st.data())
 def test_power_table_values_do_not_depend_on_the_other_points(rows, points, data):
