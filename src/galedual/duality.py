@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from .errors import DegenerateDualError, InvariantError, NotEssentialError
@@ -31,7 +31,7 @@ from .lattice import (
     lll_reduce,
     saturation_index,
 )
-from .ratlinalg import _integer_rows, det_bareiss_int, mat_inverse, right_kernel, row_space_equal, rref
+from .ratlinalg import _integer_rows, det_bareiss_int, mat_inverse, mat_rank, right_kernel, rref
 from .systems import (
     Arrangement,
     LinearForm,
@@ -46,15 +46,12 @@ from .systems import (
 
 # unused here; bench/spans.py looks these names up on this module to count calls
 from .lattice import quotient_images, smith_diagonal  # noqa: F401
+from .ratlinalg import row_space_equal  # noqa: F401
 
 
 @dataclass(frozen=True)
 class GaleWitness:
     """Coordinate bookkeeping certifying a pair.
-
-    ``linear_forms``: the num_equations relation rows over (1, z_1..z_k);
-    pulled back along the monomial map they give back the sparse system, and
-    composed with the forms they vanish identically.
 
     ``z_support_columns``: permutation sending z index (0-based) to the column
     of the sparse support holding that coordinate's monomial. Master form i
@@ -68,11 +65,10 @@ class GaleWitness:
     ``essential_rows``: master_dim + 1 indices into (1, form_1..form_k),
     index 0 the constant, whose rows (1 | form) have a nonzero determinant,
     or None. They prove the forms essential and invert the monomial map
-    (GalePair.to_master), and ``linear_forms`` holds the identity at the
-    other num_equations columns, which proves the spans equal by one product.
+    (GalePair.to_master), and a relation among 1 and the forms is fixed by
+    its entries at the other num_equations columns.
     """
 
-    linear_forms: tuple
     z_support_columns: tuple
     support_inverse: IntMatrix | None = None
     weight_inverse: IntMatrix | None = None
@@ -188,22 +184,12 @@ def dualize_poly_to_master(system):
     weights = WeightBasis(shape, lll_reduce(hnf(kernel.submatrix_columns(z_cols))[0]))
     master = MasterSystem(arrangement, weights)
 
-    k = shape.num_forms
-    relation_rows = []
-    for i in range(shape.num_equations):
-        row = [Fraction(0)] * (k + 1)
-        row[0] = -diag.rhs[i].constant
-        row[i + 1] = Fraction(1)
-        for t, c in enumerate(diag.rhs[i].coeffs):
-            row[shape.num_equations + 1 + t] = -c
-        relation_rows.append(tuple(row))
     witness = GaleWitness(
-        tuple(relation_rows),
         tuple(z_cols),
         support_inverse,
         _kernel_and_index(weights.matrix)[2],
         # 1 and the coordinate forms
-        (0, *range(shape.num_equations + 1, k + 1)),
+        (0, *range(shape.num_equations + 1, shape.num_forms + 1)),
     )
     return _checked(GalePair(system, master, witness))
 
@@ -234,7 +220,6 @@ def dualize_master_to_poly(master):
     poly = SparseSystem(images, coefficients, names)
 
     witness = GaleWitness(
-        tuple(tuple(row) for row in reduced),
         tuple(range(shape.num_forms)),
         _kernel_and_index(images.matrix)[2],
         weight_inverse,
@@ -260,15 +245,17 @@ def saturate_weights(master):
 def check_gale_pair(pair):
     """Exact certification of every pairing condition; returns a PairCheck.
 
-    The relations are checked in ints: each witness row and each column of
-    the rows (1 | form) is scaled to integers by its own denominators, which
-    changes no product's vanishing, and every row must annihilate every
-    column. With ``essential_rows`` carried, one determinant of those rows
-    proves the forms essential, and the spans follow from the identity block
-    of the relation rows L at the other columns P: the permuted coefficient
-    rows M span the same space exactly when M = M[:, P] @ L and
-    det M[:, P] != 0. Without them the forms are ranked, and without them or
-    that block the spans are eliminated.
+    The sparse side is checked on its own coefficient rows M, their columns
+    permuted to z order, in ints: each row of M and each column of the rows
+    (1 | form) is scaled to integers by its own denominators, which changes
+    no product's vanishing, and every row must annihilate every column. The
+    spans match when the rows of M are also independent: with essential
+    forms, num_equations independent relations are all of them. With
+    ``essential_rows`` carried, one determinant of those rows proves the
+    forms essential, and since a relation is fixed by its entries at the
+    other columns P, the rows are independent when det M[:, P] != 0.
+    Without them, or when their determinant fails, the forms and M are
+    ranked.
     """
     poly = pair.poly
     master = pair.master
@@ -277,12 +264,7 @@ def check_gale_pair(pair):
     k = shape.num_forms
     rows = witness.essential_rows
 
-    shapes_consistent = (
-        shape == master.shape
-        and sorted(witness.z_support_columns) == list(range(k))
-        and len(witness.linear_forms) == shape.num_equations
-        and all(len(row) == k + 1 for row in witness.linear_forms)
-    )
+    shapes_consistent = shape == master.shape and sorted(witness.z_support_columns) == list(range(k))
 
     support_primitive, support_index = _primitivity(poly.support.matrix, witness.support_inverse)
     weights_primitive, weight_index = _primitivity(master.weights.matrix, witness.weight_inverse)
@@ -304,19 +286,15 @@ def check_gale_pair(pair):
 
     relations_vanish = spans_match = False
     if shapes_consistent:
-        relations = _integer_rows(witness.linear_forms)[0]
-        relations_vanish = not any(_dot(row, col) for row in relations for col in columns)
-        permuted = [
-            [row[0]] + [row[col + 1] for col in witness.z_support_columns]
-            for row in poly.coefficients
-        ]
-        pivots = [] if rows is None else [c for c in range(k + 1) if c not in rows]
-        if len(pivots) == len(relations) and all(
-            row[p] == (i == j) for i, row in enumerate(witness.linear_forms) for j, p in enumerate(pivots)
-        ):
-            spans_match = _spans_by_product(_integer_rows(permuted)[0], relations, pivots)
-        else:
-            spans_match = row_space_equal([list(row) for row in witness.linear_forms], permuted)
+        permuted = _integer_rows(
+            [[row[0]] + [row[col + 1] for col in witness.z_support_columns] for row in poly.coefficients]
+        )[0]
+        relations_vanish = not any(_dot(row, col) for row in permuted for col in columns)
+        if relations_vanish and rows is not None and forms_essential:
+            others = [c for c in range(k + 1) if c not in rows]
+            spans_match = det_bareiss_int([[row[c] for c in others] for row in permuted]) != 0
+        elif relations_vanish:
+            spans_match = mat_rank(permuted) == shape.num_equations
 
     return PairCheck(
         shapes_consistent=shapes_consistent,
@@ -329,21 +307,6 @@ def check_gale_pair(pair):
         relations_vanish=relations_vanish,
         spans_match=spans_match,
     )
-
-
-def _spans_by_product(coefficients, relations, pivots):
-    """Whether integer rows M span what the integer rows L span, when L is
-    d_i times the identity at the columns ``pivots`` (d_i > 0): each row m
-    must be sum_i m[p_i] / d_i * L_i, in ints times D = lcm(d_i), and
-    det M[:, pivots] nonzero."""
-    scales = [row[p] for row, p in zip(relations, pivots)]
-    common = lcm(*scales)
-    columns = list(zip(*relations))
-    for m in coefficients:
-        lead = [m[p] * (common // d) for p, d in zip(pivots, scales)]
-        if any(common * v != _dot(lead, col) for v, col in zip(m, columns)):
-            return False
-    return det_bareiss_int([[m[p] for p in pivots] for m in coefficients]) != 0
 
 
 def _primitivity(mat, inverse):

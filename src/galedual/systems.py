@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .errors import DependentRowsError, DimensionCapError, NoPivotError
 from .lattice import ExponentMatrix, WeightBasis
@@ -239,9 +239,13 @@ class MasterSystem:
             worst = 0.0
             for weight in weights:
                 prod = complex(1)
-                for v, e in zip(values, weight):
-                    if e:
-                        prod *= v ** e
+                try:
+                    for v, e in zip(values, weight):
+                        if e:
+                            prod *= v ** e
+                except ZeroDivisionError:  # a form value of 0.0 under a negative weight
+                    worst = inf
+                    break
                 worst = max(worst, abs(prod - 1))
             out.append(worst)
         return out

@@ -475,6 +475,38 @@ def test_planar_master_whose_recentred_cluster_underflows_solves(capsys, tmp_pat
     assert solved["total_multiplicity"] + len(solved["excluded"]) <= json.loads(out)["kouchnirenko"]
 
 
+def test_master_point_on_a_negatively_weighted_line_is_excluded(capsys, tmp_path):
+    # the dual of a 3-variable system: one root lies where form 3 (s, weight
+    # -1 in the first row) crosses form 2, and s rounds to 0.0 there
+    path = write_json(
+        tmp_path,
+        "on_line.json",
+        {
+            "variables": ["s", "t"],
+            "forms": [
+                {"constant": "1", "coeffs": ["1", "4"]},
+                {"constant": "8/13", "coeffs": ["-4/13", "59/13"]},
+                {"constant": "-2/13", "coeffs": ["1/13", "-18/13"]},
+                {"constant": "0", "coeffs": ["1", "0"]},
+                {"constant": "0", "coeffs": ["0", "1"]},
+            ],
+            "weights": [[2, -4, 1, -1, 0], [2, 2, -1, 4, 2]],
+        },
+    )
+    code, out, err = run(capsys, "solve", "--input", path)
+    assert (code, err) == (0, "")
+    solved = json.loads(out)
+    assert solved["count"] == 32
+    [excluded] = solved["excluded"]
+    assert excluded["flags"] == ["defining-residual"]
+    assert excluded["residual"] == float("inf")
+    (s, _), (t, _) = excluded["point"]
+    assert abs(s) < 1e-9 and abs(t + 1 / 9) < 1e-9
+    code, out, _ = run(capsys, "bound", "--input", path)
+    assert code == 0
+    assert solved["total_multiplicity"] + len(solved["excluded"]) <= json.loads(out)["kouchnirenko"]
+
+
 def test_common_component_is_solver_error(capsys, tmp_path):
     # both equations share the factor x - y
     path = write_json(

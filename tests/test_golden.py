@@ -16,11 +16,17 @@ checkout as tests/test_trace_boundaries.py reads bench/spans.py) has its
 verify pinned too, one line each in golden_corpus.json, failures included:
 an exit code and its stderr, or the exception that escapes main. The
 corpus's verify inputs do not change with its seed, so seed 1's are all of
-them. After a change meant to alter them, rewrite the pinned files with
+them. Every structure_highdim instance of seed 1 has its exit code and the
+sha256 of its stdout pinned in golden_highdim.json: dualize and bound in 2
+to 4 variables, and the round trips, whose input is the master of an
+earlier dualize's output as the corpus derives it. After a change meant to
+alter them, rewrite the pinned files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review their diff.
 """
 
 import contextlib
+import functools
+import hashlib
 import importlib.util
 import io
 import json
@@ -35,6 +41,7 @@ from galedual.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 CORPUS_GOLDEN = Path(__file__).with_name("golden_corpus.json")
+HIGHDIM_GOLDEN = Path(__file__).with_name("golden_highdim.json")
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
 FIXTURES = ("example22_sparse", "example22_master", "example3_second")
 CALLS = [(command, fixture, fmt) for command in ("dualize", "bound") for fixture in FIXTURES for fmt in ("json", "text")]
@@ -44,17 +51,22 @@ EXACT_CALLS = [(command, fixture) for command in ("solve", "verify") for fixture
 EXACT_CALLS += [("verify", name) for name in CLUSTERED + SHARED_FIBERS]
 
 
-def corpus_verify_inputs():
-    """{instance id: input} of every verify instance of both benchmark corpora."""
+def load_corpus():
     spec = importlib.util.spec_from_file_location("bench_corpus", CORPUS)
     corpus = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = corpus  # its dataclass looks its module up there
     spec.loader.exec_module(corpus)
-    workloads = ("verify_sparse_origin", "verify_master_origin")
-    return {inst.iid: inst.payload for workload in workloads for inst in corpus.build(workload, 1)}
+    return corpus
 
 
-CORPUS_INPUTS = corpus_verify_inputs()
+CORPUS_MODULE = load_corpus()
+# {instance id: input} of every verify instance of both benchmark corpora
+CORPUS_INPUTS = {
+    inst.iid: inst.payload
+    for workload in ("verify_sparse_origin", "verify_master_origin")
+    for inst in CORPUS_MODULE.build(workload, 1)
+}
+HIGHDIM = CORPUS_MODULE.build("structure_highdim", 1)
 
 
 def run(command, fixture, fmt, path=None):
@@ -118,11 +130,38 @@ def test_corpus_verify_exact_fields_are_pinned(iid, tmp_path):
     assert corpus_exact_fields(iid, tmp_path) == pinned[iid]
 
 
+@functools.cache
+def highdim_outputs():
+    """{instance id: exit and stdout sha256} of every structure_highdim
+    instance of seed 1, run in corpus order so that a derived instance can
+    read its input off its source's output."""
+    outputs, stdouts = {}, {}
+    with tempfile.TemporaryDirectory() as directory:
+        for inst in HIGHDIM:
+            source, key = inst.derive or (None, None)
+            payload = inst.payload if source is None else json.loads(stdouts[source])[key]
+            path = Path(directory) / f"{inst.iid}.json"
+            path.write_text(json.dumps(payload))
+            out = run(inst.command, inst.iid, "json", path)
+            stdouts[inst.iid] = out["stdout"]
+            outputs[inst.iid] = {"exit": out["exit"], "stdout_sha256": hashlib.sha256(out["stdout"].encode()).hexdigest()}
+    return outputs
+
+
+@pytest.mark.parametrize("iid", [inst.iid for inst in HIGHDIM])
+def test_highdim_output_is_pinned(iid):
+    pinned = json.loads(HIGHDIM_GOLDEN.read_text())
+    assert highdim_outputs()[iid] == pinned[iid]
+
+
+def pinned_lines(pinned):
+    return "{\n" + ",\n".join(f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}" for key, value in pinned) + "\n}\n"
+
+
 if __name__ == "__main__":
     outputs = {" ".join(call): run(*call) for call in CALLS}
     outputs.update({f"{command} {fixture} exact": exact_fields(command, fixture) for command, fixture in EXACT_CALLS})
     GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
     with tempfile.TemporaryDirectory() as directory:
-        lines = [f"{json.dumps(iid)}: {json.dumps(corpus_exact_fields(iid, directory), sort_keys=True)}"
-                 for iid in sorted(CORPUS_INPUTS)]
-    CORPUS_GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+        CORPUS_GOLDEN.write_text(pinned_lines((iid, corpus_exact_fields(iid, directory)) for iid in sorted(CORPUS_INPUTS)))
+    HIGHDIM_GOLDEN.write_text(pinned_lines(sorted(highdim_outputs().items())))

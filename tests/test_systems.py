@@ -440,6 +440,8 @@ def test_master_residual_vanishes_on_exact_solution():
     on, off = master.residuals([(0.7, 0.7), (0.7, 0.9)])
     assert on < 1e-12
     assert off > 1e-3
+    # on the line t = 0, which the weights divide by, the residual is infinite
+    assert master.residuals([(0.7, 0.0)]) == [float("inf")]
 
 
 # -- cleared binomials --------------------------------------------------------------
